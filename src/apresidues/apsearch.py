@@ -20,22 +20,22 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bigmod import (
     OddPrimeContext,
     ResidueClass,
+    euler_flags,
     euler_totient,
-    is_prime,
-    jacobi,
-    multiplicative_order,
-    prime_mask,
+    has_exact_order,
+    prime_powers_up_to,
     primes_up_to,
-    von_mangoldt,
 )
 from .errors import DomainError, ResourceError
 
 _SCAN_CAP = 10**8
-_SIEVE_SCAN = 10**7
 _COUNT_CAP = 10**8
+_FIRST_BLOCK = 128
 
 
 class Target(enum.Enum):
@@ -133,15 +133,54 @@ def unweighted_prediction(ctx: OddPrimeContext, k: int, q: int, epsilon: float =
     return UnweightedPrediction(main_term=main, by_loglog=main / ctx.loglog_p, by_logx=main / math.log(x))
 
 
-def _verdict_matches(n: int, target: Target, k: int, ctx: OddPrimeContext, p_minus_1_factors) -> bool:
-    p = ctx.p
+def _check_target(target: Target, k: int, ctx: OddPrimeContext, p_minus_1_factors) -> None:
+    if (ctx.p - 1) % k != 0:
+        raise DomainError(f"k={k} does not divide p-1")
+    if target is Target.GENERATOR and p_minus_1_factors is None:
+        raise DomainError("GENERATOR target needs the factorisation of p-1")
+
+
+def _verdicts(ns: np.ndarray, target: Target, k: int, p: int, p_minus_1_factors) -> np.ndarray:
+    """The one verdict: flags[i] = ns[i] has the target verdict mod p."""
     if target is Target.GENERATOR:
-        return multiplicative_order(n, p, p_minus_1_factors) == (p - 1) // k
-    if k == 2:
-        sign = jacobi(n, p)
-        return (sign == 1) == (target is Target.RESIDUE)
-    witness = pow(n % p, (p - 1) // k, p)
-    return (witness == 1) == (target is Target.RESIDUE)
+        return has_exact_order(ns, p, k, p_minus_1_factors)
+    return euler_flags(ns, k, p) == (target is Target.RESIDUE)
+
+
+def _class_prime_blocks(cls: ResidueClass, p: int, limit: int):
+    """Primes n <= limit in the class with p not dividing n, ascending, in
+    blocks whose sieve limit doubles: a search stops at the first block that
+    holds a hit, so its work grows with the answer, not with the scan cap."""
+    done, hi = 0, min(_FIRST_BLOCK, limit)
+    while done < limit:
+        primes = primes_up_to(hi)
+        block = primes[np.searchsorted(primes, done, side="right"):]
+        block = block[block % cls.q == cls.a % cls.q]
+        yield block[block != p] if p <= hi else block
+        done, hi = hi, min(2 * hi, limit)
+
+
+def first_primes_with_verdict(
+    target: Target,
+    k: int,
+    cls: ResidueClass,
+    ctx: OddPrimeContext,
+    count: int,
+    scan_limit: int,
+    p_minus_1_factors=None,
+) -> list[int]:
+    """The first `count` primes n = a + q*m <= scan_limit (ascending, p not
+    dividing n) with the target verdict; fewer when the scan runs out."""
+    if scan_limit > _SCAN_CAP:
+        raise ResourceError(f"scan cap is {_SCAN_CAP}")
+    _check_target(target, k, ctx, p_minus_1_factors)
+    found: list[int] = []
+    for block in _class_prime_blocks(cls, ctx.p, scan_limit):
+        hits = block[_verdicts(block, target, k, ctx.p, p_minus_1_factors)]
+        found += [int(n) for n in hits[: count - len(found)]]
+        if len(found) == count:
+            break
+    return found
 
 
 def least_prime_with_verdict(
@@ -155,33 +194,10 @@ def least_prime_with_verdict(
 ) -> SearchOutcome:
     """First prime n = a + q*m (ascending, p not dividing n) with the target
     verdict, or an Absent outcome carrying the scan cap."""
-    p = ctx.p
-    if (p - 1) % k != 0:
-        raise DomainError(f"k={k} does not divide p-1")
     if scan_limit < cls.q + cls.a:
         raise DomainError(f"scan_limit {scan_limit} below first candidate {cls.q + cls.a}")
-    if scan_limit > _SCAN_CAP:
-        raise ResourceError(f"scan cap is {_SCAN_CAP}")
-    if target is Target.GENERATOR and p_minus_1_factors is None:
-        raise DomainError("GENERATOR target needs the factorisation of p-1")
-
     bx = bound_x(ctx, k, epsilon)
-    found = None
-    if scan_limit <= _SIEVE_SCAN:
-        for n in primes_up_to(scan_limit):
-            n = int(n)
-            if not cls.contains(n) or n % p == 0:
-                continue
-            if _verdict_matches(n, target, k, ctx, p_minus_1_factors):
-                found = n
-                break
-    else:
-        n = cls.a if cls.a >= 2 else cls.a + cls.q
-        while n <= scan_limit:
-            if n % p != 0 and is_prime(n) and _verdict_matches(n, target, k, ctx, p_minus_1_factors):
-                found = n
-                break
-            n += cls.q
+    found = next(iter(first_primes_with_verdict(target, k, cls, ctx, 1, scan_limit, p_minus_1_factors)), None)
     return SearchOutcome(
         target=target, k=k, cls=cls, found_n=found, bound_x=bx,
         within_bound=(found is not None and found <= bx), scan_limit=scan_limit,
@@ -203,36 +219,26 @@ def weighted_count(
     unweighted count (and the density denominator) restrict to primes.
     """
     p = ctx.p
-    if (p - 1) % k != 0:
-        raise DomainError(f"k={k} does not divide p-1")
+    _check_target(target, k, ctx, p_minus_1_factors)
     if x < 2:
         raise DomainError(f"x must be >= 2, got {x}")
     if x > _COUNT_CAP:
         raise ResourceError(f"count budget is {_COUNT_CAP}")
-    if target is Target.GENERATOR and p_minus_1_factors is None:
-        raise DomainError("GENERATOR target needs the factorisation of p-1")
 
     limit = math.floor(x)
-    weighted = 0.0
-    unweighted = 0
-    progression_primes = 0
-    skipped = 0
-    pmask = prime_mask(limit)
-    start = cls.a if cls.a >= 2 else cls.a + cls.q
-    for n in range(start, limit + 1, cls.q):
-        if n % p == 0:
-            skipped += 1
-            continue
-        lam = von_mangoldt(n)
-        if lam == 0.0:
-            continue
-        n_is_prime = bool(pmask[n])
-        if n_is_prime:
-            progression_primes += 1
-        if _verdict_matches(n, target, k, ctx, p_minus_1_factors):
-            weighted += lam
-            if n_is_prime:
-                unweighted += 1
+    powers, bases = prime_powers_up_to(limit)
+    keep = powers % cls.q == cls.a % cls.q
+    if p <= limit:
+        keep &= bases != p
+    powers, bases = powers[keep], bases[keep]
+    is_prime = powers == bases
+    hits = _verdicts(powers, target, k, p, p_minus_1_factors)
+    weighted = math.fsum(np.log(bases[hits]))
+    unweighted = int(np.count_nonzero(hits & is_prime))
+    progression_primes = int(np.count_nonzero(is_prime))
+    # the multiples of p in the class form one class mod p*q, or none
+    first = next((m for m in range(p, p * cls.q + 1, p) if m % cls.q == cls.a % cls.q), None)
+    skipped = len(range(first, limit + 1, p * cls.q)) if first else 0
     main = main_term_prediction(k, cls.q, x)
     density = unweighted / progression_primes if progression_primes else math.nan
     return CountReport(
@@ -251,7 +257,10 @@ def parse_x_rule(rule: str):
     if rule in ("bound", "prime"):
         return (rule, None)
     if rule.startswith("fixed:"):
-        return ("fixed", float(rule.split(":", 1)[1]))
+        try:
+            return ("fixed", float(rule.split(":", 1)[1]))
+        except ValueError:
+            raise DomainError(f"x rule {rule!r} needs a number after 'fixed:'") from None
     raise DomainError(f"unknown x rule {rule!r}")
 
 
@@ -273,38 +282,35 @@ def density_sweep(
     if target is Target.GENERATOR:
         raise DomainError("density sweeps support RESIDUE/NONRESIDUE targets only")
     rule, fixed_x = parse_x_rule(x_rule)
-    samples = []
+    chosen = []
     skipped = 0
-    for p in primes_up_to(hi):
+    candidates = primes_up_to(hi)
+    for p in candidates:
         p = int(p)
         if p < max(lo, 3):
             continue
         if (p - 1) % k != 0:
             skipped += 1
             continue
-        ctx = OddPrimeContext.for_prime(p, allow_small=True)
         if rule == "prime":
             x = float(p)
         elif rule == "bound":
-            x = bound_x(ctx, k, epsilon)
+            x = bound_x(OddPrimeContext.for_prime(p, allow_small=True), k, epsilon)
         else:
             x = fixed_x
-        qualifying = 0
-        total = 0
-        exp = (p - 1) // k
-        for n in primes_up_to(math.floor(x)):
-            n = int(n)
-            if n % p == 0:
-                continue
-            total += 1
-            if not cls.contains(n):
-                continue
-            if k == 2:
-                hit = jacobi(n, p) == 1
-            else:
-                hit = pow(n, exp, p) == 1
-            if hit == (target is Target.RESIDUE):
-                qualifying += 1
+        chosen.append((p, x))
+        if max_primes is not None and len(chosen) >= max_primes:
+            break
+    # one sieve serves every p: each x takes a prefix of it
+    top = math.floor(max((x for _, x in chosen), default=0))
+    primes = candidates[candidates <= top] if top <= hi else primes_up_to(top)
+    in_class = primes[primes % cls.q == cls.a % cls.q]
+    samples = []
+    for p, x in chosen:
+        limit = math.floor(x)
+        total = int(np.searchsorted(primes, limit, side="right")) - (p <= limit)
+        members = in_class[: np.searchsorted(in_class, limit, side="right")]
+        qualifying = int(np.count_nonzero(_verdicts(members[members != p], target, k, p, None)))
         frac = qualifying / total if total else math.nan
         samples.append(
             DensitySample(
@@ -314,6 +320,4 @@ def density_sweep(
                 qualifying=qualifying, total=total,
             )
         )
-        if max_primes is not None and len(samples) >= max_primes:
-            break
     return DensitySweepResult(samples=samples, skipped_primes=skipped)

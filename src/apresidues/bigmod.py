@@ -232,6 +232,24 @@ def von_mangoldt(n: int) -> float:
     return 0.0
 
 
+def prime_powers_up_to(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every prime power r**j <= x (j >= 1), ascending, with its prime r: the
+    von Mangoldt weight of powers[i] is log(bases[i]), and powers[i] is prime
+    exactly when it equals bases[i]."""
+    primes = primes_up_to(x)
+    powers, bases = [primes], [primes]
+    r = power = primes[primes * primes <= x]
+    while len(r):
+        power = power * r
+        keep = power <= x
+        r, power = r[keep], power[keep]
+        powers.append(power)
+        bases.append(r)
+    powers, bases = np.concatenate(powers), np.concatenate(bases)
+    order = np.argsort(powers, kind="stable")
+    return powers[order], bases[order]
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorisation by trial division (intended for n <= 1e9 scale)."""
     if n < 1:
@@ -273,14 +291,9 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-def multiplicative_order(u: int, p: int, p_minus_1_factors) -> int:
-    """Least t > 0 with u**t = 1 mod p, given the prime factors of p-1.
-
-    Accepts a {prime: exponent} dict, a list of primes, or (prime, exponent)
-    pairs; only the distinct primes matter.
-    """
-    if math.gcd(u, p) != 1:
-        raise DomainError(f"gcd({u}, {p}) != 1")
+def _distinct_factors(p_minus_1_factors, p: int) -> list[int]:
+    """The distinct primes of a factorisation of p-1, given as a {prime:
+    exponent} dict, a list of primes, or (prime, exponent) pairs."""
     if isinstance(p_minus_1_factors, dict):
         factors = list(p_minus_1_factors)
     else:
@@ -291,11 +304,69 @@ def multiplicative_order(u: int, p: int, p_minus_1_factors) -> int:
             check //= q
     if check != 1:
         raise DomainError("incomplete factorization of p-1")
+    return factors
+
+
+def multiplicative_order(u: int, p: int, p_minus_1_factors) -> int:
+    """Least t > 0 with u**t = 1 mod p, given the prime factors of p-1.
+
+    Accepts a {prime: exponent} dict, a list of primes, or (prime, exponent)
+    pairs; only the distinct primes matter.
+    """
+    if math.gcd(u, p) != 1:
+        raise DomainError(f"gcd({u}, {p}) != 1")
     t = p - 1
-    for q in factors:
+    for q in _distinct_factors(p_minus_1_factors, p):
         while t % q == 0 and pow(u, t // q, p) == 1:
             t //= q
     return t
+
+
+def euler_flags(ns, k: int, p: int) -> np.ndarray:
+    """flags[i] = ns[i]**((p-1)/k) == 1 mod p, for integers ns and a prime p
+    with k | p-1: the Euler criterion, True exactly for the kth power
+    residues (multiples of p are never flagged).
+
+    Square-and-multiply runs over the whole int64 array while (p-1)**2 < 2**63,
+    i.e. for p <= 3_037_000_500; above that each element takes one Jacobi
+    symbol (k = 2) or one modular power.
+    """
+    if k < 1 or (p - 1) % k != 0:
+        raise DomainError(f"k={k} does not divide p-1={p - 1}")
+    ns = np.asarray(ns, dtype=np.int64)
+    e = (p - 1) // k
+    if (p - 1) ** 2 >= 2**63:
+        if k == 2:
+            return np.fromiter((jacobi(int(n), p) == 1 for n in ns), dtype=bool, count=len(ns))
+        return np.fromiter((pow(int(n), e, p) == 1 for n in ns), dtype=bool, count=len(ns))
+    base = ns % p
+    result = np.ones_like(base)
+    while e:
+        if e & 1:
+            result *= base
+            result %= p
+        e >>= 1
+        if e:
+            base *= base
+            base %= p
+    return result == 1
+
+
+def has_exact_order(ns, p: int, k: int, p_minus_1_factors) -> np.ndarray:
+    """flags[i] = ns[i] has multiplicative order exactly (p-1)/k mod p.
+
+    The Euler witness n**((p-1)/k) == 1 goes first and rejects about (k-1)/k
+    of all n with one power; a survivor then needs n**((p-1)/(k*f)) != 1 for
+    every prime f dividing (p-1)/k.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    flags = euler_flags(ns, k, p)
+    e = (p - 1) // k
+    for f in _distinct_factors(p_minus_1_factors, p):
+        if e % f == 0:
+            alive = np.flatnonzero(flags)
+            flags[alive] = ~euler_flags(ns[alive], k * f, p)
+    return flags
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,11 @@ def _default_workers() -> int:
         return 1
 
 
+def _effective_workers(requested: int) -> int:
+    """Sweep worker processes: at least one, at most one per CPU."""
+    return max(1, min(requested, os.cpu_count() or 1))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="apresidues", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -229,6 +234,8 @@ def _cmd_expsum(args) -> int:
 
 
 def _cmd_patterns(args) -> int:
+    # the weighted sum validates x before the census spends its time
+    ws = patterns.weighted_pattern_sum(args.p, args.x) if args.x is not None else None
     census = patterns.pattern_census(args.p)
     print(f"p={args.p}")
     print(f"pair counts: {census.pair_counts} (sum {sum(census.pair_counts.values())} = p-2)")
@@ -238,8 +245,7 @@ def _cmd_patterns(args) -> int:
         print(f"{g.which.value} pair gaps: starts={g.starts} events={g.events} "
               f"mean={g.mean_gap:.3f} max={g.max_gap} raw_mean={g.raw_mean_gap:.3f} "
               f"ks_uniform={g.ks_uniform:.4f}")
-    if args.x is not None:
-        ws = patterns.weighted_pattern_sum(args.p, args.x)
+    if ws is not None:
         print(f"weighted NN sum to x={args.x}: quarter-product {ws.quarter_product_form:.6f}, "
               f"indicator {ws.indicator_form:.6f}")
     if args.out_dir:
@@ -271,10 +277,28 @@ def _read_config(path: str) -> dict:
     return conf
 
 
+def _conf_value(conf: dict, key: str, default: str, kind=int):
+    """conf[key] (or default) converted by kind; a bad value is a domain
+    error that names the key."""
+    raw = conf.get(key, default)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise DomainError(f"config key {key!r}: cannot read {raw!r} as {kind.__name__}") from None
+
+
+def _conf_ints(conf: dict, key: str, default: str) -> list[int]:
+    raw = conf.get(key, default)
+    try:
+        return [int(v) for v in raw.split(",")]
+    except ValueError:
+        raise DomainError(f"config key {key!r}: cannot read {raw!r} as a list of int") from None
+
+
 def _sweep_primes(conf: dict) -> list[int]:
-    lo = int(conf.get("prime_min", "100000"))
-    hi = int(conf.get("prime_max", "1000000"))
-    count = int(conf.get("prime_count", "500"))
+    lo = _conf_value(conf, "prime_min", "100000")
+    hi = _conf_value(conf, "prime_max", "1000000")
+    count = _conf_value(conf, "prime_count", "500")
     if count <= 0 or hi <= lo:
         raise DomainError("prime_count must be > 0 and prime_max > prime_min")
     out = []
@@ -299,7 +323,10 @@ def _q_values(ctx, q_rule: str):
     if q_rule == "loglog2":
         return range(2, math.ceil(ctx.loglog_p**2) + 1)
     if q_rule.startswith("fixed:"):
-        q = int(q_rule.split(":", 1)[1])
+        try:
+            q = int(q_rule.split(":", 1)[1])
+        except ValueError:
+            raise DomainError(f"config key 'q_rule': cannot read {q_rule!r} as fixed:<int>") from None
         if q > math.ceil(ctx.loglog_p**2):
             print(f"warning: q={q} is outside the loglog^2 regime for p={ctx.p}",
                   file=sys.stderr)
@@ -328,9 +355,9 @@ def _least_nonresidue_one(task):
 
 
 def _campaign_least_nonresidue(conf: dict, envelope: ReportEnvelope):
-    epsilon = float(conf.get("epsilon", "0.5"))
+    epsilon = _conf_value(conf, "epsilon", "0.5", float)
     primes = _sweep_primes(conf)
-    workers = int(conf.get("workers", str(_default_workers())))
+    workers = _effective_workers(_conf_value(conf, "workers", str(_default_workers())))
     tasks = [(p, epsilon, conf.get("q_rule", "loglog")) for p in primes]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -348,7 +375,7 @@ def _campaign_least_nonresidue(conf: dict, envelope: ReportEnvelope):
 
 
 def _campaign_expsum(conf: dict, envelope: ReportEnvelope):
-    p_list = [int(p) for p in conf.get("p_list", "1009,10007").split(",")]
+    p_list = _conf_ints(conf, "p_list", "1009,10007")
     rows = []
     for p in p_list:
         table = build_small_field_table(p)
@@ -362,13 +389,13 @@ def _campaign_expsum(conf: dict, envelope: ReportEnvelope):
 
 
 def _campaign_density(conf: dict, envelope: ReportEnvelope):
-    k = int(conf.get("k", "2"))
-    q = int(conf.get("q", "1"))
-    a = int(conf.get("a", "0" if q == 1 else "1"))
-    lo = int(conf.get("prime_min", "100000"))
-    hi = int(conf.get("prime_max", "110000"))
-    max_primes = int(conf.get("prime_count", "25"))
-    target = apsearch.Target(conf.get("target", "nonresidue"))
+    k = _conf_value(conf, "k", "2")
+    q = _conf_value(conf, "q", "1")
+    a = _conf_value(conf, "a", "0" if q == 1 else "1")
+    lo = _conf_value(conf, "prime_min", "100000")
+    hi = _conf_value(conf, "prime_max", "110000")
+    max_primes = _conf_value(conf, "prime_count", "25")
+    target = _conf_value(conf, "target", "nonresidue", apsearch.Target)
     result = apsearch.density_sweep(k, ResidueClass(a=a, q=q), (lo, hi),
                                     x_rule=conf.get("x_rule", "prime"),
                                     target=target, max_primes=max_primes)
@@ -385,7 +412,7 @@ def _campaign_density(conf: dict, envelope: ReportEnvelope):
 
 
 def _campaign_patterns(conf: dict, envelope: ReportEnvelope):
-    p_list = [int(p) for p in conf.get("p_list", "10007").split(",")]
+    p_list = _conf_ints(conf, "p_list", "10007")
     rows = []
     for p in p_list:
         census = patterns.pattern_census(p)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bigmod import jacobi, prime_mask, primes_up_to, von_mangoldt
+from .bigmod import euler_flags, prime_mask, prime_powers_up_to, primes_up_to
 from .errors import DomainError, ResourceError
 from .residues import Verdict
 
@@ -74,11 +74,23 @@ class TwinDensity:
 
 
 def _residue_mask(p: int) -> np.ndarray:
-    """mask[n] = n is a nonzero quadratic residue mod p, for n in [0, p)."""
-    squares = np.unique(np.arange(1, p, dtype=np.int64) ** 2 % p)
+    """mask[n] = n is a nonzero quadratic residue mod p, for n in [0, p).
+
+    The residues are the squares r**2 for r in 1..(p-1)/2, each hit once."""
+    r = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+    r *= r
+    r %= p
     mask = np.zeros(p, dtype=bool)
-    mask[squares] = True
+    mask[r] = True
     return mask
+
+
+def _check_window(p: int, x: int) -> None:
+    """Validate a cutoff x <= p, and bound its work before anything is sized by x."""
+    if x > p:
+        raise DomainError(f"need x <= p, got x={x}, p={p}")
+    if x > _CENSUS_LIMIT:
+        raise ResourceError(f"census budget is x <= {_CENSUS_LIMIT}, got x={x}")
 
 
 def _gap_stats_from_starts(starts: np.ndarray, p: int, which: Verdict) -> GapStats:
@@ -122,15 +134,17 @@ def gap_statistics(p: int, which: Verdict) -> GapStats:
     if p > _CENSUS_LIMIT:
         raise ResourceError(f"census budget is p <= {_CENSUS_LIMIT}")
     rmask = _residue_mask(p)
-    cls = rmask if which is Verdict.RESIDUE else ~rmask
-    n = np.arange(1, p - 1)
-    starts = n[cls[n] & cls[n + 1]]
-    return _gap_stats_from_starts(starts, p, which)
+    left, right = rmask[1 : p - 1], rmask[2:p]
+    pairs = left & right if which is Verdict.RESIDUE else ~(left | right)
+    return _gap_stats_from_starts(np.flatnonzero(pairs) + 1, p, which)
 
 
 def pattern_census(p: int) -> PatternCensus:
     """Single pass over [1, p-1]: binary pair patterns, prime/composite
-    refinements of RR and NN, twin-nonresidue stats and gap statistics."""
+    refinements of RR and NN, twin-nonresidue stats and gap statistics.
+
+    Every pair (n, n+1) is read from the masks as the slices [1, p-1) and
+    [2, p), and every twin pair (n, n+2) as [1, p-3) and [3, p)."""
     if p > _CENSUS_LIMIT:
         raise ResourceError(f"census budget is p <= {_CENSUS_LIMIT}")
     if p < 5:
@@ -138,58 +152,56 @@ def pattern_census(p: int) -> PatternCensus:
     rmask = _residue_mask(p)
     pmask = prime_mask(p - 1)
 
-    n = np.arange(1, p - 1)
-    left_r = rmask[n]
-    right_r = rmask[n + 1]
-    code = (~left_r).astype(np.int64) * 2 + (~right_r).astype(np.int64)
-    counts = np.bincount(code, minlength=4)
-    pair_counts = {key: int(counts[i]) for i, key in enumerate(PAIR_KEYS)}
+    left_r, right_r = rmask[1 : p - 1], rmask[2:p]
+    left_p, right_p = pmask[1 : p - 1], pmask[2:p]
+    rr = left_r & right_r
+    nn = ~(left_r | right_r)
+    n_rr, n_nn = int(np.count_nonzero(rr)), int(np.count_nonzero(nn))
+    n_rn = int(np.count_nonzero(left_r)) - n_rr
+    pair_counts = {"RR": n_rr, "RN": n_rn, "NR": p - 2 - n_rr - n_rn - n_nn, "NN": n_nn}
 
     refined = {}
-    left_p = pmask[n]
-    right_p = pmask[n + 1]
-    for base, sel in (("R", left_r & right_r), ("N", ~left_r & ~right_r)):
-        for lp in (True, False):
-            for rp in (True, False):
-                key = f"{base}{'p' if lp else 'c'}{base}{'p' if rp else 'c'}"
-                m = sel & (left_p == lp) & (right_p == rp)
-                refined[key] = int(m.sum())
+    for base, sel, total in (("R", rr, n_rr), ("N", nn, n_nn)):
+        pp = int(np.count_nonzero(sel & left_p & right_p))
+        pc = int(np.count_nonzero(sel & left_p)) - pp
+        cp = int(np.count_nonzero(sel & right_p)) - pp
+        refined[f"{base}p{base}p"] = pp
+        refined[f"{base}p{base}c"] = pc
+        refined[f"{base}c{base}p"] = cp
+        refined[f"{base}c{base}c"] = total - pp - pc - cp
 
-    twins = twin_nonresidue_density(p, p - 1)
+    # twin pairs (n, n+2) with n+2 <= p-1, so p divides neither member
+    twins = pmask[1 : p - 2] & pmask[3:p]
+    twin_total = int(np.count_nonzero(twins))
+    twin_qualifying = int(np.count_nonzero(twins & ~(rmask[1 : p - 2] | rmask[3:p])))
 
     return PatternCensus(
         p=p,
         pair_counts=pair_counts,
         refined_counts=refined,
-        twin_qualifying=twins.count,
-        twin_total=twins.total,
-        gap_residue=_gap_stats_from_starts(n[left_r & right_r], p, Verdict.RESIDUE),
-        gap_nonresidue=_gap_stats_from_starts(n[~left_r & ~right_r], p, Verdict.NONRESIDUE),
+        twin_qualifying=twin_qualifying,
+        twin_total=twin_total,
+        gap_residue=_gap_stats_from_starts(np.flatnonzero(rr) + 1, p, Verdict.RESIDUE),
+        gap_nonresidue=_gap_stats_from_starts(np.flatnonzero(nn) + 1, p, Verdict.NONRESIDUE),
     )
 
 
 def weighted_pattern_sum(p: int, x: int, pattern: str = "NN_weighted") -> WeightedPatternSum:
     """(1/4) sum (1 - (n|p)) (1 - (n+1|p)) Lambda(n) over 2 <= n <= x, and the
     same sum through the 0/1 nonresidue indicators; n with p | n(n+1) are
-    skipped and counted."""
+    skipped and counted.  Only the prime powers n <= x carry weight, and
+    only they are tested."""
     if pattern != "NN_weighted":
         raise DomainError(f"unknown pattern {pattern!r}")
-    if x > p:
-        raise DomainError(f"need x <= p, got x={x}, p={p}")
-    quarter = 0.0
-    indicator = 0.0
-    skipped = 0
-    for n in range(2, x + 1):
-        if n % p == 0 or (n + 1) % p == 0:
-            skipped += 1
-            continue
-        lam = von_mangoldt(n)
-        if lam == 0.0:
-            continue
-        s1 = jacobi(n, p)
-        s2 = jacobi(n + 1, p)
-        quarter += 0.25 * (1 - s1) * (1 - s2) * lam
-        indicator += (s1 == -1) * (s2 == -1) * lam
+    _check_window(p, x)
+    # as x <= p, the n with p | n(n+1) are p-1 and p, the two largest
+    skipped = sum(2 <= n <= x for n in (p - 1, p))
+    powers, bases = prime_powers_up_to(min(x, p - 2))
+    lam = np.log(bases)
+    s1 = np.where(euler_flags(powers, 2, p), 1.0, -1.0)
+    s2 = np.where(euler_flags(powers + 1, 2, p), 1.0, -1.0)
+    quarter = math.fsum(0.25 * (1 - s1) * (1 - s2) * lam)
+    indicator = math.fsum(((s1 == -1) & (s2 == -1)) * lam)
     return WeightedPatternSum(p=p, x=x, quarter_product_form=quarter,
                               indicator_form=indicator, skipped=skipped)
 
@@ -198,21 +210,9 @@ def twin_nonresidue_density(p: int, x: int) -> TwinDensity:
     """Among twin-prime pairs (n, n+2) with n+2 <= x, the fraction with both
     members quadratic nonresidues mod p.  fraction is None when no twin pair
     exists below x."""
-    if x > p:
-        raise DomainError(f"need x <= p, got x={x}, p={p}")
-    primes = primes_up_to(x)
-    if len(primes) < 2:
-        return TwinDensity(0, 0, None)
+    _check_window(p, x)
+    # as n+2 <= x <= p, p divides a member only when n+2 = p
+    primes = primes_up_to(min(x, p - 1))
     lead = primes[:-1][np.diff(primes) == 2]
-    total = 0
-    count = 0
-    for n in lead:
-        n = int(n)
-        if n % p == 0 or (n + 2) % p == 0:
-            continue
-        total += 1
-        if jacobi(n, p) == -1 and jacobi(n + 2, p) == -1:
-            count += 1
-    if total == 0:
-        return TwinDensity(0, 0, None)
-    return TwinDensity(count, total, count / total)
+    count = int(np.count_nonzero(~euler_flags(lead, 2, p) & ~euler_flags(lead + 2, 2, p)))
+    return TwinDensity(count, len(lead), count / len(lead) if len(lead) else None)

@@ -23,10 +23,13 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
+import numpy as np
+
 from . import apsearch
 from .bigmod import (
     OddPrimeContext,
     ResidueClass,
+    has_exact_order,
     is_prime,
     jacobi,
     multiplicative_order,
@@ -117,16 +120,6 @@ def _check_values(result, fix, ctx, k, q):
         _numeric_row(result, row["label"], computed, row["expected"], row["tol"])
 
 
-def _first_primes_with_verdict(ctx, k, q, a, want: Verdict, count):
-    out, n = [], 2
-    while len(out) < count:
-        if n % q == a and n % ctx.p != 0 and is_prime(n):
-            if kth_power_verdict(n, k, ctx).verdict is want:
-                out.append(n)
-        n += 1
-    return out
-
-
 def _run_progression_lists(name, fix) -> ScenarioResult:
     result = ScenarioResult(name=name, title=fix["title"])
     p = parse_integer_expr(fix["p"])
@@ -154,7 +147,8 @@ def _run_progression_lists(name, fix) -> ScenarioResult:
                 # is the confirming oracle for a publication error
                 result.add(f"{lst['name']}:{n}", verdict.value, want.value,
                            DISCREPANCY, note="; ".join(problems))
-        true_first = _first_primes_with_verdict(ctx, k, q, a, want, lst["first_n"])
+        true_first = apsearch.first_primes_with_verdict(
+            apsearch.Target(want.value.lower()), k, ResidueClass(a=a, q=q), ctx, lst["first_n"], 10**6)
         if true_first == lst["elements"]:
             result.add(f"{lst['name']}:first-{lst['first_n']}", "matches", "printed list", PASS)
         else:
@@ -194,8 +188,9 @@ def _run_exact_order(name, fix) -> ScenarioResult:
     limit = fix["list_limit"]
     for lst in fix["lists"]:
         a = lst["a"]
-        exact = [n for n in range(2, limit + 1)
-                 if n % q == a and n % p != 0 and multiplicative_order(n, p, factors) == order]
+        # multiples of p have no order, and has_exact_order never flags them
+        ns = np.arange(a if a >= 2 else a + q, limit + 1, q)
+        exact = ns[has_exact_order(ns, p, k, factors)].tolist()
         for n in lst["elements"]:
             verdict = kth_power_verdict(n, k, ctx).verdict
             ordv = multiplicative_order(n, p, factors)

@@ -11,7 +11,7 @@ from apresidues.apsearch import (
     unweighted_prediction,
     weighted_count,
 )
-from apresidues.bigmod import OddPrimeContext, ResidueClass, primes_up_to
+from apresidues.bigmod import OddPrimeContext, ResidueClass, factorize, multiplicative_order, primes_up_to
 from apresidues.errors import DomainError
 
 from conftest import P24, P48, P128, P48_FACTORS, P128_FACTORS, euler_sign, naive_is_prime, naive_von_mangoldt
@@ -87,15 +87,28 @@ class TestLeastPrimeSearch:
         assert got.found_n == 2
 
     def test_minimality_by_exhaustive_rescan(self, ctx24):
-        outcome = least_prime_with_verdict(Target.RESIDUE, 2, ResidueClass(3, 4), ctx24, 10**4)
-        n = outcome.found_n
-        for m in range(2, n):
-            qualifies = (
-                m % 4 == 3
-                and naive_is_prime(m)
-                and euler_sign(m, P24) == 1
-            )
-            assert not qualifies
+        # the int64 edge prime 3037000493 has answers past the first sieve blocks;
+        # 257, the first prime after a block edge, is a nonresidue mod 10^24+7
+        edge = OddPrimeContext.for_prime(3_037_000_493)
+        edge_factors = factorize(edge.p - 1)
+        cases = [(ctx24, Target.RESIDUE, 2, ResidueClass(3, 4), None),
+                 (ctx24, Target.NONRESIDUE, 2, ResidueClass(257, 1000), None),
+                 (edge, Target.RESIDUE, 2, ResidueClass(5, 11), None),
+                 (edge, Target.NONRESIDUE, 4, ResidueClass(1, 7), None),
+                 (edge, Target.GENERATOR, 2, ResidueClass(5, 11), edge_factors),
+                 (edge, Target.GENERATOR, 4, ResidueClass(1, 7), edge_factors),
+                 (OddPrimeContext.for_prime(P48), Target.GENERATOR, 7, ResidueClass(2, 3), P48_FACTORS)]
+        for ctx, target, k, cls, factors in cases:
+            outcome = least_prime_with_verdict(target, k, cls, ctx, 10**4, p_minus_1_factors=factors)
+            n = outcome.found_n
+            p = ctx.p
+            for m in range(2, n + 1):
+                if target is Target.GENERATOR:
+                    verdict = multiplicative_order(m, p, factors) == (p - 1) // k
+                else:
+                    verdict = (pow(m, (p - 1) // k, p) == 1) == (target is Target.RESIDUE)
+                qualifies = cls.contains(m) and naive_is_prime(m) and verdict
+                assert qualifies == (m == n), (p, target, k, cls, m)
 
     def test_absent_outcome_carries_cap(self, ctx41):
         # primes = 3 mod 4 up to 20 are 3, 7, 11, 19, all nonresidues mod 41;
@@ -115,23 +128,45 @@ class TestLeastPrimeSearch:
 
 
 class TestWeightedCount:
-    def test_brute_force_oracle_p41(self, ctx41):
-        report = weighted_count(Target.NONRESIDUE, 2, ResidueClass(1, 4), 300.0, ctx41)
-        weighted = 0.0
-        unweighted = 0
-        for n in range(2, 301):
-            if n % 4 != 1 or n % 41 == 0:
-                continue
-            lam = naive_von_mangoldt(n)
-            if lam == 0.0:
-                continue
-            if euler_sign(n, 41) == -1:
-                weighted += lam
-                if naive_is_prime(n):
-                    unweighted += 1
-        assert report.weighted_count == pytest.approx(weighted, abs=1e-9)
-        assert report.unweighted_count == unweighted
-        assert report.error_term == pytest.approx(report.weighted_count - report.main_term)
+    def test_brute_force_oracle_p41(self, ctx41, ctx24):
+        # p = 43 <= x puts p and p**2 in range; the big primes take the
+        # per-element Jacobi and modular-power paths
+        ctx43 = OddPrimeContext.for_prime(43)
+        cases = [(ctx41, Target.NONRESIDUE, 2, ResidueClass(1, 4), 300, None),
+                 (ctx43, Target.RESIDUE, 3, ResidueClass(2, 5), 2000, None),
+                 (ctx43, Target.NONRESIDUE, 7, ResidueClass(0, 1), 2000, None),
+                 (ctx43, Target.GENERATOR, 7, ResidueClass(1, 3), 1000, {2: 1, 3: 1, 7: 1}),
+                 (ctx24, Target.NONRESIDUE, 2, ResidueClass(1, 4), 3000, None),
+                 (OddPrimeContext.for_prime(P48), Target.RESIDUE, 7, ResidueClass(2, 3), 1500, None)]
+        for ctx, target, k, cls, x, factors in cases:
+            p = ctx.p
+            report = weighted_count(target, k, cls, float(x), ctx, p_minus_1_factors=factors)
+            weighted = 0.0
+            unweighted = 0
+            skipped = 0
+            for n in range(2, x + 1):
+                if not cls.contains(n):
+                    continue
+                if n % p == 0:
+                    skipped += 1
+                    continue
+                lam = naive_von_mangoldt(n)
+                if lam == 0.0:
+                    continue
+                if target is Target.GENERATOR:
+                    hit = multiplicative_order(n, p, factors) == (p - 1) // k
+                elif k == 2:
+                    hit = euler_sign(n, p) == (1 if target is Target.RESIDUE else -1)
+                else:
+                    hit = (pow(n, (p - 1) // k, p) == 1) == (target is Target.RESIDUE)
+                if hit:
+                    weighted += lam
+                    if naive_is_prime(n):
+                        unweighted += 1
+            assert report.weighted_count == pytest.approx(weighted, abs=1e-9), (p, k, target)
+            assert report.unweighted_count == unweighted
+            assert report.skipped_multiples_of_p == skipped
+            assert report.error_term == pytest.approx(report.weighted_count - report.main_term)
 
     def test_published_main_term(self, ctx24):
         x = bound_x(ctx24, 2)
@@ -192,6 +227,18 @@ class TestDensitySweep:
         for s in result.samples:
             # naive independence predicts fraction 1/(2*phi(4)) = 1/4, c = 1
             assert 0.5 < s.correction_estimate < 1.5
+
+    def test_counts_match_direct_rescan(self):
+        for k, cls, x_rule in ((2, ResidueClass(1, 4), "prime"), (3, ResidueClass(2, 5), "fixed:3000"),
+                               (2, ResidueClass(0, 1), "bound")):
+            result = density_sweep(k, cls, (2000, 2400), x_rule=x_rule, target=Target.RESIDUE)
+            assert result.samples
+            for s in result.samples:
+                primes = [n for n in range(2, math.floor(s.x) + 1) if naive_is_prime(n) and n != s.p]
+                hits = [n for n in primes if cls.contains(n) and pow(n, (s.p - 1) // k, s.p) == 1]
+                assert (s.qualifying, s.total) == (len(hits), len(primes)), (k, s.p)
+            skipped = [p for p in primes_up_to(2400) if p >= 2000 and (p - 1) % k]
+            assert result.skipped_primes == len(skipped)
 
     def test_x_rules(self):
         fixed = density_sweep(2, ResidueClass(0, 1), (10**4, 10**4 + 200),

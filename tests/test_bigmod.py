@@ -10,20 +10,23 @@ from apresidues.bigmod import (
     OddPrimeContext,
     ResidueClass,
     divisors,
+    euler_flags,
     euler_totient,
     factorize,
+    has_exact_order,
     is_prime,
     jacobi,
     mod_pow,
     multiplicative_order,
     next_prime,
     prime_mask,
+    prime_powers_up_to,
     primes_up_to,
     von_mangoldt,
 )
 from apresidues.errors import DomainError, ResourceError
 
-from conftest import P24, P48, P128
+from conftest import P24, P48, P48_FACTORS, P128, naive_von_mangoldt
 
 
 def naive_pow(b, e, m):
@@ -240,6 +243,78 @@ class TestMultiplicativeOrder:
 
     def test_pair_list_form(self):
         assert multiplicative_order(6, 41, [(2, 3), (5, 1)]) == 40
+
+
+class TestEulerFlags:
+    # (p-1)**2 < 2**63 exactly for p <= 3_037_000_500: the int64 path ends at
+    # the first prime below that edge and the per-element path starts above it
+    EDGE_BELOW, EDGE_ABOVE = 3_037_000_493, 3_037_000_507
+
+    def test_matches_pow_and_jacobi_at_random_small_primes(self):
+        rng = random.Random(11)
+        primes = [int(p) for p in primes_up_to(2000) if p > 2]
+        for p in rng.sample(primes, 12) + [3, 5, 41]:
+            ns = np.arange(0, 2 * p)
+            quadratic = euler_flags(ns, 2, p)
+            assert quadratic.tolist() == [jacobi(int(n), p) == 1 for n in ns]
+            for k in divisors(p - 1):
+                want = [pow(int(n), (p - 1) // k, p) == 1 for n in ns]
+                assert euler_flags(ns, k, p).tolist() == want
+
+    def test_int64_edge(self):
+        assert is_prime(self.EDGE_BELOW) and is_prime(self.EDGE_ABOVE)
+        assert (self.EDGE_BELOW - 1) ** 2 < 2**63 <= (self.EDGE_ABOVE - 1) ** 2
+        rng = random.Random(5)
+        for p in (self.EDGE_BELOW, self.EDGE_ABOVE):
+            ns = np.array([1, 2, 3, p - 1, p - 2, p, p + 1] + [rng.randrange(1, p) for _ in range(200)])
+            for k in [d for d in divisors(p - 1) if d <= 30]:
+                want = [pow(int(n), (p - 1) // k, p) == 1 for n in ns]
+                assert euler_flags(ns, k, p).tolist() == want, (p, k)
+
+    def test_big_prime_per_element_path(self):
+        ns = np.arange(1, 300)
+        assert euler_flags(ns, 2, P24).tolist() == [jacobi(int(n), P24) == 1 for n in ns]
+        e = (P48 - 1) // 7
+        assert euler_flags(ns, 7, P48).tolist() == [pow(int(n), e, P48) == 1 for n in ns]
+
+    def test_k_must_divide_p_minus_1(self):
+        with pytest.raises(DomainError):
+            euler_flags(np.arange(5), 3, 41)
+
+
+class TestHasExactOrder:
+    def test_matches_multiplicative_order_for_every_n(self):
+        for p in (41, 97, 101, 241, 1009):
+            fac = factorize(p - 1)
+            ns = np.arange(1, p)
+            orders = [multiplicative_order(int(n), p, fac) for n in ns]
+            for k in divisors(p - 1):
+                want = [t == (p - 1) // k for t in orders]
+                assert has_exact_order(ns, p, k, fac).tolist() == want, (p, k)
+                assert has_exact_order(ns, p, k, list(fac)).tolist() == want
+
+    def test_big_prime_table_heads(self):
+        # 19 and 83 head the published seventh-power tables mod 10^48+217
+        flags = has_exact_order(np.array([2, 7, 19, 83]), P48, 7, P48_FACTORS)
+        assert flags.tolist() == [False, False, True, True]
+
+    def test_incomplete_factorization_rejected(self):
+        with pytest.raises(DomainError):
+            has_exact_order(np.arange(1, 41), 41, 2, {2: 3})
+
+
+class TestPrimePowers:
+    def test_weights_match_naive_von_mangoldt(self):
+        for x in (1, 2, 3, 4, 100, 1024, 10**4):
+            powers, bases = prime_powers_up_to(x)
+            assert np.all(np.diff(powers) > 0)
+            got = dict(zip(powers.tolist(), np.log(bases).tolist()))
+            for n in range(1, x + 1):
+                assert got.get(n, 0.0) == pytest.approx(naive_von_mangoldt(n), abs=1e-12), n
+
+    def test_primes_are_their_own_bases(self):
+        powers, bases = prime_powers_up_to(5000)
+        assert powers[powers == bases].tolist() == primes_up_to(5000).tolist()
 
 
 class TestOddPrimeContext:

@@ -10,6 +10,7 @@ from apresidues.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    _effective_workers,
     main,
 )
 
@@ -152,6 +153,12 @@ class TestExpsumAndPatterns:
         assert "'RR': 9" in out
         assert "twin nonresidue pairs: 2/5" in out
 
+    def test_weighted_sum_beyond_budget_is_resource_error(self, capsys):
+        # x is refused for its size before the census or any sieve runs
+        code, _, err = run_cli(capsys, "patterns", "--p", "10000019", "--x", "10000001")
+        assert code == EXIT_RESOURCE
+        assert "x=10000001" in err
+
 
 class TestSweep:
     def write_config(self, tmp_path, text):
@@ -254,3 +261,19 @@ out_dir = {blocked}/nested
 """)
         code, _, err = run_cli(capsys, "sweep", "--config", cfg)
         assert code == EXIT_RESOURCE
+
+    def test_non_integer_values_are_domain_errors(self, capsys, tmp_path):
+        for campaign, line in (("density", "k = two"), ("least_nonresidue", "workers = many"),
+                               ("least_nonresidue", "prime_count = 5.5"), ("patterns", "p_list = 41,x")):
+            key = line.split(" = ")[0]
+            cfg = self.write_config(tmp_path, f"campaign = {campaign}\n{line}\nout_dir = {tmp_path}/r\n")
+            code, _, err = run_cli(capsys, "sweep", "--config", cfg)
+            assert code == EXIT_DOMAIN, line
+            assert f"config key '{key}'" in err
+
+    def test_workers_clamped_to_cpu_count(self):
+        cpus = os.cpu_count() or 1
+        assert _effective_workers(10**6) == cpus
+        assert _effective_workers(1) == 1
+        assert _effective_workers(0) == 1
+        assert _effective_workers(-3) == 1

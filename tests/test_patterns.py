@@ -3,7 +3,7 @@ import math
 import pytest
 
 from apresidues.bigmod import primes_up_to
-from apresidues.errors import DomainError
+from apresidues.errors import DomainError, ResourceError
 from apresidues.patterns import (
     PAIR_KEYS,
     GapStats,
@@ -14,7 +14,9 @@ from apresidues.patterns import (
     weighted_pattern_sum,
 )
 
-from conftest import euler_sign, naive_von_mangoldt
+from conftest import P24, euler_sign, naive_is_prime, naive_von_mangoldt
+
+EDGE_ABOVE = 3_037_000_507  # least prime with (p-1)**2 >= 2**63: symbols per element
 
 # values below were hand-derived from the reference residue/nonresidue sets
 # of F_41 before implementation
@@ -57,14 +59,24 @@ class TestPatternCensus:
 
     def test_census_oracle_at_101(self):
         # independent recount with one-modexp symbols and trial division
-        p = 101
-        census = pattern_census(p)
-        counts = {k: 0 for k in PAIR_KEYS}
-        for n in range(1, p - 1):
-            a = "R" if euler_sign(n, p) == 1 else "N"
-            b = "R" if euler_sign(n + 1, p) == 1 else "N"
-            counts[a + b] += 1
-        assert census.pair_counts == counts
+        for p in (101, 1009, 4001):
+            census = pattern_census(p)
+            counts = {k: 0 for k in PAIR_KEYS}
+            refined = {k: 0 for k in census.refined_counts}
+            twins = [0, 0]
+            for n in range(1, p - 1):
+                a = "R" if euler_sign(n, p) == 1 else "N"
+                b = "R" if euler_sign(n + 1, p) == 1 else "N"
+                counts[a + b] += 1
+                if a == b:
+                    tags = ["p" if naive_is_prime(m) else "c" for m in (n, n + 1)]
+                    refined[a + tags[0] + b + tags[1]] += 1
+                if n + 2 <= p - 1 and naive_is_prime(n) and naive_is_prime(n + 2):
+                    twins[1] += 1
+                    twins[0] += euler_sign(n, p) == -1 and euler_sign(n + 2, p) == -1
+            assert census.pair_counts == counts
+            assert census.refined_counts == refined
+            assert [census.twin_qualifying, census.twin_total] == twins
 
     def test_twin_stats_included(self):
         census = pattern_census(41)
@@ -77,15 +89,22 @@ class TestWeightedPatternSum:
         assert ws.quarter_product_form == pytest.approx(ws.indicator_form, abs=1e-9)
 
     def test_oracle_at_10007(self):
-        p, x = 10007, 5000
-        ws = weighted_pattern_sum(p, x)
-        direct = 0.0
-        for n in range(2, x + 1):
-            lam = naive_von_mangoldt(n)
-            if lam and euler_sign(n, p) == -1 and euler_sign(n + 1, p) == -1:
-                direct += lam
-        assert ws.indicator_form == pytest.approx(direct, abs=1e-9)
-        assert ws.quarter_product_form == pytest.approx(direct, abs=1e-9)
+        # x = p and x = p - 1 reach the skipped n with p | n(n+1); 17 - 1 = 2**4,
+        # and 3 - 1 = 2 is a weighted nonresidue
+        for p, x in ((10007, 5000), (17, 17), (3, 3), (1009, 1008), (P24, 3000), (EDGE_ABOVE, 2000)):
+            ws = weighted_pattern_sum(p, x)
+            direct = 0.0
+            skipped = 0
+            for n in range(2, x + 1):
+                if n % p == 0 or (n + 1) % p == 0:
+                    skipped += 1
+                    continue
+                lam = naive_von_mangoldt(n)
+                if lam and euler_sign(n, p) == -1 and euler_sign(n + 1, p) == -1:
+                    direct += lam
+            assert ws.indicator_form == pytest.approx(direct, abs=1e-9), p
+            assert ws.quarter_product_form == pytest.approx(direct, abs=1e-9)
+            assert ws.skipped == skipped
 
     def test_zero_below_first_nn_pair(self):
         # first NN start in F_41 is 6; scanning to 5 catches nothing
@@ -115,18 +134,34 @@ class TestTwinNonresidueDensity:
         assert (td.count, td.total, td.fraction) == (0, 0, None)
 
     def test_sieve_filter_oracle_at_1e6_3(self):
-        p, x = 10**6 + 3, 10**5
-        td = twin_nonresidue_density(p, x)
-        primes = set(int(v) for v in primes_up_to(x))
-        count = total = 0
-        for n in sorted(primes):
-            if n + 2 in primes:
-                total += 1
-                if euler_sign(n, p) == -1 and euler_sign(n + 2, p) == -1:
-                    count += 1
-        assert (td.count, td.total) == (count, total)
-        assert 0 <= td.fraction <= 1
-        assert td.count <= td.total
+        # at x = p = 43 the pair (41, 43) holds p and is left out
+        for p, x in ((10**6 + 3, 10**5), (43, 43), (P24, 2 * 10**4), (EDGE_ABOVE, 10**4)):
+            td = twin_nonresidue_density(p, x)
+            primes = set(int(v) for v in primes_up_to(x))
+            count = total = 0
+            for n in sorted(primes):
+                if n + 2 in primes and (n + 2) % p:
+                    total += 1
+                    if euler_sign(n, p) == -1 and euler_sign(n + 2, p) == -1:
+                        count += 1
+            assert (td.count, td.total) == (count, total), p
+            assert 0 <= td.fraction <= 1
+            assert td.count <= td.total
+
+
+class TestWorkBudgets:
+    def test_x_beyond_census_budget_raises_before_any_work(self):
+        # sizes only: the check runs before anything is sized by x
+        for fn in (weighted_pattern_sum, twin_nonresidue_density):
+            with pytest.raises(ResourceError):
+                fn(P24, 10**7 + 1)
+            with pytest.raises(ResourceError):
+                fn(P24, 10**12)
+
+    def test_even_modulus_is_domain_error(self):
+        for fn in (weighted_pattern_sum, twin_nonresidue_density):
+            with pytest.raises(DomainError):
+                fn(40, 30)
 
 
 class TestGapStatistics:
