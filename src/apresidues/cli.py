@@ -427,11 +427,14 @@ def _campaign_patterns(conf: dict, envelope: ReportEnvelope):
     print(f"patterns: {len(rows)} primes")
 
 
+# campaign -> (runner, the config keys it reads besides campaign and out_dir)
 _CAMPAIGNS = {
-    "least_nonresidue": _campaign_least_nonresidue,
-    "expsum": _campaign_expsum,
-    "density": _campaign_density,
-    "patterns": _campaign_patterns,
+    "least_nonresidue": (_campaign_least_nonresidue,
+                         ("prime_min", "prime_max", "prime_count", "q_rule", "epsilon", "workers")),
+    "expsum": (_campaign_expsum, ("p_list",)),
+    "density": (_campaign_density,
+                ("k", "q", "a", "prime_min", "prime_max", "prime_count", "x_rule", "target")),
+    "patterns": (_campaign_patterns, ("p_list",)),
 }
 
 
@@ -444,9 +447,14 @@ def _cmd_sweep(args) -> int:
     campaign = conf.get("campaign")
     if campaign not in _CAMPAIGNS:
         raise DomainError(f"unknown campaign {campaign!r}; known: {', '.join(sorted(_CAMPAIGNS))}")
+    run, keys = _CAMPAIGNS[campaign]
+    unknown = sorted(set(conf) - {"campaign", "out_dir", *keys})
+    if unknown:
+        raise DomainError(f"unknown config key(s) {', '.join(map(repr, unknown))} for campaign "
+                          f"{campaign!r}; known: {', '.join(sorted(keys))}, campaign, out_dir")
     out_dir = conf.get("out_dir", "reports")
     envelope = ReportEnvelope()
-    _CAMPAIGNS[campaign](conf, envelope)
+    run(conf, envelope)
     try:
         paths = envelope.write(out_dir, campaign)
     except OSError as exc:

@@ -21,6 +21,8 @@ from .residues import SmallFieldTable
 _EXPSUM_LIMIT = 10**6
 _UHAT_LIMIT = 10**4
 _FIBER_LIMIT = 10**5
+_FIBER_WORK = 10**8  # alpha plus beta domain points
+_FIBER_BLOCK = 2**20  # targets per bincount block
 
 
 def theoretical_bound(p: int) -> float:
@@ -180,8 +182,18 @@ def complete_exponential_sum(c: int, p: int) -> complex:
     return complex(np.exp(2j * np.pi * ((c % p) * s % p) / p).sum())
 
 
-def _histogram(targets: np.ndarray, p: int, map_name: str, x: int, domain_size: int) -> FiberHistogram:
-    counts = np.bincount(targets, minlength=p)
+def _fiber_counts(rows: np.ndarray, cols: np.ndarray, op, p: int) -> np.ndarray:
+    """counts[t] = #{(r, c) : op(r, c) % p == t}, summed over row blocks of
+    about _FIBER_BLOCK targets, so the full target array is never built."""
+    counts = np.zeros(p, dtype=np.int64)
+    step = max(1, _FIBER_BLOCK // len(cols))
+    for r0 in range(0, len(rows), step):
+        blk = rows[r0 : r0 + step]
+        counts += np.bincount((op(blk[:, None], cols[None, :]) % p).ravel(), minlength=p)
+    return counts
+
+
+def _histogram(counts: np.ndarray, p: int, map_name: str, x: int, domain_size: int) -> FiberHistogram:
     zero_hits = int(counts[0])
     sizes = counts[1:]
     sizes = sizes[sizes > 0]
@@ -202,6 +214,8 @@ def fiber_histograms(x: int, k: int, table: SmallFieldTable) -> tuple[FiberHisto
     every nonzero fiber should have at most x-1 elements.
     beta(u, v) = u*v over u in [1, x], v in [1, p-1]: every nonzero fiber
     has exactly x elements.
+
+    The two domains together may hold at most _FIBER_WORK points.
     """
     p = table.p
     if p > _FIBER_LIMIT:
@@ -209,12 +223,14 @@ def fiber_histograms(x: int, k: int, table: SmallFieldTable) -> tuple[FiberHisto
     if not 2 <= x < p:
         raise DomainError(f"need 2 <= x < p, got x={x}")
     coset = table.nonresidue_coset(k).astype(np.int64)
+    alpha_size, beta_size = len(coset) * (x - 1), x * (p - 1)
+    if alpha_size + beta_size > _FIBER_WORK:
+        raise ResourceError(f"fiber censuses are limited to {_FIBER_WORK} domain points, "
+                            f"p={p} x={x} k={k} needs {alpha_size + beta_size}")
     n = np.arange(2, x + 1, dtype=np.int64)
-    alpha_targets = ((coset[:, None] - n[None, :]) % p).ravel()
-    alpha = _histogram(alpha_targets, p, "alpha", x, len(coset) * len(n))
+    alpha = _histogram(_fiber_counts(coset, n, np.subtract, p), p, "alpha", x, alpha_size)
 
     u = np.arange(1, x + 1, dtype=np.int64)
     v = np.arange(1, p, dtype=np.int64)
-    beta_targets = ((u[:, None] * v[None, :]) % p).ravel()
-    beta = _histogram(beta_targets, p, "beta", x, len(u) * len(v))
+    beta = _histogram(_fiber_counts(u, v, np.multiply, p), p, "beta", x, beta_size)
     return alpha, beta

@@ -1,55 +1,24 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels: the literal exponential sums over F_p.
 
 Every public function here evaluates a finite complex exponential sum (or a
 power table feeding one) literally, term by term; nothing is replaced by a
-closed form.  The serial-loop versions are compiled with numba when it is
-available, and a vectorised numpy path covers the same computations otherwise.
-
-Backend selection: set APRESIDUES_BACKEND=numpy to force the fallback, or
-APRESIDUES_BACKEND=numba to require the compiled path (ImportError if numba
-is missing).  Unset, numba is used when importable.
+closed form.  Each sum has one vectorised numpy implementation, which
+evaluates its index space _CHUNK rows at a time.
 
 All angles come from a shared table roots[t] = exp(2*pi*i*t/p), so the inner
 products (c*s) mod p stay in exact int64 arithmetic (safe for p <= 10**6).
-Long serial accumulations in the numba kernels use Kahan compensation; the
-numpy path relies on numpy's pairwise summation, which meets the same error
-budget at these lengths.
+Sums rely on numpy's pairwise summation, which keeps the rounding error well
+inside the 1e-6 integrality budget at these lengths.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-BACKEND_ENV = "APRESIDUES_BACKEND"
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag in CI
-    numba = None
-    HAVE_NUMBA = False
-
-
-def _select_backend() -> str:
-    choice = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if choice in ("numpy", "fallback"):
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise ImportError("APRESIDUES_BACKEND=numba but numba is not installed")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _select_backend()
 
 
 def kernel_backend() -> str:
-    """Name of the active backend ("numba" or "numpy")."""
-    return BACKEND
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
 def roots_table(p: int) -> np.ndarray:
@@ -57,11 +26,7 @@ def roots_table(p: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(p) / p)
 
 
-# ---------------------------------------------------------------------------
-# numpy fallback implementations
-# ---------------------------------------------------------------------------
-
-def pow_table_np(tau: int, p: int) -> np.ndarray:
+def pow_table(tau: int, p: int) -> np.ndarray:
     """powers[j] = tau**j mod p for j in [0, p-1); one multiplication per step."""
     out = np.empty(p - 1, dtype=np.int64)
     u = 1
@@ -71,10 +36,10 @@ def pow_table_np(tau: int, p: int) -> np.ndarray:
     return out
 
 
-_CHUNK = 64  # rows per vectorised block; keeps index matrices ~few MB
+_CHUNK = 64  # rows per vectorised block; a block holds _CHUNK * p index entries
 
 
-def inner_complete_sums_np(p: int, roots: np.ndarray) -> np.ndarray:
+def inner_complete_sums(p: int, roots: np.ndarray) -> np.ndarray:
     """inner[c] = sum_{s=0}^{p-1} roots[(c*s) % p] for every c in [0, p)."""
     s = np.arange(p, dtype=np.int64)
     out = np.empty(p, dtype=np.complex128)
@@ -84,7 +49,7 @@ def inner_complete_sums_np(p: int, roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def char_sum_one_np(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> complex:
+def char_sum_one(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> complex:
     """(1/p) * sum_{u in coset} sum_{s=0}^{p-1} roots[((u-a)*s) % p]."""
     s = np.arange(p, dtype=np.int64)
     c = (coset.astype(np.int64) - a) % p
@@ -95,7 +60,7 @@ def char_sum_one_np(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> com
     return total / p
 
 
-def halfsums_np(coset: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
+def halfsums(coset: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
     """S[b] = sum_{u in coset} roots[(b*u) % p] for every b in [0, p)."""
     u = coset.astype(np.int64)
     out = np.empty(p, dtype=np.complex128)
@@ -105,7 +70,7 @@ def halfsums_np(coset: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def incomplete_sum_np(b: int, x_cutoff: int, tau: int, p: int, roots: np.ndarray) -> complex:
+def incomplete_sum(b: int, x_cutoff: int, tau: int, p: int, roots: np.ndarray) -> complex:
     """sum_{n=1}^{x_cutoff} roots[(b * tau**n) % p]."""
     powers = np.empty(x_cutoff, dtype=np.int64)
     u = 1
@@ -115,7 +80,7 @@ def incomplete_sum_np(b: int, x_cutoff: int, tau: int, p: int, roots: np.ndarray
     return complex(roots[(b * powers) % p].sum())
 
 
-def prefix_max_abs_np(powers: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
+def prefix_max_abs(powers: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
     """maxabs[b-1] = max over x in [1, p-1] of |sum_{n<=x} roots[(b*tau**n)%p]|.
 
     powers must be the [tau**1, ..., tau**(p-1)] table.
@@ -128,7 +93,7 @@ def prefix_max_abs_np(powers: np.ndarray, p: int, roots: np.ndarray) -> np.ndarr
     return out
 
 
-def uhat_literal_np(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> complex:
+def uhat_literal(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> complex:
     """sum_{b=1}^{p-1} roots[(-a*b)%p] * sum_{u in coset} roots[(b*u)%p], inner sum first."""
     u = coset.astype(np.int64)
     total = 0.0 + 0.0j
@@ -139,7 +104,7 @@ def uhat_literal_np(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> com
     return total
 
 
-def uhat_swapped_np(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> complex:
+def uhat_swapped(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> complex:
     """Same double sum with the loops exchanged: outer u, inner b."""
     b = np.arange(1, p, dtype=np.int64)
     total = 0.0 + 0.0j
@@ -147,236 +112,3 @@ def uhat_swapped_np(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> com
         u = coset[u0 : u0 + _CHUNK].astype(np.int64)
         total += roots[(((u[:, None] - a) % p) * b[None, :]) % p].sum()
     return total
-
-
-# ---------------------------------------------------------------------------
-# numba kernels (same sums, serial loops, Kahan-compensated)
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def pow_table_nb(tau, p):
-        out = np.empty(p - 1, dtype=np.int64)
-        u = 1
-        for j in range(p - 1):
-            out[j] = u
-            u = u * tau % p
-        return out
-
-    @numba.njit(cache=True)
-    def inner_complete_sums_nb(p, roots):
-        out = np.empty(p, dtype=np.complex128)
-        for c in range(p):
-            sr = 0.0
-            si = 0.0
-            er = 0.0
-            ei = 0.0
-            t = 0
-            for _ in range(p):
-                z = roots[t]
-                yr = z.real - er
-                yi = z.imag - ei
-                tr = sr + yr
-                ti = si + yi
-                er = (tr - sr) - yr
-                ei = (ti - si) - yi
-                sr = tr
-                si = ti
-                t += c
-                if t >= p:
-                    t -= p
-            out[c] = complex(sr, si)
-        return out
-
-    @numba.njit(cache=True)
-    def char_sum_one_nb(a, coset, p, roots):
-        sr = 0.0
-        si = 0.0
-        er = 0.0
-        ei = 0.0
-        for idx in range(coset.shape[0]):
-            c = (coset[idx] - a) % p
-            t = 0
-            for _ in range(p):
-                z = roots[t]
-                yr = z.real - er
-                yi = z.imag - ei
-                tr = sr + yr
-                ti = si + yi
-                er = (tr - sr) - yr
-                ei = (ti - si) - yi
-                sr = tr
-                si = ti
-                t += c
-                if t >= p:
-                    t -= p
-        return complex(sr / p, si / p)
-
-    @numba.njit(cache=True)
-    def halfsums_nb(coset, p, roots):
-        out = np.empty(p, dtype=np.complex128)
-        for b in range(p):
-            sr = 0.0
-            si = 0.0
-            er = 0.0
-            ei = 0.0
-            for idx in range(coset.shape[0]):
-                z = roots[(b * coset[idx]) % p]
-                yr = z.real - er
-                yi = z.imag - ei
-                tr = sr + yr
-                ti = si + yi
-                er = (tr - sr) - yr
-                ei = (ti - si) - yi
-                sr = tr
-                si = ti
-            out[b] = complex(sr, si)
-        return out
-
-    @numba.njit(cache=True)
-    def incomplete_sum_nb(b, x_cutoff, tau, p, roots):
-        sr = 0.0
-        si = 0.0
-        er = 0.0
-        ei = 0.0
-        u = 1
-        for _ in range(x_cutoff):
-            u = u * tau % p
-            z = roots[(b * u) % p]
-            yr = z.real - er
-            yi = z.imag - ei
-            tr = sr + yr
-            ti = si + yi
-            er = (tr - sr) - yr
-            ei = (ti - si) - yi
-            sr = tr
-            si = ti
-        return complex(sr, si)
-
-    @numba.njit(cache=True)
-    def prefix_max_abs_nb(powers, p, roots):
-        out = np.empty(p - 1, dtype=np.float64)
-        for b in range(1, p):
-            sr = 0.0
-            si = 0.0
-            er = 0.0
-            ei = 0.0
-            best = 0.0
-            for n in range(p - 1):
-                z = roots[(b * powers[n]) % p]
-                yr = z.real - er
-                yi = z.imag - ei
-                tr = sr + yr
-                ti = si + yi
-                er = (tr - sr) - yr
-                ei = (ti - si) - yi
-                sr = tr
-                si = ti
-                m = sr * sr + si * si
-                if m > best:
-                    best = m
-            out[b - 1] = np.sqrt(best)
-        return out
-
-    @numba.njit(cache=True)
-    def uhat_literal_nb(a, coset, p, roots):
-        sr = 0.0
-        si = 0.0
-        er = 0.0
-        ei = 0.0
-        for b in range(1, p):
-            ir = 0.0
-            ii = 0.0
-            for idx in range(coset.shape[0]):
-                z = roots[(b * coset[idx]) % p]
-                ir += z.real
-                ii += z.imag
-            w = roots[(-a * b) % p]
-            zr = w.real * ir - w.imag * ii
-            zi = w.real * ii + w.imag * ir
-            yr = zr - er
-            yi = zi - ei
-            tr = sr + yr
-            ti = si + yi
-            er = (tr - sr) - yr
-            ei = (ti - si) - yi
-            sr = tr
-            si = ti
-        return complex(sr, si)
-
-    @numba.njit(cache=True)
-    def uhat_swapped_nb(a, coset, p, roots):
-        sr = 0.0
-        si = 0.0
-        er = 0.0
-        ei = 0.0
-        for idx in range(coset.shape[0]):
-            c = (coset[idx] - a) % p
-            t = 0
-            for _ in range(1, p):
-                t += c
-                if t >= p:
-                    t -= p
-                z = roots[t]
-                yr = z.real - er
-                yi = z.imag - ei
-                tr = sr + yr
-                ti = si + yi
-                er = (tr - sr) - yr
-                ei = (ti - si) - yi
-                sr = tr
-                si = ti
-        return complex(sr, si)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def pow_table(tau: int, p: int) -> np.ndarray:
-    if BACKEND == "numba":
-        return pow_table_nb(tau, p)
-    return pow_table_np(tau, p)
-
-
-def inner_complete_sums(p: int, roots: np.ndarray) -> np.ndarray:
-    if BACKEND == "numba":
-        return inner_complete_sums_nb(p, roots)
-    return inner_complete_sums_np(p, roots)
-
-
-def char_sum_one(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> complex:
-    if BACKEND == "numba":
-        return char_sum_one_nb(a, coset, p, roots)
-    return char_sum_one_np(a, coset, p, roots)
-
-
-def halfsums(coset: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
-    if BACKEND == "numba":
-        return halfsums_nb(coset, p, roots)
-    return halfsums_np(coset, p, roots)
-
-
-def incomplete_sum(b: int, x_cutoff: int, tau: int, p: int, roots: np.ndarray) -> complex:
-    if BACKEND == "numba":
-        return incomplete_sum_nb(b, x_cutoff, tau, p, roots)
-    return incomplete_sum_np(b, x_cutoff, tau, p, roots)
-
-
-def prefix_max_abs(powers: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
-    if BACKEND == "numba":
-        return prefix_max_abs_nb(powers, p, roots)
-    return prefix_max_abs_np(powers, p, roots)
-
-
-def uhat_literal(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> complex:
-    if BACKEND == "numba":
-        return uhat_literal_nb(a, coset, p, roots)
-    return uhat_literal_np(a, coset, p, roots)
-
-
-def uhat_swapped(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> complex:
-    if BACKEND == "numba":
-        return uhat_swapped_nb(a, coset, p, roots)
-    return uhat_swapped_np(a, coset, p, roots)

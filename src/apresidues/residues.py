@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .bigmod import OddPrimeContext, divisors, factorize, is_prime
+from .bigmod import OddPrimeContext, factorize, is_prime
 from .errors import DomainError, IntegrityError, ResourceError
 
 _TABLE_LIMIT = 10**6
@@ -76,7 +76,8 @@ def kth_power_verdict(n: int, k: int, ctx: OddPrimeContext) -> CharacterVerdict:
 
 @dataclass(frozen=True)
 class SmallFieldTable:
-    """Primitive-root enumeration of F_p* with residue sets for every k | p-1.
+    """Primitive-root enumeration of F_p*; every k | p-1 reads its residues
+    and nonresidues off it as cosets.
 
     powers[j] = tau**j mod p for j in [0, p-1); dlog inverts it on [1, p-1].
     The least primitive root is chosen so tables are reproducible across runs.
@@ -86,8 +87,6 @@ class SmallFieldTable:
     tau: int
     powers: np.ndarray
     dlog: np.ndarray
-    residue_sets: dict[int, frozenset]
-    nonresidue_sets: dict[int, frozenset]
     _roots: np.ndarray = field(repr=False, default=None)
 
     def roots(self) -> np.ndarray:
@@ -141,20 +140,11 @@ def build_small_field_table(p: int) -> SmallFieldTable:
     dlog = np.empty(p, dtype=np.int64)
     dlog[0] = -1
     dlog[powers] = np.arange(p - 1)
-    residue_sets = {}
-    nonresidue_sets = {}
-    everything = frozenset(range(1, p))
-    for k in divisors(p - 1):
-        rs = frozenset(int(v) for v in powers[::k])
-        residue_sets[k] = rs
-        nonresidue_sets[k] = everything - rs
     return SmallFieldTable(
         p=p,
         tau=tau,
         powers=powers,
         dlog=dlog,
-        residue_sets=residue_sets,
-        nonresidue_sets=nonresidue_sets,
         _roots=kernels.roots_table(p),
     )
 

@@ -237,6 +237,7 @@ prime_min = 10000
 prime_max = 10600
 prime_count = 5
 x_rule = prime
+target = nonresidue
 out_dir = {tmp_path}/reports
 """)
         code, out, _ = run_cli(capsys, "sweep", "--config", cfg)
@@ -270,6 +271,17 @@ out_dir = {blocked}/nested
             code, _, err = run_cli(capsys, "sweep", "--config", cfg)
             assert code == EXIT_DOMAIN, line
             assert f"config key '{key}'" in err
+
+    @pytest.mark.parametrize("campaign,line", [("patterns", "p_lsit = 41"),
+                                               ("least_nonresidue", "p_list = 41"),
+                                               ("expsum", "prime_count = 5")])
+    def test_unknown_keys_are_domain_errors(self, capsys, tmp_path, campaign, line):
+        key = line.split(" = ")[0]
+        cfg = self.write_config(tmp_path, f"campaign = {campaign}\n{line}\nout_dir = {tmp_path}/r\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_DOMAIN
+        assert f"'{key}'" in err
+        assert not (tmp_path / "r").exists()
 
     def test_workers_clamped_to_cpu_count(self):
         cpus = os.cpu_count() or 1

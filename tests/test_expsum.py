@@ -1,10 +1,12 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from apresidues.errors import DomainError
+from apresidues import expsum
+from apresidues.errors import DomainError, ResourceError
 from apresidues.expsum import (
     complete_exponential_sum,
     fiber_histograms,
@@ -75,7 +77,7 @@ class TestFourierUHat:
     def test_closed_form_oracle(self, table101):
         # orthogonality gives U-hat(a) = p*[a nonresidue] - (p-1)/2 exactly,
         # so every residue must produce -(p-1)/2
-        for a in sorted(table101.residue_sets[2]):
+        for a in sorted(table101.residue_coset(2).tolist()):
             sample = fourier_U_hat(a, table101)
             assert abs(sample.value - (-50.0)) < 1e-7
 
@@ -88,7 +90,7 @@ class TestFourierUHat:
     def test_identity_residual_within_bound(self, table101, table1009):
         for table in (table101, table1009):
             bound = theoretical_bound(table.p)
-            for a in sorted(table.residue_sets[2])[:20]:
+            for a in sorted(table.residue_coset(2).tolist())[:20]:
                 sample = fourier_U_hat(a, table)
                 assert abs(sample.identity_residual) <= bound
                 assert sample.ratio < 1.0
@@ -101,7 +103,7 @@ class TestFourierUHat:
             assert mags[i] == pytest.approx(abs(sample.value), abs=1e-8)
 
     def test_nonresidue_rejected(self, table101):
-        nonres = sorted(table101.nonresidue_sets[2])[0]
+        nonres = sorted(table101.nonresidues_all(2).tolist())[0]
         with pytest.raises(DomainError):
             fourier_U_hat(nonres, table101)
         with pytest.raises(DomainError):
@@ -146,6 +148,34 @@ class TestFiberHistograms:
             fiber_histograms(1, 2, table101)
         with pytest.raises(DomainError):
             fiber_histograms(101, 2, table101)
+
+    def test_blocked_counts_match_full_targets(self, table1009, monkeypatch):
+        # blocks of a few rows each, against one bincount over every target
+        monkeypatch.setattr(expsum, "_FIBER_BLOCK", 3000)
+        p, x, k = 1009, 300, 3
+        alpha, beta = fiber_histograms(x, k, table1009)
+        coset = table1009.nonresidue_coset(k)
+        n = np.arange(2, x + 1)
+        u, v = np.arange(1, x + 1), np.arange(1, p)
+        for h, targets in ((alpha, (coset[:, None] - n[None, :]) % p),
+                           (beta, (u[:, None] * v[None, :]) % p)):
+            counts = np.bincount(targets.ravel(), minlength=p)
+            sizes, freq = np.unique(counts[1:][counts[1:] > 0], return_counts=True)
+            assert h.histogram == dict(zip(sizes.tolist(), freq.tolist()))
+            assert h.zero_hits == counts[0]
+            assert h.domain_size == targets.size
+
+    def test_work_budget_refuses_before_allocating(self):
+        # (p-1)/2 * (x-1) + x * (p-1) is about 1.5e10 domain points
+        table = build_small_field_table(99991)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="domain points"):
+                fiber_histograms(99990, 2, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # the coset alone; no target block
 
 
 class TestOrthogonality:

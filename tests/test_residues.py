@@ -80,29 +80,29 @@ class TestEulerVerdicts:
 class TestSmallFieldTable:
     def test_f41_reference_sets(self, table41):
         assert table41.tau == 6
-        assert table41.residue_sets[2] == Q41
-        assert table41.nonresidue_sets[2] == N41
+        assert set(table41.residue_coset(2).tolist()) == Q41
+        assert set(table41.nonresidues_all(2).tolist()) == N41
 
     def test_only_identity_is_top_power(self):
         t13 = build_small_field_table(13)
-        assert t13.residue_sets[12] == frozenset({1})
+        assert set(t13.residue_coset(12).tolist()) == {1}
 
     def test_partition_and_cardinality(self, table1009):
         p = table1009.p
         for k in divisors(p - 1):
-            rs = table1009.residue_sets[k]
-            ns = table1009.nonresidue_sets[k]
+            rs = set(table1009.residue_coset(k).tolist())
+            ns = set(table1009.nonresidues_all(k).tolist())
             assert len(rs) == (p - 1) // k
             assert rs | ns == set(range(1, p))
             assert not rs & ns
 
-    def test_residue_sets_are_subgroups(self, table41):
+    def test_residue_cosets_are_subgroups(self, table41):
         rng = np.random.default_rng(3)
         for k in (2, 4, 5, 8):
-            rs = sorted(table41.residue_sets[k])
+            rs = sorted(table41.residue_coset(k).tolist())
             for _ in range(50):
                 a, b = rng.choice(rs, 2)
-                assert int(a) * int(b) % 41 in table41.residue_sets[k]
+                assert int(a) * int(b) % 41 in rs
 
     def test_primitive_root_order(self, table41):
         u, t = table41.tau, 1
@@ -122,7 +122,7 @@ class TestSmallFieldTable:
         assert set(table41.residue_coset(2).tolist()) == Q41
         # for k=4 the single coset is a strict subset of the nonresidues
         assert len(table41.nonresidue_coset(4)) == 10
-        assert set(table41.nonresidue_coset(4).tolist()) < table41.nonresidue_sets[4]
+        assert set(table41.nonresidue_coset(4).tolist()) < set(table41.nonresidues_all(4).tolist())
         assert len(table41.nonresidues_all(4)) == 30
 
 
@@ -161,7 +161,7 @@ class TestCharFunctionOracle:
         for k in (2, 4, 5):
             hits = [a for a in range(1, 41) if coset_indicator(a, k, table41) == 1]
             assert len(hits) == 40 // k
-            assert set(hits) <= table41.nonresidue_sets[k]
+            assert set(hits) <= set(table41.nonresidues_all(k).tolist())
         # for k = 2 the coset is every nonresidue
         hits2 = {a for a in range(1, 41) if coset_indicator(a, 2, table41) == 1}
         assert hits2 == N41
