@@ -212,8 +212,9 @@ def _cmd_expsum(args) -> int:
     envelope = ReportEnvelope()
     if args.max_ratio_table:
         ratios = expsum.max_ratio_table(table)
-        rows = [{"p": args.p, "b": b + 1, "ratio": float(r)} for b, r in enumerate(ratios)]
-        envelope.add_section("max_ratio", rows, ["p", "b", "ratio"])
+        if args.out_dir:  # p-1 rows: built only when a report is written
+            rows = [{"p": args.p, "b": b + 1, "ratio": float(r)} for b, r in enumerate(ratios)]
+            envelope.add_section("max_ratio", rows, ["p", "b", "ratio"])
         print(f"p={args.p} tau={table.tau}: max ratio over all b,x = {ratios.max():.6f} "
               f"(bound sqrt(p)*log(p)^2 = {expsum.theoretical_bound(args.p):.2f})")
     if args.b is not None:

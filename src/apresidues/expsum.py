@@ -90,7 +90,7 @@ def incomplete_expsum(b: int, x_cutoff: int, table: SmallFieldTable) -> ExpSumSa
         raise DomainError("b must be nonzero mod p")
     if not 1 <= x_cutoff <= p - 1:
         raise DomainError(f"x_cutoff must be in [1, p-1], got {x_cutoff}")
-    value = kernels.incomplete_sum(b % p, x_cutoff, table.tau, p, table.roots())
+    value = kernels.incomplete_sum(b % p, x_cutoff, table.powers, p, table.roots())
     magnitude = abs(value)
     bound = theoretical_bound(p)
     return ExpSumSample(
@@ -104,12 +104,14 @@ def max_ratio_table(table: SmallFieldTable) -> np.ndarray:
     x in [1, p-1], divided by sqrt(p) * log(p)**2.
 
     Returns a float array indexed by b-1; its max is the empirical constant
-    for the incomplete-sum bound at this prime.
+    for the incomplete-sum bound at this prime.  Rows b and p-b are complex
+    conjugates and hold bitwise-equal entries, so argmax (and hence a
+    sweep's worst_b) is the smaller b of the first pair attaining the max.
     """
     p = table.p
     if p > _EXPSUM_LIMIT:
         raise ResourceError(f"incomplete sums are limited to p <= {_EXPSUM_LIMIT}")
-    maxima = kernels.prefix_max_abs(table.powers[1:].copy(), p, table.roots())
+    maxima = kernels.prefix_max_abs(table.powers, p, table.roots())
     return maxima / theoretical_bound(p)
 
 

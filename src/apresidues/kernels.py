@@ -1,9 +1,16 @@
-"""Hot numeric kernels: the literal exponential sums over F_p.
+"""Hot numeric kernels: the exponential sums over F_p.
 
-Every public function here evaluates a finite complex exponential sum (or a
-power table feeding one) literally, term by term; nothing is replaced by a
-closed form.  Each sum has one vectorised numpy implementation, which
-evaluates its index space _CHUNK rows at a time.
+Every function here but prefix_max_abs evaluates a finite complex exponential
+sum (or a power table feeding one) literally, term by term; nothing is
+replaced by a closed form.  Each sum has one vectorised numpy implementation,
+which evaluates its index space _CHUNK rows at a time.
+
+prefix_max_abs is exact but not literal.  It evaluates one partial-sum path
+P[i] = sum_{m<=i} roots[tau**m] term by term, reads every row off it by the
+shift identity (the row for b = tau**j at cutoff x is P[j+x] - P[j]), and
+answers each row's farthest-point query from the convex hulls of whole
+blocks of P plus a brute-force scan of its own block.  The literal row-by-row
+cumsum it replaces is kept in the tests as its reference.
 
 All angles come from a shared table roots[t] = exp(2*pi*i*t/p), so the inner
 products (c*s) mod p stay in exact int64 arithmetic (safe for p <= 10**6).
@@ -14,6 +21,7 @@ inside the 1e-6 integrality budget at these lengths.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def kernel_backend() -> str:
@@ -70,26 +78,80 @@ def halfsums(coset: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def incomplete_sum(b: int, x_cutoff: int, tau: int, p: int, roots: np.ndarray) -> complex:
-    """sum_{n=1}^{x_cutoff} roots[(b * tau**n) % p]."""
-    powers = np.empty(x_cutoff, dtype=np.int64)
-    u = 1
-    for n in range(x_cutoff):
-        u = u * tau % p
-        powers[n] = u
-    return complex(roots[(b * powers) % p].sum())
+def incomplete_sum(b: int, x_cutoff: int, powers: np.ndarray, p: int, roots: np.ndarray) -> complex:
+    """sum_{n=1}^{x_cutoff} roots[(b * tau**n) % p], with powers[j] = tau**j mod p."""
+    n = np.arange(1, x_cutoff + 1) % (p - 1)
+    return complex(roots[(b * powers[n]) % p].sum())
+
+
+_HULL_BLOCK = 256  # points of the partial-sum path per block in prefix_max_abs
+
+
+def _hull(z: np.ndarray) -> np.ndarray:
+    """Vertices of the convex hull of the points z (Andrew's monotone chain).
+
+    The point of z farthest from any query point is one of them.
+    """
+    if len(z) <= 2:
+        return z
+    pts = sorted(zip(z.real.tolist(), z.imag.tolist()))
+    vertices = []
+    for seq in (pts, pts[::-1]):  # lower chain, then upper chain
+        chain = []
+        for x, y in seq:
+            while len(chain) >= 2:
+                (x1, y1), (x2, y2) = chain[-2], chain[-1]
+                if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) > 0:
+                    break
+                chain.pop()
+            chain.append((x, y))
+        vertices += chain[:-1]
+    return np.array(vertices).view(np.complex128).ravel()
 
 
 def prefix_max_abs(powers: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
     """maxabs[b-1] = max over x in [1, p-1] of |sum_{n<=x} roots[(b*tau**n)%p]|.
 
-    powers must be the [tau**1, ..., tau**(p-1)] table.
+    powers must be the [tau**0, ..., tau**(p-2)] table.
+
+    With P[i] = sum_{m=1}^{i} roots[tau**m] and c = P[p-1], the row for
+    b = tau**j at cutoff x is P[j+x] - P[j], and P[i+p-1] = P[i] + c.  So the
+    row maximum is the distance from P[j] to the farthest point of the window
+    P[j+1..j+p-1]: the suffix P[j+1..p-1] and the prefix P[1..j] shifted by c.
+    The farthest point of a set is a vertex of its convex hull, so whole
+    blocks of _HULL_BLOCK points are read through cumulative hulls of the
+    blocks after and before the query's own block (a few dozen vertices),
+    and only the query's own block is scanned point by point.
+
+    Row p-b = tau**(j+(p-1)/2) is the complex conjugate of row b, so only
+    j < (p-1)/2 is evaluated and each value is copied to its pair: the two
+    entries are bitwise equal, and argmax picks the smaller b of a pair.
     """
-    out = np.empty(p - 1, dtype=np.float64)
-    for b0 in range(1, p, _CHUNK):
-        b = np.arange(b0, min(b0 + _CHUNK, p), dtype=np.int64)
-        z = roots[(b[:, None] * powers[None, :]) % p]
-        out[b0 - 1 : b0 - 1 + len(b)] = np.abs(np.cumsum(z, axis=1)).max(axis=1)
+    n, half = p - 1, (p - 1) // 2
+    rows = p // 2  # rows j < half are evaluated; at p = 2 the one row j = 0 is its own pair
+    path = np.cumsum(roots[np.roll(powers, -1)])  # path[i] = P[i+1]
+    c = path[-1]
+    start = np.concatenate(([0j], path[: rows - 1]))  # P[j] for each row j
+    blocks = [path[s : s + _HULL_BLOCK] for s in range(0, n, _HULL_BLOCK)]
+    hulls = [_hull(blk) for blk in blocks]
+    empty = np.empty(0, dtype=np.complex128)
+    after = [empty] * (len(blocks) + 1)  # after[k]: hull of blocks k, k+1, ...
+    for k in range(len(blocks) - 1, 0, -1):
+        after[k] = _hull(np.concatenate((hulls[k], after[k + 1])))
+    before = empty  # hull of the blocks before the current one
+    best = np.empty(rows)
+    for k in range(-(-rows // _HULL_BLOCK)):
+        if k:
+            before = _hull(np.concatenate((before, hulls[k - 1])))
+        j0, j1 = k * _HULL_BLOCK, min((k + 1) * _HULL_BLOCK, rows)
+        blk, a = blocks[k], start[j0:j1, None]
+        # row j0+r scans blk[r:] and blk[:r] + c: one sliding window of blk, blk + c
+        own = sliding_window_view(np.concatenate((blk, blk + c)), len(blk))[: j1 - j0]
+        far = np.concatenate((after[k + 1], before + c))
+        best[j0:j1] = np.maximum(np.abs(own - a).max(axis=1), np.abs(far - a).max(axis=1, initial=0.0))
+    out = np.empty(n, dtype=np.float64)
+    out[powers[:rows] - 1] = best
+    out[powers[half : half + rows] - 1] = best
     return out
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from apresidues.bigmod import OddPrimeContext
@@ -48,6 +49,20 @@ def euler_sign(n: int, p: int) -> int:
     """Quadratic symbol by one modular exponentiation (independent of jacobi)."""
     w = pow(n % p, (p - 1) // 2, p)
     return 1 if w == 1 else -1
+
+
+def literal_prefix_max_abs(p: int, tau: int, bs) -> np.ndarray:
+    """Reference for kernels.prefix_max_abs, row by row: for each b in bs, the
+    max over x in [1, p-1] of |sum_{n<=x} e(b * tau**n / p)|, from one cumsum
+    over the row's own terms.  O(p) per row, so O(p**2) for a whole table."""
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    tau_n = np.array([pow(tau, n, p) for n in range(1, p)], dtype=np.int64)
+    bs = np.asarray(bs, dtype=np.int64)
+    out = np.empty(len(bs))
+    for i in range(0, len(bs), 16):
+        b = bs[i : i + 16, None]
+        out[i : i + 16] = np.abs(np.cumsum(roots[(b * tau_n) % p], axis=1)).max(axis=1)
+    return out
 
 
 @pytest.fixture(scope="session")

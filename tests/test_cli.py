@@ -3,6 +3,7 @@ import stat
 
 import pytest
 
+from apresidues import cli
 from apresidues.cli import (
     EXIT_ABSENT,
     EXIT_BEYOND_BOUND,
@@ -147,6 +148,15 @@ class TestExpsumAndPatterns:
         assert (tmp_path / "expsum-p101.json").exists()
         assert (tmp_path / "expsum-p101.max_ratio.csv").exists()
 
+    def test_expsum_table_without_out_dir_builds_no_report(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a report section was built with nothing to write")
+
+        monkeypatch.setattr(cli.ReportEnvelope, "add_section", refuse)
+        code, out, _ = run_cli(capsys, "expsum", "--p", "101", "--max-ratio-table")
+        assert code == EXIT_OK
+        assert out.startswith("p=101 tau=2: max ratio over all b,x = ")
+
     def test_patterns_output(self, capsys):
         code, out, _ = run_cli(capsys, "patterns", "--p", "41", "--x", "39")
         assert code == EXIT_OK
@@ -197,6 +207,19 @@ out_dir = {tmp_path}/r2
         a = (tmp_path / "r1" / "expsum.max_ratio.csv").read_text().split("\n", 1)[1]
         b = (tmp_path / "r2" / "expsum.max_ratio.csv").read_text().split("\n", 1)[1]
         assert a == b
+
+    def test_expsum_campaign_worst_b_is_the_smaller_of_a_pair(self, capsys, tmp_path):
+        # at 10007 the maximum is attained by b = 3008 and its conjugate pair 6999
+        cfg = self.write_config(tmp_path, f"""
+campaign = expsum
+p_list = 1009,10007
+out_dir = {tmp_path}/r
+""")
+        code, out, _ = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_OK
+        rows = (tmp_path / "r" / "expsum.max_ratio.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[2] for row in rows] == ["146", "3008"]
+        assert "p=10007 max ratio 0.011635 at b=3008" in out
 
     def test_q_rule_loglog2_widens_the_range(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, f"""

@@ -72,6 +72,30 @@ class TestIncompleteExpSum:
         # frozen from an independent run: the empirical constant is ~0.024
         assert ratios.max() == pytest.approx(0.0242, abs=0.002)
 
+    def test_max_ratio_rows_are_max_over_every_cutoff(self, table101):
+        # x runs over [1, p-1]; each row against the single-sum oracle
+        ratios = max_ratio_table(table101)
+        for b in range(1, 101):
+            best = max(incomplete_expsum(b, x, table101).magnitude for x in range(1, 101))
+            assert ratios[b - 1] * theoretical_bound(101) == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [3, 101, 1009, 10007, 30011])
+    def test_max_ratio_pairs_are_bitwise_equal(self, p):
+        # row p-b is the complex conjugate of row b; argmax gives the smaller b of a pair
+        ratios = max_ratio_table(build_small_field_table(p))
+        assert np.array_equal(ratios, ratios[::-1])
+        assert int(ratios.argmax()) + 1 <= (p - 1) // 2
+
+    def test_max_ratio_memory_at_10007(self):
+        table = build_small_field_table(10007)
+        tracemalloc.start()
+        try:
+            max_ratio_table(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestFourierUHat:
     def test_closed_form_oracle(self, table101):

@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apresidues
 from apresidues import kernels
+from apresidues.bigmod import primes_up_to
+from apresidues.residues import least_primitive_root
+from conftest import literal_prefix_max_abs
 
 P = 241
 TAU = 7  # primitive root of 241
@@ -70,15 +75,22 @@ def test_halfsums_match_literal(roots, coset):
     assert np.abs(got - want).max() < 1e-9
 
 
-def test_incomplete_sum_matches_literal(roots):
+def test_incomplete_sum_matches_literal(roots, powers):
     for b, x in ((1, 20), (5, 100), (240, 240)):
-        got = kernels.incomplete_sum(b, x, TAU, P, roots)
+        got = kernels.incomplete_sum(b, x, powers, P, roots)
         want = csum(e(b * pow(TAU, n, P)) for n in range(1, x + 1))
         assert abs(got - want) < 1e-10
 
 
+def test_incomplete_sum_equals_the_stepped_power_sum(roots, powers):
+    # the same terms in the same order as tau**n stepped one multiplication at a time
+    for b, x in ((1, 1), (5, 100), (240, 240)):
+        stepped = np.array([pow(TAU, n, P) for n in range(1, x + 1)], dtype=np.int64)
+        assert kernels.incomplete_sum(b, x, powers, P, roots) == complex(roots[(b * stepped) % P].sum())
+
+
 def test_prefix_max_matches_literal(roots, powers):
-    got = kernels.prefix_max_abs(powers[1:].copy(), P, roots)
+    got = kernels.prefix_max_abs(powers, P, roots)
     want = []
     for b in range(1, P):
         partial, best = 0j, 0.0
@@ -87,6 +99,44 @@ def test_prefix_max_matches_literal(roots, powers):
             best = max(best, abs(partial))
         want.append(best)
     assert np.abs(got - np.array(want)).max() < 1e-9
+
+
+def _kernel_rows(p: int) -> tuple[int, np.ndarray, np.ndarray]:
+    tau = least_primitive_root(p)
+    powers = kernels.pow_table(tau, p)
+    return tau, powers, kernels.prefix_max_abs(powers, p, kernels.roots_table(p))
+
+
+def _assert_rows_match(got: np.ndarray, p: int, tau: int, bs: np.ndarray):
+    want = literal_prefix_max_abs(p, tau, bs)
+    rel = np.abs(got[bs - 1] - want) / want
+    assert rel.max() <= 1e-9, f"p={p}: b={bs[rel.argmax()]} off by {rel.max():.3g}"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 241, 1009, 10007])
+def test_prefix_max_abs_matches_reference_for_every_b(p):
+    # one block up to p = 257; 1009 and 10007 end in a short block
+    tau, _, got = _kernel_rows(p)
+    assert got.shape == (p - 1,)
+    _assert_rows_match(got, p, tau, np.arange(1, p))
+
+
+def test_prefix_max_abs_matches_reference_at_30011():
+    # the whole reference table takes ~15 s here, so check the rows whose
+    # index j (b = tau**j) opens or closes a block, the maximum and a sample
+    p = 30011
+    tau, powers, got = _kernel_rows(p)
+    j = np.arange(p - 1) % kernels._HULL_BLOCK
+    edges = powers[(j == 0) | (j == kernels._HULL_BLOCK - 1)]
+    sample = np.random.default_rng(30011).integers(1, p, 300)
+    _assert_rows_match(got, p, tau, np.unique(np.concatenate((edges, sample, [got.argmax() + 1]))))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(primes_up_to(5000).tolist()))
+def test_prefix_max_abs_matches_reference_below_5000(p):
+    tau, _, got = _kernel_rows(p)
+    _assert_rows_match(got, p, tau, np.arange(1, p))
 
 
 def test_uhat_matches_literal(roots, coset):
