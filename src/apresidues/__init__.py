@@ -24,7 +24,6 @@ from .bigmod import (
     euler_totient,
     is_prime,
     jacobi,
-    mod_pow,
     multiplicative_order,
     primes_up_to,
     von_mangoldt,
@@ -92,7 +91,6 @@ __all__ = [
     "list_scenarios",
     "main_term_prediction",
     "max_ratio_table",
-    "mod_pow",
     "multiplicative_order",
     "pattern_census",
     "primes_up_to",

@@ -27,15 +27,6 @@ _SIEVE_LIMIT = 10**9
 _SEGMENT = 1 << 21
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus, in [0, modulus)."""
-    if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise DomainError(f"exponent must be >= 0, got {exponent}")
-    return pow(base, exponent, modulus)
-
-
 def jacobi(n: int, m: int) -> int:
     """Jacobi symbol (n|m) for odd m >= 3; equals the Legendre symbol for prime m."""
     if m < 3 or m % 2 == 0:
@@ -291,13 +282,23 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-def _distinct_factors(p_minus_1_factors, p: int) -> list[int]:
+def _distinct_factors(p_minus_1_factors, p: int) -> tuple[int, ...]:
     """The distinct primes of a factorisation of p-1, given as a {prime:
     exponent} dict, a list of primes, or (prime, exponent) pairs."""
     if isinstance(p_minus_1_factors, dict):
-        factors = list(p_minus_1_factors)
+        factors = p_minus_1_factors
     else:
-        factors = [f[0] if isinstance(f, (tuple, list)) else f for f in p_minus_1_factors]
+        factors = (f[0] if isinstance(f, (tuple, list)) else f for f in p_minus_1_factors)
+    return _checked_factors(tuple(int(q) for q in factors), p)
+
+
+@lru_cache(maxsize=4096)
+def _checked_factors(factors: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """factors, once every entry is prime and together they divide out p-1;
+    memoised, since searches check the same list once per sieve block."""
+    for q in factors:
+        if not is_prime(q):
+            raise DomainError(f"factor {q} of p-1={p - 1} is not prime")
     check = p - 1
     for q in factors:
         while check % q == 0:

@@ -121,6 +121,19 @@ def _context(args) -> OddPrimeContext:
                                      allow_small=getattr(args, "allow_small", False))
 
 
+def _write_report(envelope: ReportEnvelope, out_dir: str, stem: str) -> int:
+    """Write the report files and list them; a directory that cannot be
+    written is a resource error."""
+    try:
+        paths = envelope.write(out_dir, stem)
+    except OSError as exc:
+        print(f"cannot write reports to {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    for path in paths:
+        print(f"wrote {path}")
+    return EXIT_OK
+
+
 def _cmd_symbol(args) -> int:
     from .residues import kth_power_verdict
 
@@ -179,8 +192,7 @@ def _cmd_count(args) -> int:
             "density_estimate": report.density_estimate,
         }], ["p", "k", "q", "a", "target", "x", "weighted_count",
              "unweighted_count", "main_term", "error_term", "density_estimate"])
-        for path in envelope.write(args.out_dir, f"count-k{args.k}-q{args.q}-a{args.a}"):
-            print(f"wrote {path}")
+        return _write_report(envelope, args.out_dir, f"count-k{args.k}-q{args.q}-a{args.a}")
     return EXIT_OK
 
 
@@ -229,8 +241,7 @@ def _cmd_expsum(args) -> int:
             "bound": sample.bound, "ratio": sample.ratio,
         }], ["p", "tau", "b", "x_cutoff", "value", "magnitude", "bound", "ratio"])
     if args.out_dir:
-        for path in envelope.write(args.out_dir, f"expsum-p{args.p}"):
-            print(f"wrote {path}")
+        return _write_report(envelope, args.out_dir, f"expsum-p{args.p}")
     return EXIT_OK
 
 
@@ -257,8 +268,7 @@ def _cmd_patterns(args) -> int:
         envelope.add_section("refined_counts",
                              [{"p": args.p, **census.refined_counts}],
                              ["p", *patterns.REFINED_KEYS])
-        for path in envelope.write(args.out_dir, f"patterns-p{args.p}"):
-            print(f"wrote {path}")
+        return _write_report(envelope, args.out_dir, f"patterns-p{args.p}")
     return EXIT_OK
 
 
@@ -456,14 +466,7 @@ def _cmd_sweep(args) -> int:
     out_dir = conf.get("out_dir", "reports")
     envelope = ReportEnvelope()
     run(conf, envelope)
-    try:
-        paths = envelope.write(out_dir, campaign)
-    except OSError as exc:
-        print(f"cannot write reports to {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    for path in paths:
-        print(f"wrote {path}")
-    return EXIT_OK
+    return _write_report(envelope, out_dir, campaign)
 
 
 _COMMANDS = {

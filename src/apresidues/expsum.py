@@ -22,7 +22,6 @@ _EXPSUM_LIMIT = 10**6
 _UHAT_LIMIT = 10**4
 _FIBER_LIMIT = 10**5
 _FIBER_WORK = 10**8  # alpha plus beta domain points
-_FIBER_BLOCK = 2**20  # targets per bincount block
 
 
 def theoretical_bound(p: int) -> float:
@@ -90,7 +89,7 @@ def incomplete_expsum(b: int, x_cutoff: int, table: SmallFieldTable) -> ExpSumSa
         raise DomainError("b must be nonzero mod p")
     if not 1 <= x_cutoff <= p - 1:
         raise DomainError(f"x_cutoff must be in [1, p-1], got {x_cutoff}")
-    value = kernels.incomplete_sum(b % p, x_cutoff, table.powers, p, table.roots())
+    value = kernels.incomplete_sum(b % p, x_cutoff, table.powers, p, table.roots)
     magnitude = abs(value)
     bound = theoretical_bound(p)
     return ExpSumSample(
@@ -111,7 +110,7 @@ def max_ratio_table(table: SmallFieldTable) -> np.ndarray:
     p = table.p
     if p > _EXPSUM_LIMIT:
         raise ResourceError(f"incomplete sums are limited to p <= {_EXPSUM_LIMIT}")
-    maxima = kernels.prefix_max_abs(table.powers, p, table.roots())
+    maxima = kernels.prefix_max_abs(table.powers, p, table.roots)
     return maxima / theoretical_bound(p)
 
 
@@ -121,7 +120,7 @@ def halfsums(table: SmallFieldTable) -> np.ndarray:
     p = table.p
     if p > _UHAT_LIMIT:
         raise ResourceError(f"half-sum tables are limited to p <= {_UHAT_LIMIT}")
-    return kernels.halfsums(table.nonresidue_coset(2), p, table.roots())
+    return kernels.halfsums(table.nonresidue_coset(2), p, table.roots)
 
 
 def _require_residue(a: int, table: SmallFieldTable) -> int:
@@ -134,15 +133,24 @@ def _require_residue(a: int, table: SmallFieldTable) -> int:
     return a
 
 
+def _uhat_values(a_vals, s: np.ndarray, roots: np.ndarray, p: int) -> np.ndarray:
+    """U-hat(a) = sum_{b=1}^{p-1} e(-a*b/p) * S[b] for each a, one a at a time,
+    from the half sums S = halfsums(table)."""
+    b = np.arange(1, p, dtype=np.int64)
+    out = np.empty(len(a_vals), dtype=np.complex128)
+    for i, a in enumerate(a_vals):
+        out[i] = (roots[(-int(a) * b) % p] * s[1:]).sum()
+    return out
+
+
 def fourier_U_hat(a: int, table: SmallFieldTable) -> UHatSample:
     """Literal double-sum evaluation (outer b, inner nonresidue enumeration)."""
     p = table.p
     if p > _UHAT_LIMIT:
         raise ResourceError(f"the U-hat double sum is limited to p <= {_UHAT_LIMIT}")
     a = _require_residue(a, table)
-    coset = table.nonresidue_coset(2)
-    value = kernels.uhat_literal(a, coset, p, table.roots())
-    half = complex(table.roots()[coset % p].sum())
+    s = halfsums(table)
+    value, half = complex(_uhat_values([a], s, table.roots, p)[0]), complex(s[1])
     bound = theoretical_bound(p)
     return UHatSample(
         p=p, a=a, value=value, half_sum=half,
@@ -157,25 +165,20 @@ def fourier_U_hat_swapped(a: int, table: SmallFieldTable) -> complex:
     if p > _UHAT_LIMIT:
         raise ResourceError(f"the U-hat double sum is limited to p <= {_UHAT_LIMIT}")
     a = _require_residue(a, table)
-    return kernels.uhat_swapped(a, table.nonresidue_coset(2), p, table.roots())
+    return kernels.uhat_swapped(a, table.nonresidue_coset(2), p, table.roots)
 
 
 def uhat_all_residues(table: SmallFieldTable) -> tuple[np.ndarray, np.ndarray]:
     """|U-hat(a)| for every quadratic residue a, via the shared inner sums.
 
     The inner b-indexed half sums do not depend on a, so they are evaluated
-    literally once and combined per a; agreement with the per-a literal path
-    is covered by tests.  Returns (residues a ascending, magnitudes).
+    literally once and combined per a, in the same order as fourier_U_hat;
+    agreement with the swapped loop order is covered by tests.  Returns
+    (residues a ascending, magnitudes).
     """
-    p = table.p
     s = halfsums(table)
-    roots = table.roots()
     a_vals = np.sort(table.residue_coset(2))
-    b = np.arange(1, p, dtype=np.int64)
-    mags = np.empty(len(a_vals), dtype=np.float64)
-    for i, a in enumerate(a_vals):
-        mags[i] = abs((roots[(-int(a) * b) % p] * s[1:]).sum())
-    return a_vals, mags
+    return a_vals, np.abs(_uhat_values(a_vals, s, table.roots, table.p))
 
 
 def complete_exponential_sum(c: int, p: int) -> complex:
@@ -185,13 +188,11 @@ def complete_exponential_sum(c: int, p: int) -> complex:
 
 
 def _fiber_counts(rows: np.ndarray, cols: np.ndarray, op, p: int) -> np.ndarray:
-    """counts[t] = #{(r, c) : op(r, c) % p == t}, summed over row blocks of
-    about _FIBER_BLOCK targets, so the full target array is never built."""
+    """counts[t] = #{(r, c) : op(r, c) % p == t}, added up over the blocks of
+    kernels.index_blocks, so the full target array is never built."""
     counts = np.zeros(p, dtype=np.int64)
-    step = max(1, _FIBER_BLOCK // len(cols))
-    for r0 in range(0, len(rows), step):
-        blk = rows[r0 : r0 + step]
-        counts += np.bincount((op(blk[:, None], cols[None, :]) % p).ravel(), minlength=p)
+    for _, targets in kernels.index_blocks(rows, cols, op, p):
+        counts += np.bincount(targets.ravel(), minlength=p)
     return counts
 
 

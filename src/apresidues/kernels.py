@@ -2,8 +2,12 @@
 
 Every function here but prefix_max_abs evaluates a finite complex exponential
 sum (or a power table feeding one) literally, term by term; nothing is
-replaced by a closed form.  Each sum has one vectorised numpy implementation,
-which evaluates its index space _CHUNK rows at a time.
+replaced by a closed form.  Each sum has one vectorised numpy implementation.
+The double sums gather table[op(r, s) % p], and the fiber censuses in expsum
+count op(r, s) % p, over an index grid r x s through index_blocks, one block
+of rows at a time.  A block holds about _BLOCK = 2**18 index entries (at least
+one row), so its int64 indices and gathered complex terms take about 6 MiB
+whatever p is.
 
 prefix_max_abs is exact but not literal.  It evaluates one partial-sum path
 P[i] = sum_{m<=i} roots[tau**m] term by term, reads every row off it by the
@@ -44,38 +48,40 @@ def pow_table(tau: int, p: int) -> np.ndarray:
     return out
 
 
-_CHUNK = 64  # rows per vectorised block; a block holds _CHUNK * p index entries
+_BLOCK = 2**18  # index entries per block of index_blocks
+
+
+def index_blocks(r: np.ndarray, s: np.ndarray, op, p: int):
+    """Yield (i, op(r[i:j, None], s[None, :]) % p) over consecutive row blocks
+    r[i:j] of about _BLOCK entries each (at least one row)."""
+    step = max(1, _BLOCK // max(len(s), 1))
+    for i in range(0, len(r), step):
+        yield i, op(r[i : i + step, None], s[None, :]) % p
+
+
+def row_sums(table: np.ndarray, r: np.ndarray, s: np.ndarray, op, p: int) -> np.ndarray:
+    """out[i] = sum_j table[op(r[i], s[j]) % p], each row summed term by term."""
+    out = np.empty(len(r), dtype=table.dtype)
+    for i, idx in index_blocks(r, s, op, p):
+        out[i : i + len(idx)] = table[idx].sum(axis=1)
+    return out
 
 
 def inner_complete_sums(p: int, roots: np.ndarray) -> np.ndarray:
     """inner[c] = sum_{s=0}^{p-1} roots[(c*s) % p] for every c in [0, p)."""
     s = np.arange(p, dtype=np.int64)
-    out = np.empty(p, dtype=np.complex128)
-    for c0 in range(0, p, _CHUNK):
-        c = np.arange(c0, min(c0 + _CHUNK, p), dtype=np.int64)
-        out[c0 : c0 + len(c)] = roots[(c[:, None] * s[None, :]) % p].sum(axis=1)
-    return out
+    return row_sums(roots, s, s, np.multiply, p)
 
 
 def char_sum_one(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> complex:
     """(1/p) * sum_{u in coset} sum_{s=0}^{p-1} roots[((u-a)*s) % p]."""
-    s = np.arange(p, dtype=np.int64)
     c = (coset.astype(np.int64) - a) % p
-    total = 0.0 + 0.0j
-    for c0 in range(0, len(c), _CHUNK):
-        blk = c[c0 : c0 + _CHUNK]
-        total += roots[(blk[:, None] * s[None, :]) % p].sum()
-    return total / p
+    return complex(row_sums(roots, c, np.arange(p, dtype=np.int64), np.multiply, p).sum()) / p
 
 
 def halfsums(coset: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
     """S[b] = sum_{u in coset} roots[(b*u) % p] for every b in [0, p)."""
-    u = coset.astype(np.int64)
-    out = np.empty(p, dtype=np.complex128)
-    for b0 in range(0, p, _CHUNK):
-        b = np.arange(b0, min(b0 + _CHUNK, p), dtype=np.int64)
-        out[b0 : b0 + len(b)] = roots[(b[:, None] * u[None, :]) % p].sum(axis=1)
-    return out
+    return row_sums(roots, np.arange(p, dtype=np.int64), coset.astype(np.int64), np.multiply, p)
 
 
 def incomplete_sum(b: int, x_cutoff: int, powers: np.ndarray, p: int, roots: np.ndarray) -> complex:
@@ -155,22 +161,8 @@ def prefix_max_abs(powers: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def uhat_literal(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> complex:
-    """sum_{b=1}^{p-1} roots[(-a*b)%p] * sum_{u in coset} roots[(b*u)%p], inner sum first."""
-    u = coset.astype(np.int64)
-    total = 0.0 + 0.0j
-    for b0 in range(1, p, _CHUNK):
-        b = np.arange(b0, min(b0 + _CHUNK, p), dtype=np.int64)
-        inner = roots[(b[:, None] * u[None, :]) % p].sum(axis=1)
-        total += (roots[(-a * b) % p] * inner).sum()
-    return total
-
-
 def uhat_swapped(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> complex:
-    """Same double sum with the loops exchanged: outer u, inner b."""
-    b = np.arange(1, p, dtype=np.int64)
-    total = 0.0 + 0.0j
-    for u0 in range(0, len(coset), _CHUNK):
-        u = coset[u0 : u0 + _CHUNK].astype(np.int64)
-        total += roots[(((u[:, None] - a) % p) * b[None, :]) % p].sum()
-    return total
+    """sum_{u in coset} sum_{b=1}^{p-1} roots[((u-a)*b) % p]: the U-hat double
+    sum with the loops exchanged (outer u, inner b), a commutativity check."""
+    c = (coset.astype(np.int64) - a) % p
+    return complex(row_sums(roots, c, np.arange(1, p, dtype=np.int64), np.multiply, p).sum())

@@ -25,7 +25,7 @@ exponent-1 element (tau**p = tau) and break the 0/1 property.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,18 +79,15 @@ class SmallFieldTable:
     """Primitive-root enumeration of F_p*; every k | p-1 reads its residues
     and nonresidues off it as cosets.
 
-    powers[j] = tau**j mod p for j in [0, p-1); dlog inverts it on [1, p-1].
-    The least primitive root is chosen so tables are reproducible across runs.
+    powers[j] = tau**j mod p for j in [0, p-1), and roots[t] = exp(2*pi*i*t/p)
+    for t in [0, p).  The least primitive root is chosen so tables are
+    reproducible across runs.
     """
 
     p: int
     tau: int
     powers: np.ndarray
-    dlog: np.ndarray
-    _roots: np.ndarray = field(repr=False, default=None)
-
-    def roots(self) -> np.ndarray:
-        return self._roots
+    roots: np.ndarray
 
     def residue_coset(self, k: int) -> np.ndarray:
         """[tau**(k*m) for 0 <= m < (p-1)/k] -- the kth power residues."""
@@ -136,17 +133,7 @@ def build_small_field_table(p: int) -> SmallFieldTable:
         raise DomainError(f"{p} is not prime")
     factors = factorize(p - 1)
     tau = least_primitive_root(p, factors)
-    powers = kernels.pow_table(tau, p)
-    dlog = np.empty(p, dtype=np.int64)
-    dlog[0] = -1
-    dlog[powers] = np.arange(p - 1)
-    return SmallFieldTable(
-        p=p,
-        tau=tau,
-        powers=powers,
-        dlog=dlog,
-        _roots=kernels.roots_table(p),
-    )
+    return SmallFieldTable(p=p, tau=tau, powers=kernels.pow_table(tau, p), roots=kernels.roots_table(p))
 
 
 def _oracle_enumeration(k: int, table: SmallFieldTable, which: str) -> np.ndarray:
@@ -165,20 +152,25 @@ def _round_indicator(value: complex, where: str) -> int:
     return int(nearest)
 
 
+def _literal_indicator(a: int, k: int, table: SmallFieldTable, members, where: str) -> int:
+    """(1/p) * sum_{u in members()} sum_{s=0}^{p-1} e((u-a)*s/p), summed term
+    by term and rounded to {0, 1}; members is called only once p and a pass."""
+    p = table.p
+    if p > _ORACLE_LIMIT:
+        raise ResourceError(f"double-sum oracle is limited to p <= {_ORACLE_LIMIT}")
+    if not 1 <= a % p <= p - 1:
+        raise DomainError(f"a={a} is 0 mod p")
+    value = kernels.char_sum_one(a % p, members(), p, table.roots)
+    return _round_indicator(value, f"{where} p={p} k={k} a={a}")
+
+
 def char_function_oracle(a: int, k: int, table: SmallFieldTable, which: str) -> int:
     """Literal complex double-sum indicator, rounded to {0, 1}.
 
     The pre-rounding value must sit within 1e-6 of the integer; a larger
     residue is a logic bug and raises IntegrityError.
     """
-    p = table.p
-    if p > _ORACLE_LIMIT:
-        raise ResourceError(f"double-sum oracle is limited to p <= {_ORACLE_LIMIT}")
-    if not 1 <= a % p <= p - 1:
-        raise DomainError(f"a={a} is 0 mod p")
-    enum_set = _oracle_enumeration(k, table, which)
-    value = kernels.char_sum_one(a % p, enum_set, p, table.roots())
-    return _round_indicator(value, f"char oracle p={p} k={k} a={a}")
+    return _literal_indicator(a, k, table, lambda: _oracle_enumeration(k, table, which), "char oracle")
 
 
 def coset_indicator(a: int, k: int, table: SmallFieldTable) -> int:
@@ -187,13 +179,7 @@ def coset_indicator(a: int, k: int, table: SmallFieldTable) -> int:
     Equals the nonresidue indicator for k = 2; for k >= 3 it flags membership
     in that one coset (a strict subset of the nonresidues).
     """
-    p = table.p
-    if p > _ORACLE_LIMIT:
-        raise ResourceError(f"double-sum oracle is limited to p <= {_ORACLE_LIMIT}")
-    if not 1 <= a % p <= p - 1:
-        raise DomainError(f"a={a} is 0 mod p")
-    value = kernels.char_sum_one(a % p, table.nonresidue_coset(k), p, table.roots())
-    return _round_indicator(value, f"coset indicator p={p} k={k} a={a}")
+    return _literal_indicator(a, k, table, lambda: table.nonresidue_coset(k), "coset indicator")
 
 
 def char_function_values(k: int, table: SmallFieldTable, which: str) -> tuple[np.ndarray, float]:
@@ -207,13 +193,9 @@ def char_function_values(k: int, table: SmallFieldTable, which: str) -> tuple[np
     if p > _ORACLE_LIMIT:
         raise ResourceError(f"double-sum oracle is limited to p <= {_ORACLE_LIMIT}")
     enum_set = _oracle_enumeration(k, table, which).astype(np.int64)
-    inner = kernels.inner_complete_sums(p, table.roots())
+    inner = kernels.inner_complete_sums(p, table.roots)
     a = np.arange(1, p, dtype=np.int64)
-    values = np.empty(p - 1, dtype=np.complex128)
-    for a0 in range(0, p - 1, 64):
-        blk = a[a0 : a0 + 64]
-        values[a0 : a0 + len(blk)] = inner[(enum_set[None, :] - blk[:, None]) % p].sum(axis=1)
-    values /= p
+    values = kernels.row_sums(inner, p - a, enum_set, np.add, p) / p  # inner[(u - a) % p]
     rounded = np.round(values.real)
     worst = float(np.abs(values - rounded).max())
     if worst > _INTEGRALITY_TOL:

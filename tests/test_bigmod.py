@@ -3,8 +3,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from apresidues.bigmod import (
     OddPrimeContext,
@@ -16,7 +14,6 @@ from apresidues.bigmod import (
     has_exact_order,
     is_prime,
     jacobi,
-    mod_pow,
     multiplicative_order,
     next_prime,
     prime_mask,
@@ -27,44 +24,6 @@ from apresidues.bigmod import (
 from apresidues.errors import DomainError, ResourceError
 
 from conftest import P24, P48, P48_FACTORS, P128, naive_von_mangoldt
-
-
-def naive_pow(b, e, m):
-    r = 1 % m
-    for _ in range(e):
-        r = r * b % m
-    return r
-
-
-class TestModPow:
-    def test_trivial_examples(self):
-        assert mod_pow(2, 10, 1000) == 24
-        assert mod_pow(7, 0, 13) == 1
-        assert mod_pow(12345, 0, 7) == 1
-
-    def test_fermat_little_theorem(self):
-        assert mod_pow(6, 40, 41) == 1
-
-    def test_exhaustive_small_cube(self):
-        # exhaustive oracle over a reduced grid; the full 512/1024 cube is
-        # covered by the randomized property below
-        for m in range(2, 70):
-            for b in range(0, 40):
-                r = 1 % m
-                for e in range(0, 40):
-                    assert mod_pow(b, e, m) == r
-                    r = r * b % m
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 511), st.integers(0, 511), st.integers(2, 1023))
-    def test_matches_naive_product(self, b, e, m):
-        assert mod_pow(b, e, m) == naive_pow(b, e, m)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            mod_pow(2, 3, 1)
-        with pytest.raises(DomainError):
-            mod_pow(2, -1, 7)
 
 
 class TestJacobi:
@@ -243,6 +202,20 @@ class TestMultiplicativeOrder:
 
     def test_pair_list_form(self):
         assert multiplicative_order(6, 41, [(2, 3), (5, 1)]) == 40
+
+    @pytest.mark.parametrize("factors", [[2, 15], {2: 1, 15: 1}, [(2, 1), (15, 1)], [1, 2, 3, 5]])
+    def test_factor_that_is_not_prime_rejected(self, factors):
+        # 2 and 15 divide out 30, but read as a prime 15 gives 2 the order 15, not 5;
+        # 1 divides out nothing and would never leave the completeness loop
+        with pytest.raises(DomainError, match="not prime"):
+            multiplicative_order(2, 31, factors)
+        with pytest.raises(DomainError, match="not prime"):
+            has_exact_order(np.arange(1, 31), 31, 2, factors)
+
+    def test_complete_prime_factors_at_31(self):
+        assert multiplicative_order(2, 31, [2, 3, 5]) == 5
+        assert multiplicative_order(3, 31, {2: 1, 3: 1, 5: 1}) == 30
+        assert has_exact_order(np.array([2, 5, 7, 9]), 31, 2, [2, 3, 5]).tolist() == [False, False, True, True]
 
 
 class TestEulerFlags:

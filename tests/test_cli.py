@@ -79,6 +79,20 @@ class TestSearch:
                                "--q", "8", "--a", "7", "--p", "2^128+51")
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("factors,code,found", [("2,15", EXIT_DOMAIN, None),
+                                                    ("2,3,5", EXIT_BEYOND_BOUND, "found: 41")])
+    def test_generator_factors_at_31(self, capsys, factors, code, found):
+        # read as a prime, 15 would let 2 (order 5) pass as a generator of the
+        # order-15 subgroup
+        got, out, err = run_cli(capsys, "search", "--target", "generator", "--k", "2", "--q", "3",
+                                "--a", "2", "--p", "31", "--allow-small", "--factors", factors)
+        assert got == code
+        if found:
+            assert found in out
+        else:
+            assert "factor 15 of p-1=30 is not prime" in err
+            assert "found" not in out
+
     def test_absent_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--target", "residue", "--k", "2",
                                "--q", "4", "--a", "3", "--p", "41", "--allow-small",
@@ -285,6 +299,27 @@ out_dir = {blocked}/nested
 """)
         code, _, err = run_cli(capsys, "sweep", "--config", cfg)
         assert code == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--target", "nonresidue", "--k", "2", "--q", "4", "--a", "1", "--p", "41",
+         "--x", "300", "--allow-small"),
+        ("expsum", "--p", "101", "--max-ratio-table"),
+        ("patterns", "--p", "41"),
+        ("sweep",),
+    ])
+    def test_out_dir_under_a_regular_file_is_resource_error(self, capsys, tmp_path, argv):
+        # a directory cannot be made under a regular file, even as root
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "reports"
+        if argv[0] == "sweep":
+            cfg = self.write_config(tmp_path, f"campaign = expsum\np_list = 101\nout_dir = {out_dir}\n")
+            argv = ("sweep", "--config", cfg)
+        else:
+            argv = (*argv, "--out-dir", str(out_dir))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_RESOURCE
+        assert f"cannot write reports to {out_dir}" in err
+        assert "wrote" not in out
 
     def test_non_integer_values_are_domain_errors(self, capsys, tmp_path):
         for campaign, line in (("density", "k = two"), ("least_nonresidue", "workers = many"),

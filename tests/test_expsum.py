@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from apresidues import expsum
+from apresidues import kernels
 from apresidues.errors import DomainError, ResourceError
 from apresidues.expsum import (
     complete_exponential_sum,
@@ -175,7 +175,7 @@ class TestFiberHistograms:
 
     def test_blocked_counts_match_full_targets(self, table1009, monkeypatch):
         # blocks of a few rows each, against one bincount over every target
-        monkeypatch.setattr(expsum, "_FIBER_BLOCK", 3000)
+        monkeypatch.setattr(kernels, "_BLOCK", 3000)
         p, x, k = 1009, 300, 3
         alpha, beta = fiber_histograms(x, k, table1009)
         coset = table1009.nonresidue_coset(k)

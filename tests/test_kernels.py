@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apresidues
-from apresidues import kernels
+from apresidues import expsum, kernels, residues
 from apresidues.bigmod import primes_up_to
-from apresidues.residues import least_primitive_root
+from apresidues.residues import build_small_field_table, least_primitive_root
 from conftest import literal_prefix_max_abs
 
 P = 241
@@ -140,13 +140,56 @@ def test_prefix_max_abs_matches_reference_below_5000(p):
 
 
 def test_uhat_matches_literal(roots, coset):
+    table = build_small_field_table(P)
+    assert table.tau == TAU
     for a in (1, 4, 100):
-        x = kernels.uhat_literal(a, coset, P, roots)
+        sample = expsum.fourier_U_hat(a, table)
         want = csum(e(-a * b) * csum(e(b * int(u)) for u in coset) for b in range(1, P))
-        assert abs(x - want) < 1e-8
+        assert abs(sample.value - want) < 1e-8
+        assert abs(sample.half_sum - csum(e(int(u)) for u in coset)) < 1e-10
         xs = kernels.uhat_swapped(a, coset, P, roots)
         assert abs(xs - want) < 1e-8
-        assert abs(x - xs) < 1e-8
+        assert abs(sample.value - xs) < 1e-8
+
+
+def test_index_blocks_cover_the_grid_in_row_order(monkeypatch):
+    r, s = np.arange(10, dtype=np.int64), np.arange(3, 7, dtype=np.int64)
+    for block, rows in ((1, 1), (8, 2), (12, 3), (10**6, 10)):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        blocks = list(kernels.index_blocks(r, s, np.multiply, 11))
+        assert [i for i, _ in blocks] == list(range(0, 10, rows))
+        assert np.array_equal(np.vstack([idx for _, idx in blocks]), (r[:, None] * s[None, :]) % 11)
+    assert kernels.row_sums(np.ones(11), r, s[:0], np.add, 11).tolist() == [0.0] * 10
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _field_outputs(p: int) -> list:
+    """Every output built on index_blocks at p, as bytes or exact values."""
+    table = build_small_field_table(p)
+    out = [_bits(kernels.inner_complete_sums(p, table.roots)),
+           _bits(kernels.halfsums(table.nonresidue_coset(2), p, table.roots)),
+           _bits(expsum.uhat_all_residues(table)[1])]
+    for k, which in ((2, residues.RESIDUE_INDICATOR), (3, residues.NONRESIDUE_INDICATOR)):
+        values, worst = residues.char_function_values(k, table, which)
+        out += [_bits(values), _bits(worst)]
+    for k in (2, 3):
+        out += list(expsum.fiber_histograms(p // 4, k, table))
+    return out
+
+
+@pytest.mark.parametrize("p", [241, 1009])
+@pytest.mark.parametrize("block", [7, 3000])
+def test_block_size_does_not_change_a_bit(monkeypatch, p, block):
+    # 7 entries is one row per block; 3000 splits rows unevenly over blocks
+    want = _field_outputs(p)
+    monkeypatch.setattr(kernels, "_BLOCK", block)
+    got = _field_outputs(p)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"output {i} differs at p={p} with _BLOCK={block}"
 
 
 def test_backend_is_numpy():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,21 @@ class TestCharFunctionOracle:
         # for k = 2 the coset is every nonresidue
         hits2 = {a for a in range(1, 41) if coset_indicator(a, 2, table41) == 1}
         assert hits2 == N41
+
+    def test_oracle_memory_is_bounded_by_the_block(self):
+        # 101 coset members x 99991 terms each: the whole index grid would be
+        # ~10^7 entries, but only one block of about 2**18 is ever held
+        p, k = 99991, 990
+        table = build_small_field_table(p)
+        residue, nonresidue = int(table.powers[k]), table.tau
+        tracemalloc.start()
+        try:
+            hits = [char_function_oracle(a, k, table, RESIDUE_INDICATOR) for a in (residue, nonresidue)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits == [1, 0]
+        assert peak < 16 * 2**20
 
     def test_zero_rejected(self, table41):
         with pytest.raises(DomainError):
