@@ -120,7 +120,7 @@ def halfsums(table: SmallFieldTable) -> np.ndarray:
     p = table.p
     if p > _UHAT_LIMIT:
         raise ResourceError(f"half-sum tables are limited to p <= {_UHAT_LIMIT}")
-    return kernels.halfsums(table.nonresidue_coset(2), p, table.roots)
+    return kernels.halfsums(table.powers, p, table.roots)
 
 
 def _require_residue(a: int, table: SmallFieldTable) -> int:
@@ -133,14 +133,11 @@ def _require_residue(a: int, table: SmallFieldTable) -> int:
     return a
 
 
-def _uhat_values(a_vals, s: np.ndarray, roots: np.ndarray, p: int) -> np.ndarray:
-    """U-hat(a) = sum_{b=1}^{p-1} e(-a*b/p) * S[b] for each a, one a at a time,
-    from the half sums S = halfsums(table)."""
-    b = np.arange(1, p, dtype=np.int64)
-    out = np.empty(len(a_vals), dtype=np.complex128)
-    for i, a in enumerate(a_vals):
-        out[i] = (roots[(-int(a) * b) % p] * s[1:]).sum()
-    return out
+def _uhat_values(first: int, rows: int, s: np.ndarray, table: SmallFieldTable) -> np.ndarray:
+    """U-hat(tau**(2n)) = sum_{b=1}^{p-1} e(-tau**(2n)*b/p) * S[b] for n in
+    [first, first + rows), from the half sums S = halfsums(table); each value
+    is one dot of a window of the exponent-space roots with S."""
+    return kernels.uhat_rows(s, first, rows, table.powers, table.p, table.roots)
 
 
 def fourier_U_hat(a: int, table: SmallFieldTable) -> UHatSample:
@@ -150,7 +147,8 @@ def fourier_U_hat(a: int, table: SmallFieldTable) -> UHatSample:
         raise ResourceError(f"the U-hat double sum is limited to p <= {_UHAT_LIMIT}")
     a = _require_residue(a, table)
     s = halfsums(table)
-    value, half = complex(_uhat_values([a], s, table.roots, p)[0]), complex(s[1])
+    n = int(np.flatnonzero(table.powers == a)[0]) // 2  # a = tau**(2n)
+    value, half = complex(_uhat_values(n, 1, s, table)[0]), complex(s[1])
     bound = theoretical_bound(p)
     return UHatSample(
         p=p, a=a, value=value, half_sum=half,
@@ -172,13 +170,14 @@ def uhat_all_residues(table: SmallFieldTable) -> tuple[np.ndarray, np.ndarray]:
     """|U-hat(a)| for every quadratic residue a, via the shared inner sums.
 
     The inner b-indexed half sums do not depend on a, so they are evaluated
-    literally once and combined per a, in the same order as fourier_U_hat;
-    agreement with the swapped loop order is covered by tests.  Returns
-    (residues a ascending, magnitudes).
+    literally once and combined per a = tau**(2n), in the same order as
+    fourier_U_hat; agreement with the swapped loop order is covered by tests.
+    Returns (residues a ascending, magnitudes).
     """
     s = halfsums(table)
-    a_vals = np.sort(table.residue_coset(2))
-    return a_vals, np.abs(_uhat_values(a_vals, s, table.roots, table.p))
+    a_vals = table.residue_coset(2)
+    order = np.argsort(a_vals)
+    return a_vals[order], np.abs(_uhat_values(0, len(a_vals), s, table))[order]
 
 
 def complete_exponential_sum(c: int, p: int) -> complex:

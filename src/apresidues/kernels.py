@@ -3,29 +3,44 @@
 Every function here but prefix_max_abs evaluates a finite complex exponential
 sum (or a power table feeding one) literally, term by term; nothing is
 replaced by a closed form.  Each sum has one vectorised numpy implementation.
-The double sums gather table[op(r, s) % p], and the fiber censuses in expsum
-count op(r, s) % p, over an index grid r x s through index_blocks, one block
-of rows at a time.  A block holds about _BLOCK = 2**18 index entries (at least
-one row), so its int64 indices and gathered complex terms take about 6 MiB
-whatever p is.
+
+Every multiplicative coset of F_p* is an arithmetic progression of exponents:
+with R[j] = roots[tau**j] (R = roots[powers]), the terms of a sum over
+b = tau**i and u = tau**m sit at R[i + m], so a whole table of such sums is a
+strided window of R (cyclic_window: a read-only view, no index grid, no
+% p and no gather).  The complete inner sums (row c = tau**i is roots[0] plus
+R[i..i+p-2]), the quadratic half sums (row b = tau**i is R[i+1], R[i+3], ...)
+and U-hat (row a = tau**(2n) is one dot of R[2n+(p-1)/2 ..] with the half
+sums in exponent order) read such windows; each row is still summed over the
+same terms as its literal definition, only in exponent order.  The character
+combine reads row p-u of a sliding window over the reversed, doubled inner
+sums, adding one u at a time in a fixed order.
+
+The single-a oracle char_sum_one, the swapped U-hat loop and the fiber
+censuses in expsum stay on the independent gather path: they gather
+table[op(r, s) % p], or count op(r, s) % p, over an index grid r x s through
+index_blocks, one block of rows at a time.  A block holds about
+_BLOCK = 2**18 index entries (at least one row), so its int64 indices and
+gathered complex terms take about 6 MiB whatever p is.
 
 prefix_max_abs is exact but not literal.  It evaluates one partial-sum path
 P[i] = sum_{m<=i} roots[tau**m] term by term, reads every row off it by the
 shift identity (the row for b = tau**j at cutoff x is P[j+x] - P[j]), and
 answers each row's farthest-point query from the convex hulls of whole
 blocks of P plus a brute-force scan of its own block.  The literal row-by-row
-cumsum it replaces is kept in the tests as its reference.
+cumsum it replaces is kept in the tests as its reference, as are the gather
+forms the window kernels replace.
 
 All angles come from a shared table roots[t] = exp(2*pi*i*t/p), so the inner
 products (c*s) mod p stay in exact int64 arithmetic (safe for p <= 10**6).
-Sums rely on numpy's pairwise summation, which keeps the rounding error well
-inside the 1e-6 integrality budget at these lengths.
+Row sums rely on numpy's pairwise summation, which keeps the rounding error
+well inside the 1e-6 integrality budget at these lengths.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 def kernel_backend() -> str:
@@ -67,10 +82,43 @@ def row_sums(table: np.ndarray, r: np.ndarray, s: np.ndarray, op, p: int) -> np.
     return out
 
 
-def inner_complete_sums(p: int, roots: np.ndarray) -> np.ndarray:
-    """inner[c] = sum_{s=0}^{p-1} roots[(c*s) % p] for every c in [0, p)."""
-    s = np.arange(p, dtype=np.int64)
-    return row_sums(roots, s, s, np.multiply, p)
+def cyclic_window(seq: np.ndarray, start: int, rows: int, row_step: int, cols: int,
+                  col_step: int) -> np.ndarray:
+    """Read-only view w[i, j] = seq[(start + i*row_step + j*col_step) % len(seq)]
+    of shape (rows, cols), strided over one tiled copy of seq (non-negative steps)."""
+    last = start + max(rows - 1, 0) * row_step + max(cols - 1, 0) * col_step
+    tiled = np.resize(seq, last + 1)
+    size = tiled.itemsize
+    return as_strided(tiled[start:], shape=(rows, cols), strides=(row_step * size, col_step * size),
+                      writeable=False)
+
+
+def inner_complete_sums(p: int, powers: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """inner[c] = sum_{s=0}^{p-1} roots[(c*s) % p] for every c in [0, p).
+
+    powers must be the [tau**0, ..., tau**(p-2)] table.  For c = tau**i the
+    terms s = tau**j are R[i+j] with R = roots[powers], so inner[tau**i] is
+    roots[0] plus row i of a window of R; inner[0] is the sum of p ones.
+    """
+    n = p - 1
+    out = np.empty(p, dtype=roots.dtype)
+    out[0] = np.full(p, roots[0]).sum()
+    out[powers] = roots[0] + cyclic_window(roots[powers], 0, n, 1, n, 1).sum(axis=1)
+    return out
+
+
+def difference_sums(inner: np.ndarray, members: np.ndarray, p: int) -> np.ndarray:
+    """out[a-1] = sum_{u in members} inner[(u - a) % p] for every a in [1, p).
+
+    For each u in the order given, the values inner[(u - a) % p] over a are
+    row p-u of a sliding window over the reversed, doubled inner; rows are
+    added one u at a time, so no difference grid is built.
+    """
+    w = cyclic_window(inner[::-1], 0, p, 1, p - 1, 1)
+    out = np.zeros(p - 1, dtype=inner.dtype)
+    for u in members.tolist():
+        out += w[p - u]
+    return out
 
 
 def char_sum_one(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> complex:
@@ -79,9 +127,32 @@ def char_sum_one(a: int, coset: np.ndarray, p: int, roots: np.ndarray) -> comple
     return complex(row_sums(roots, c, np.arange(p, dtype=np.int64), np.multiply, p).sum()) / p
 
 
-def halfsums(coset: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
-    """S[b] = sum_{u in coset} roots[(b*u) % p] for every b in [0, p)."""
-    return row_sums(roots, np.arange(p, dtype=np.int64), coset.astype(np.int64), np.multiply, p)
+def halfsums(powers: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
+    """S[b] = sum_{m=0}^{(p-3)/2} roots[(b * tau**(2m+1)) % p] for every b in
+    [0, p): the sums over the quadratic nonresidues in odd-exponent order.
+
+    powers must be the [tau**0, ..., tau**(p-2)] table.  S[tau**i] is row i of
+    the window R[i+1], R[i+3], ... of R = roots[powers]; S[0] sums (p-1)/2 ones.
+    """
+    n = p - 1
+    out = np.empty(p, dtype=roots.dtype)
+    out[0] = np.full(n // 2, roots[0]).sum()
+    out[powers] = cyclic_window(roots[powers], 1, n, 1, n // 2, 2).sum(axis=1)
+    return out
+
+
+def uhat_rows(s: np.ndarray, first: int, rows: int, powers: np.ndarray, p: int,
+              roots: np.ndarray) -> np.ndarray:
+    """U[n] = sum_{b=1}^{p-1} roots[(-a*b) % p] * s[b] for a = tau**(2*(first+n)),
+    n in [0, rows), given s[b] for b in [0, p) and the power table.
+
+    With -1 = tau**((p-1)/2) and b = tau**i, the factor roots[-a*b] is
+    R[2*(first+n) + i + (p-1)/2], so each row is one dot of a window row of
+    R = roots[powers] with s in exponent order s[powers].
+    """
+    n = p - 1
+    w = cyclic_window(roots[powers], n // 2 + 2 * first, rows, 2, n, 1)
+    return w @ s[powers]
 
 
 def incomplete_sum(b: int, x_cutoff: int, powers: np.ndarray, p: int, roots: np.ndarray) -> complex:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .bigmod import OddPrimeContext, factorize, is_prime
+from .bigmod import OddPrimeContext, _distinct_factors, factorize, is_prime
 from .errors import DomainError, IntegrityError, ResourceError
 
 _TABLE_LIMIT = 10**6
@@ -115,10 +115,15 @@ class SmallFieldTable:
 
 def least_primitive_root(p: int, p_minus_1_factors=None) -> int:
     """Least g in [2, p) generating F_p*, certified against every maximal
-    proper divisor of p-1."""
+    proper divisor of p-1.
+
+    A supplied factorisation of p-1 (a {prime: exponent} dict, a list of
+    primes, or (prime, exponent) pairs) must list every prime of p-1 and only
+    primes; otherwise DomainError is raised.
+    """
     if p == 2:
         return 1
-    factors = p_minus_1_factors or factorize(p - 1)
+    factors = _distinct_factors(factorize(p - 1) if p_minus_1_factors is None else p_minus_1_factors, p)
     for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g
@@ -187,15 +192,14 @@ def char_function_values(k: int, table: SmallFieldTable, which: str) -> tuple[np
 
     Same literal double sum as char_function_oracle: the complete inner sums
     over s are evaluated term by term, once per distinct difference, then
-    combined per a.  Intended for exhaustive small-p verification sweeps.
+    combined per a, adding one member u of the enumeration at a time.
+    Intended for exhaustive small-p verification sweeps.
     """
     p = table.p
     if p > _ORACLE_LIMIT:
         raise ResourceError(f"double-sum oracle is limited to p <= {_ORACLE_LIMIT}")
-    enum_set = _oracle_enumeration(k, table, which).astype(np.int64)
-    inner = kernels.inner_complete_sums(p, table.roots)
-    a = np.arange(1, p, dtype=np.int64)
-    values = kernels.row_sums(inner, p - a, enum_set, np.add, p) / p  # inner[(u - a) % p]
+    inner = kernels.inner_complete_sums(p, table.powers, table.roots)
+    values = kernels.difference_sums(inner, _oracle_enumeration(k, table, which), p) / p
     rounded = np.round(values.real)
     worst = float(np.abs(values - rounded).max())
     if worst > _INTEGRALITY_TOL:

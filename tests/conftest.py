@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from apresidues import kernels
 from apresidues.bigmod import OddPrimeContext
 from apresidues.residues import build_small_field_table
 
@@ -62,6 +63,35 @@ def literal_prefix_max_abs(p: int, tau: int, bs) -> np.ndarray:
     for i in range(0, len(bs), 16):
         b = bs[i : i + 16, None]
         out[i : i + 16] = np.abs(np.cumsum(roots[(b * tau_n) % p], axis=1)).max(axis=1)
+    return out
+
+
+# References for the exponent-window kernels: the gather forms they replace,
+# each reading table[op(r, s) % p] over an index grid through kernels.row_sums.
+
+def gather_inner_sums(p: int, roots: np.ndarray) -> np.ndarray:
+    """inner[c] = sum_{s=0}^{p-1} roots[(c*s) % p] for every c in [0, p)."""
+    s = np.arange(p, dtype=np.int64)
+    return kernels.row_sums(roots, s, s, np.multiply, p)
+
+
+def gather_halfsums(coset: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
+    """S[b] = sum_{u in coset} roots[(b*u) % p] for every b in [0, p)."""
+    return kernels.row_sums(roots, np.arange(p, dtype=np.int64), coset.astype(np.int64), np.multiply, p)
+
+
+def gather_char_values(inner: np.ndarray, members: np.ndarray, p: int) -> np.ndarray:
+    """(1/p) * sum_{u in members} inner[(u - a) % p] for every a in [1, p)."""
+    a = np.arange(1, p, dtype=np.int64)
+    return kernels.row_sums(inner, p - a, members.astype(np.int64), np.add, p) / p
+
+
+def gather_uhat(a_vals, s: np.ndarray, roots: np.ndarray, p: int) -> np.ndarray:
+    """U-hat(a) = sum_{b=1}^{p-1} roots[(-a*b) % p] * s[b], one a at a time."""
+    b = np.arange(1, p, dtype=np.int64)
+    out = np.empty(len(a_vals), dtype=np.complex128)
+    for i, a in enumerate(a_vals):
+        out[i] = (roots[(-int(a) * b) % p] * s[1:]).sum()
     return out
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,15 @@ from hypothesis import strategies as st
 
 import apresidues
 from apresidues import expsum, kernels, residues
-from apresidues.bigmod import primes_up_to
+from apresidues.bigmod import divisors, primes_up_to
 from apresidues.residues import build_small_field_table, least_primitive_root
-from conftest import literal_prefix_max_abs
+from conftest import (
+    gather_char_values,
+    gather_halfsums,
+    gather_inner_sums,
+    gather_uhat,
+    literal_prefix_max_abs,
+)
 
 P = 241
 TAU = 7  # primitive root of 241
@@ -50,14 +57,14 @@ def test_pow_table_is_permutation(powers):
     assert sorted(powers.tolist()) == list(range(1, P))
 
 
-def test_inner_complete_sums_match_literal(roots):
-    got = kernels.inner_complete_sums(P, roots)
+def test_inner_complete_sums_match_literal(roots, powers):
+    got = kernels.inner_complete_sums(P, powers, roots)
     want = np.array([csum(e(c * s) for s in range(P)) for c in range(P)])
     assert np.abs(got - want).max() < 1e-9
 
 
-def test_inner_sums_orthogonality(roots):
-    inner = kernels.inner_complete_sums(P, roots)
+def test_inner_sums_orthogonality(roots, powers):
+    inner = kernels.inner_complete_sums(P, powers, roots)
     assert abs(inner[0] - P) < 1e-9
     assert np.abs(inner[1:]).max() < 1e-8 * P
 
@@ -69,8 +76,8 @@ def test_char_sum_matches_literal(roots, coset):
         assert abs(got - want) < 1e-10
 
 
-def test_halfsums_match_literal(roots, coset):
-    got = kernels.halfsums(coset, P, roots)
+def test_halfsums_match_literal(roots, powers, coset):
+    got = kernels.halfsums(powers, P, roots)
     want = np.array([csum(e(b * int(u)) for u in coset) for b in range(P)])
     assert np.abs(got - want).max() < 1e-9
 
@@ -152,6 +159,71 @@ def test_uhat_matches_literal(roots, coset):
         assert abs(sample.value - xs) < 1e-8
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 80), st.integers(0, 12), st.integers(0, 90),
+       st.integers(0, 12), st.integers(0, 90))
+def test_cyclic_window_matches_its_index_definition(n, start, rows, row_step, cols, col_step):
+    seq = np.arange(n) * 10 + 3
+    got = kernels.cyclic_window(seq, start, rows, row_step, cols, col_step)
+    want = [[seq[(start + i * row_step + j * col_step) % n] for j in range(cols)] for i in range(rows)]
+    assert got.shape == (rows, cols)
+    assert np.array_equal(got, np.array(want, dtype=seq.dtype).reshape(rows, cols))
+
+
+def test_cyclic_window_is_read_only():
+    seq = np.arange(7.0)
+    w = kernels.cyclic_window(seq, 3, 5, 2, 6, 1)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    assert seq.tolist() == list(np.arange(7.0))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 241, 1009, 4999])
+def test_window_kernels_match_the_gather_forms(p):
+    table = build_small_field_table(p)
+    roots, powers = table.roots, table.powers
+
+    inner = kernels.inner_complete_sums(p, powers, roots)
+    assert np.abs(inner - gather_inner_sums(p, roots)).max() < 1e-9
+
+    s = expsum.halfsums(table)
+    assert np.abs(s - gather_halfsums(table.nonresidue_coset(2), p, roots)).max() < 1e-9
+
+    a_vals, mags = expsum.uhat_all_residues(table)
+    want = gather_uhat(a_vals, s, roots, p)
+    assert np.abs(mags - np.abs(want)).max() < 1e-9
+    for a in a_vals[:: max(1, len(a_vals) // 20)].tolist():  # fourier_U_hat, one row at a time
+        assert abs(expsum.fourier_U_hat(a, table).value - want[np.searchsorted(a_vals, a)]) < 1e-9
+
+    for k in [d for d in divisors(p - 1) if d <= 12]:
+        for which in (residues.RESIDUE_INDICATOR, residues.NONRESIDUE_INDICATOR):
+            members = residues._oracle_enumeration(k, table, which)
+            got = kernels.difference_sums(inner, members, p) / p
+            ref = gather_char_values(inner, members, p)
+            assert np.abs(got - ref).max() < 1e-9, (k, which)
+            rounded, _ = residues.char_function_values(k, table, which)
+            assert np.array_equal(rounded, np.round(ref.real).astype(np.int64)), (k, which)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_window_kernels_stay_under_4_mib_at_9973():
+    # an index grid, or a window numpy materialised, would take p**2 entries:
+    # about 1.5 GiB of complex terms at this p
+    table = build_small_field_table(9973)
+    for which in (residues.RESIDUE_INDICATOR, residues.NONRESIDUE_INDICATOR):
+        assert _traced_peak(lambda: residues.char_function_values(2, table, which)) < 4 * 2**20
+    assert _traced_peak(lambda: expsum.uhat_all_residues(table)) < 4 * 2**20
+
+
 def test_index_blocks_cover_the_grid_in_row_order(monkeypatch):
     r, s = np.arange(10, dtype=np.int64), np.arange(3, 7, dtype=np.int64)
     for block, rows in ((1, 1), (8, 2), (12, 3), (10**6, 10)):
@@ -167,10 +239,11 @@ def _bits(x) -> bytes:
 
 
 def _field_outputs(p: int) -> list:
-    """Every output built on index_blocks at p, as bytes or exact values."""
+    """Every output of the field kernels at p (the fiber censuses are built on
+    index_blocks), as bytes or exact values."""
     table = build_small_field_table(p)
-    out = [_bits(kernels.inner_complete_sums(p, table.roots)),
-           _bits(kernels.halfsums(table.nonresidue_coset(2), p, table.roots)),
+    out = [_bits(kernels.inner_complete_sums(p, table.powers, table.roots)),
+           _bits(kernels.halfsums(table.powers, p, table.roots)),
            _bits(expsum.uhat_all_residues(table)[1])]
     for k, which in ((2, residues.RESIDUE_INDICATOR), (3, residues.NONRESIDUE_INDICATOR)):
         values, worst = residues.char_function_values(k, table, which)

@@ -118,6 +118,16 @@ class TestSmallFieldTable:
         assert least_primitive_root(1009) == 11
         assert least_primitive_root(10007) == 5
 
+    @pytest.mark.parametrize("factors", [[10], [2, 15], [2], [5]])
+    def test_least_primitive_root_rejects_a_bad_factorisation(self, factors):
+        # [10] and [2, 15] once returned 2 and 3, of orders 20 and 8 mod 41
+        with pytest.raises(DomainError):
+            least_primitive_root(41, factors)
+
+    @pytest.mark.parametrize("factors", [[2, 5], {2: 3, 5: 1}, [(2, 3), (5, 1)]])
+    def test_least_primitive_root_accepts_a_factorisation(self, factors):
+        assert least_primitive_root(41, factors) == 6
+
     def test_cosets(self, table41):
         assert len(table41.nonresidue_coset(2)) == 20
         assert set(table41.nonresidue_coset(2).tolist()) == N41
