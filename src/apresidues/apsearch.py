@@ -98,11 +98,14 @@ class DensitySweepResult:
 
 def bound_x(ctx: OddPrimeContext, k: int, epsilon: float = 0.0) -> float:
     """log(p) * loglog(p)**(3+eps) for k = 2, exponent 4+eps for k >= 3."""
-    if epsilon < 0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon}")
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    return ctx.bound_x((3 if k == 2 else 4) + epsilon)
+    try:
+        return ctx.bound_x((3 if k == 2 else 4) + epsilon)
+    except OverflowError:
+        raise DomainError(f"bound x overflows a float at epsilon={epsilon}") from None
 
 
 def main_term_prediction(k: int, q: int, x: float) -> float:
@@ -220,7 +223,7 @@ def weighted_count(
     """
     p = ctx.p
     _check_target(target, k, ctx, p_minus_1_factors)
-    if x < 2:
+    if not x >= 2:  # NaN fails this too
         raise DomainError(f"x must be >= 2, got {x}")
     if x > _COUNT_CAP:
         raise ResourceError(f"count budget is {_COUNT_CAP}")

@@ -323,23 +323,172 @@ def multiplicative_order(u: int, p: int, p_minus_1_factors) -> int:
     return t
 
 
+# The wide path of euler_flags above the int64 ladder: arrays of at least
+# _WIDE_MIN entries (below that the scalar calls are faster), _WIDE_CHUNK
+# entries per pass, which holds the Montgomery working set near 4 MB.
+_WIDE_MIN = 512
+_WIDE_CHUNK = 4096
+_LIMB_BITS = 28
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+# Montgomery powers run for moduli of at most 6 limbs (p < 2**166): against
+# pow in one process they measure 2-6x faster from 80 to 160 bits, but only
+# 1.6-2.1x at 194 and 258 bits, so larger moduli keep the scalar pow.
+_MAX_LIMBS = 6
+_ODD_POWERS_OF_2 = 0x2AAAAAAAAAAAAAAA  # the bits 2**1, 2**3, 2**5, ...
+
+
+def _limb_count(p: int) -> int:
+    """The fewest 28-bit limbs L with R = 2**(28L) > 4p."""
+    return -(-(p.bit_length() + 2) // _LIMB_BITS)
+
+
+def _limb_rows(v: int, limbs: int, n: int) -> np.ndarray:
+    """The limbs of v as an (limbs, n) array, the same in every column (numpy
+    multiplies by it faster than by a broadcast column)."""
+    digits = [(v >> (_LIMB_BITS * j)) & _LIMB_MASK for j in range(limbs)]
+    return np.repeat(np.array(digits, dtype=np.uint64)[:, None], n, axis=1)
+
+
+class _Montgomery:
+    """Montgomery arithmetic mod an odd p on n numbers at once (Montgomery,
+    Math. Comp. 44, 1985).
+
+    A number is L limbs of 28 bits in column j of a limb-major (L, n) uint64
+    array, and R = 2**(28L) > 4p, so every product of two values below 2p
+    reduces to a value below 2p again.  Carries are lazy: after each
+    reduction two parallel carry rounds leave every limb below 2**28 + 16,
+    so a product column and the reduction's additions stay below 2L * 2**56
+    + 2**33 < 2**60 for L <= 6.
+    """
+
+    def __init__(self, p: int, n: int):
+        self.limbs = L = _limb_count(p)
+        self.p_inv = -pow(p, -1, 1 << _LIMB_BITS) & _LIMB_MASK
+        self.p_rows = _limb_rows(p, L, n)
+        self.r2_rows = _limb_rows(pow(2, 2 * _LIMB_BITS * L, p), L, n)
+        self.t = np.empty((2 * L, n), dtype=np.uint64)
+        self.tmp = np.empty((L, n), dtype=np.uint64)
+        self.twice = np.empty((L, n), dtype=np.uint64)
+        self.row = np.empty(n, dtype=np.uint64)
+
+    def _redc(self, out: np.ndarray) -> None:
+        """out = t / R mod p, word by word: each step adds the multiple of p
+        that clears limb i and carries limb i into limb i+1."""
+        L, t, tmp, row = self.limbs, self.t, self.tmp, self.row
+        for i in range(L):
+            np.multiply(t[i], self.p_inv, out=row)  # wraps mod 2**64: the low bits hold
+            np.bitwise_and(row, _LIMB_MASK, out=row)
+            np.multiply(self.p_rows, row, out=tmp)
+            np.add(t[i : i + L], tmp, out=t[i : i + L])
+            np.right_shift(t[i], _LIMB_BITS, out=row)
+            np.add(t[i + 1], row, out=t[i + 1])
+        high, carry = t[L:], tmp[: L - 1]
+        for _ in range(2):
+            np.right_shift(high[:-1], _LIMB_BITS, out=carry)
+            np.bitwise_and(high[:-1], _LIMB_MASK, out=high[:-1])
+            np.add(high[1:], carry, out=high[1:])
+        np.copyto(out, high)
+
+    def mul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        """out = a * b / R mod p; out may be a or b."""
+        L, t, tmp = self.limbs, self.t, self.tmp
+        np.multiply(b, a[0], out=t[:L])
+        t[L:] = 0
+        for i in range(1, L):
+            np.multiply(b, a[i], out=tmp)
+            np.add(t[i : i + L], tmp, out=t[i : i + L])
+        self._redc(out)
+
+    def sqr(self, a: np.ndarray, out: np.ndarray) -> None:
+        """out = a * a / R mod p, forming each cross product a_i a_j once."""
+        L, t, tmp, twice = self.limbs, self.t, self.tmp, self.twice
+        np.add(a, a, out=twice)
+        np.multiply(a, a, out=t[0::2])
+        t[1::2] = 0
+        for i in range(L - 1):
+            w = L - 1 - i
+            np.multiply(twice[i + 1 :], a[i], out=tmp[:w])
+            np.add(t[2 * i + 1 : i + L], tmp[:w], out=t[2 * i + 1 : i + L])
+        self._redc(out)
+
+    def power_is_one(self, r: np.ndarray, e: int) -> np.ndarray:
+        """flags[i] = r[i]**e == 1 mod p for int64 0 <= r[i] < p and e >= 1,
+        with a fixed 4-bit window: every column reads the same digit of e,
+        so a window step multiplies by one (L, n) table entry."""
+        L, n = self.limbs, len(r)
+        r = r.astype(np.uint64)
+        r_rows = np.zeros((L, n), dtype=np.uint64)
+        for j in range(min(L, 3)):  # r < 2**63 has at most 3 limbs
+            r_rows[j] = (r >> (_LIMB_BITS * j)) & _LIMB_MASK
+        table = np.empty((16, L, n), dtype=np.uint64)
+        self.mul(r_rows, self.r2_rows, table[1])  # r * R mod p
+        for d in range(2, 16):
+            self.mul(table[d - 1], table[1], table[d])
+        top = (e.bit_length() - 1) // 4 * 4
+        acc = table[e >> top].copy()  # the leading digit is never 0
+        for shift in range(top - 4, -1, -4):
+            for _ in range(4):
+                self.sqr(acc, acc)
+            if (e >> shift) & 15:
+                self.mul(acc, table[(e >> shift) & 15], acc)
+        # leave Montgomery form: the output is at most p, and 1 has one limb form
+        self.t[:L] = acc
+        self.t[L:] = 0
+        self._redc(acc)
+        return (acc[0] == 1) & ~acc[1:].any(axis=0)
+
+
+def _quadratic_flags(n: np.ndarray, p: int) -> np.ndarray:
+    """flags[i] = (n[i] | p) == 1 for int64 0 < n[i] < 2**31 and an odd prime
+    p > 2**31: the binary Jacobi symbol of Cohen, Alg. 1.4.10, on arrays.
+
+    The first step strips the twos of n against p and swaps by reciprocity,
+    taking p mod n by a Horner pass over the 31-bit limbs of p; every later
+    pair (a, m) is below 2**31.
+    """
+    low = n & -n
+    a = n // low
+    negative = ((low & _ODD_POWERS_OF_2) != 0) & (p % 8 in (3, 5))
+    if p % 4 == 3:
+        negative ^= a % 4 == 3
+    m, a = a, np.zeros_like(a)
+    for shift in range((p.bit_length() - 1) // 31 * 31, -1, -31):
+        a = ((a << 31) | ((p >> shift) & 0x7FFFFFFF)) % m
+    flags = np.zeros(len(n), dtype=bool)
+    idx = np.arange(len(n))
+    while len(idx):
+        done = a == 0
+        flags[idx[done]] = (m[done] == 1) & ~negative[done]
+        live = ~done
+        idx, a, m, negative = idx[live], a[live], m[live], negative[live]
+        low = a & -a
+        a //= low
+        m8 = m & 7
+        negative ^= ((low & _ODD_POWERS_OF_2) != 0) & ((m8 == 3) | (m8 == 5))
+        negative ^= (a & m & 3) == 3
+        a, m = m % a, a
+    return flags
+
+
 def euler_flags(ns, k: int, p: int) -> np.ndarray:
     """flags[i] = ns[i]**((p-1)/k) == 1 mod p, for integers ns and a prime p
     with k | p-1: the Euler criterion, True exactly for the kth power
     residues (multiples of p are never flagged).
 
     Square-and-multiply runs over the whole int64 array while (p-1)**2 < 2**63,
-    i.e. for p <= 3_037_000_500; above that each element takes one Jacobi
-    symbol (k = 2) or one modular power.
+    i.e. for p <= 3_037_000_500.  Above that an array of at least 512 entries
+    takes the wide path, 4096 entries at a time (about 4 MB of scratch): for
+    k = 2 a binary Jacobi loop on int64 arrays, for k >= 3 Montgomery powers
+    on 28-bit limbs while p < 2**166.  Entries the wide path cannot take
+    (k = 2 with a residue mod p of 2**31 or more, negatives when p >= 2**63)
+    and shorter arrays take one scalar jacobi or pow each.
     """
     if k < 1 or (p - 1) % k != 0:
         raise DomainError(f"k={k} does not divide p-1={p - 1}")
     ns = np.asarray(ns, dtype=np.int64)
     e = (p - 1) // k
     if (p - 1) ** 2 >= 2**63:
-        if k == 2:
-            return np.fromiter((jacobi(int(n), p) == 1 for n in ns), dtype=bool, count=len(ns))
-        return np.fromiter((pow(int(n), e, p) == 1 for n in ns), dtype=bool, count=len(ns))
+        return _flags_above_int64(ns, k, e, p)
     base = ns % p
     result = np.ones_like(base)
     while e:
@@ -351,6 +500,32 @@ def euler_flags(ns, k: int, p: int) -> np.ndarray:
             base *= base
             base %= p
     return result == 1
+
+
+def _scalar_flags(ns: np.ndarray, k: int, e: int, p: int) -> np.ndarray:
+    """euler_flags by one jacobi (k = 2) or one pow per element."""
+    if k == 2:
+        return np.fromiter((jacobi(int(n), p) == 1 for n in ns), dtype=bool, count=len(ns))
+    return np.fromiter((pow(int(n), e, p) == 1 for n in ns), dtype=bool, count=len(ns))
+
+
+def _flags_above_int64(ns: np.ndarray, k: int, e: int, p: int) -> np.ndarray:
+    """euler_flags for p > 3_037_000_500."""
+    if len(ns) < _WIDE_MIN or (k > 2 and _limb_count(p) > _MAX_LIMBS):
+        return _scalar_flags(ns, k, e, p)
+    r = ns % p if p < 2**63 else ns  # every int64 in [0, 2**63) is below p
+    wide = (r > 0) & (r < 2**31) if k == 2 else r > 0
+    flags = np.zeros(len(ns), dtype=bool)
+    todo = np.flatnonzero(wide)
+    for start in range(0, len(todo), _WIDE_CHUNK):
+        chunk = todo[start : start + _WIDE_CHUNK]
+        if k == 2:
+            flags[chunk] = _quadratic_flags(r[chunk], p)
+        else:
+            flags[chunk] = _Montgomery(p, len(chunk)).power_is_one(r[chunk], e)
+    rest = np.flatnonzero(~wide & (r != 0))
+    flags[rest] = _scalar_flags(ns[rest], k, e, p)
+    return flags
 
 
 def has_exact_order(ns, p: int, k: int, p_minus_1_factors) -> np.ndarray:

@@ -154,7 +154,10 @@ def _cmd_search(args) -> int:
     ctx = _context(args)
     factors = None
     if args.factors:
-        factors = [int(f) for f in args.factors.split(",")]
+        try:
+            factors = [int(f) for f in args.factors.split(",")]
+        except ValueError:
+            raise DomainError(f"--factors: cannot read {args.factors!r} as comma-separated integers") from None
     outcome = apsearch.least_prime_with_verdict(
         apsearch.Target(args.target), args.k, ResidueClass(a=args.a, q=args.q),
         ctx, scan_limit=args.scan_limit, epsilon=args.epsilon, p_minus_1_factors=factors)

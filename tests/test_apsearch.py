@@ -29,6 +29,12 @@ class TestBoundX:
         with pytest.raises(DomainError):
             bound_x(ctx, 2, -0.1)
 
+    @pytest.mark.parametrize("epsilon", [-0.1, math.nan, math.inf, 1000.0])
+    def test_epsilon_must_be_finite_and_nonnegative(self, epsilon):
+        ctx = OddPrimeContext.for_prime(P24)
+        with pytest.raises(DomainError, match="epsilon"):
+            bound_x(ctx, 2, epsilon)
+
     def test_exponent_switch_at_k3(self):
         ctx = OddPrimeContext.for_prime(P24)
         assert bound_x(ctx, 3) == pytest.approx(ctx.bound_x(4))
@@ -174,6 +180,11 @@ class TestWeightedCount:
         assert report.main_term == pytest.approx(892.23, abs=0.01)
         assert report.weighted_count > 0
         assert report.unweighted_count <= len(primes_up_to(math.floor(x)))
+
+    @pytest.mark.parametrize("x", [1.5, -math.inf, math.nan])
+    def test_x_below_two_or_nan_rejected(self, ctx24, x):
+        with pytest.raises(DomainError, match="x must be >= 2"):
+            weighted_count(Target.NONRESIDUE, 2, ResidueClass(1, 4), x, ctx24)
 
     def test_dichotomy_conservation(self, ctx41):
         x = 500.0

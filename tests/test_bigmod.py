@@ -1,9 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apresidues import bigmod
 from apresidues.bigmod import (
     OddPrimeContext,
     ResidueClass,
@@ -253,6 +257,113 @@ class TestEulerFlags:
     def test_k_must_divide_p_minus_1(self):
         with pytest.raises(DomainError):
             euler_flags(np.arange(5), 3, 41)
+
+
+def scalar_flags(ns, k, p):
+    """The reference the wide path replaces: one pow per element."""
+    e = (p - 1) // k
+    return [pow(int(n), e, p) == 1 for n in ns]
+
+
+def wide_calls(monkeypatch):
+    """Record the length of every chunk the wide path evaluates."""
+    sizes = []
+    quadratic, power = bigmod._quadratic_flags, bigmod._Montgomery.power_is_one
+
+    def quadratic_spy(n, p):
+        sizes.append(len(n))
+        return quadratic(n, p)
+
+    def power_spy(self, r, e):
+        sizes.append(len(r))
+        return power(self, r, e)
+
+    monkeypatch.setattr(bigmod, "_quadratic_flags", quadratic_spy)
+    monkeypatch.setattr(bigmod._Montgomery, "power_is_one", power_spy)
+    return sizes
+
+
+class TestWideEulerFlags:
+    # the int64 edge and the three published moduli (80, 129 and 160 bits),
+    # with every k <= 12 dividing p-1
+    MODULI = {TestEulerFlags.EDGE_ABOVE: (2, 3, 6), P24: (2, 7), P128: (2, 3, 9), P48: (2, 4, 7, 8)}
+
+    @staticmethod
+    def entries(p, count, seed):
+        """count int64 entries: small primes' range, and the edge cases of
+        the wide path (0, 2**31 and above, negatives, multiples of p)."""
+        rng = random.Random(seed)
+        special = [0, 1, 2, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**62, 2**63 - 1, -1, -2, -(2**31), -(2**63)]
+        if p < 2**62:
+            special += [p, 2 * p, p + 1, p - 1, -p, 2**62 // p * p, 2**62 // p * p + 5]
+        body = [rng.randrange(-(10**6), 10**8) for _ in range(count - len(special))]
+        return np.array(special + body, dtype=np.int64)
+
+    @pytest.mark.parametrize("p", list(MODULI))
+    def test_matches_scalar_pow_and_jacobi(self, p, monkeypatch):
+        ns = self.entries(p, 1100, p % 997)
+        sizes = wide_calls(monkeypatch)
+        for k in self.MODULI[p]:
+            got = euler_flags(ns, k, p).tolist()
+            assert got == scalar_flags(ns, k, p), (p, k)
+            if k == 2:
+                assert got == [jacobi(int(n), p) == 1 for n in ns]
+        assert sizes, "the wide path never ran"
+
+    @pytest.mark.parametrize("k", [2, 7])
+    def test_chunk_edges(self, monkeypatch, k):
+        monkeypatch.setattr(bigmod, "_WIDE_MIN", 1)
+        monkeypatch.setattr(bigmod, "_WIDE_CHUNK", 64)
+        sizes = wide_calls(monkeypatch)
+        # kth powers, every one flagged, so an entry a chunk misses shows
+        powers = np.arange(1, 66, dtype=np.int64) ** k
+        mixed = self.entries(P24, 65, 3)
+        for n in (63, 64, 65):
+            assert euler_flags(powers[:n], k, P24).all(), n
+            assert euler_flags(mixed[:n], k, P24).tolist() == scalar_flags(mixed[:n], k, P24), n
+        assert max(sizes) == 64
+
+    def test_what_takes_the_wide_path(self, monkeypatch):
+        sizes = wide_calls(monkeypatch)
+        ns = np.arange(1, 1001)
+        euler_flags(ns, 2, P24)
+        euler_flags(ns, 7, P48)
+        assert sizes == [1000, 1000]
+        # 2**31 and above stay scalar for k = 2, 0 everywhere
+        mixed = np.concatenate([ns, [0, 2**31, 2**40]])
+        assert euler_flags(mixed, 2, P24).tolist() == scalar_flags(mixed, 2, P24)
+        assert euler_flags(mixed, 7, P24).tolist() == scalar_flags(mixed, 7, P24)
+        assert sizes[2:] == [1000, 1002]
+        # short arrays, and moduli of more than 6 limbs for k >= 3, stay scalar
+        p170 = next(q for q in range(2**170 + 1, 2**170 + 10**5, 2) if q % 3 == 1 and is_prime(q))
+        euler_flags(ns[: bigmod._WIDE_MIN - 1], 2, P24)
+        euler_flags(ns, 3, p170)
+        assert len(sizes) == 4
+        euler_flags(ns, 2, p170)
+        assert sizes[4:] == [1000]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3_037_000_501, 2**180), st.sampled_from([2, 3, 4, 5, 6, 7, 8, 12]),
+           st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+    def test_hypothesis_pairs(self, start, k, ns):
+        p = next_prime(start)
+        while (p - 1) % k:
+            p = next_prime(p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bigmod, "_WIDE_MIN", 1)
+            mp.setattr(bigmod, "_WIDE_CHUNK", 16)
+            assert euler_flags(ns, k, p).tolist() == scalar_flags(ns, k, p)
+
+    @pytest.mark.parametrize("k", [2, 7])
+    def test_memory_is_bounded_by_the_chunk(self, k):
+        ns = np.arange(1, 2**16 + 1)
+        tracemalloc.start()
+        try:
+            euler_flags(ns, k, P24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
 
 class TestHasExactOrder:

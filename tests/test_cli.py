@@ -93,6 +93,13 @@ class TestSearch:
             assert "factor 15 of p-1=30 is not prime" in err
             assert "found" not in out
 
+    def test_factors_that_are_not_integers_are_domain_errors(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--target", "generator", "--k", "2", "--q", "4",
+                                 "--a", "1", "--p", "10^24+7", "--factors", "2,x")
+        assert code == EXIT_DOMAIN
+        assert "--factors" in err
+        assert out == ""
+
     def test_absent_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--target", "residue", "--k", "2",
                                "--q", "4", "--a", "3", "--p", "41", "--allow-small",
@@ -128,6 +135,19 @@ class TestCount:
         body = csv_path.read_text().splitlines()
         assert body[1].startswith("p,k,q,a,target,x,")
         assert body[2].startswith("41,2,4,1,nonresidue,300,")
+
+
+@pytest.mark.parametrize("command", [
+    ["search", "--target", "nonresidue", "--q", "4", "--epsilon", "nan"],
+    ["count", "--q", "4", "--x", "nan"],
+    ["count", "--k", "7", "--q", "3", "--epsilon", "nan"],
+    ["search", "--target", "residue", "--q", "4", "--epsilon", "1000"],
+])
+def test_nan_or_overflowing_inputs_are_domain_errors(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--a", "1", "--p", "10^24+7")
+    assert code == EXIT_DOMAIN
+    assert command[-1] in err
+    assert out == ""
 
 
 class TestReproduce:
