@@ -331,8 +331,9 @@ _WIDE_CHUNK = 4096
 _LIMB_BITS = 28
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # Montgomery powers run for moduli of at most 6 limbs (p < 2**166): against
-# pow in one process they measure 2-6x faster from 80 to 160 bits, but only
-# 1.6-2.1x at 194 and 258 bits, so larger moduli keep the scalar pow.
+# pow in one process they measure 2.2-5x faster from 80 to 160 bits, but at 7
+# and 8 limbs (167 to 258 bits) 1.3-2.4x, under 2x in most runs, so larger
+# moduli keep the scalar pow.
 _MAX_LIMBS = 6
 _ODD_POWERS_OF_2 = 0x2AAAAAAAAAAAAAAA  # the bits 2**1, 2**3, 2**5, ...
 

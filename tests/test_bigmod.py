@@ -290,8 +290,9 @@ class TestWideEulerFlags:
 
     @staticmethod
     def entries(p, count, seed):
-        """count int64 entries: small primes' range, and the edge cases of
-        the wide path (0, 2**31 and above, negatives, multiples of p)."""
+        """count int64 entries: the edge cases of the wide path (0, 2**31
+        and above, negatives, multiples of p), then random ones in
+        [-10**6, 10**8)."""
         rng = random.Random(seed)
         special = [0, 1, 2, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**62, 2**63 - 1, -1, -2, -(2**31), -(2**63)]
         if p < 2**62:
