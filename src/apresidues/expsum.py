@@ -9,6 +9,7 @@ unspecified.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,14 @@ class FiberHistogram:
     max_fiber: int
 
 
+def _cutoff(x, name: str) -> int:
+    """x as a Python int; a value that is not an integer (3.5, "4") is a DomainError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {x!r}") from None
+
+
 def incomplete_expsum(b: int, x_cutoff: int, table: SmallFieldTable) -> ExpSumSample:
     """Evaluate sum_{n=1}^{x} e(2*pi*i * b * tau**n / p) by incremental powers."""
     p = table.p
@@ -87,6 +96,7 @@ def incomplete_expsum(b: int, x_cutoff: int, table: SmallFieldTable) -> ExpSumSa
         raise ResourceError(f"incomplete sums are limited to p <= {_EXPSUM_LIMIT}")
     if b % p == 0:
         raise DomainError("b must be nonzero mod p")
+    x_cutoff = _cutoff(x_cutoff, "x_cutoff")
     if not 1 <= x_cutoff <= p - 1:
         raise DomainError(f"x_cutoff must be in [1, p-1], got {x_cutoff}")
     value = kernels.incomplete_sum(b % p, x_cutoff, table.powers, p, table.roots)
@@ -186,13 +196,16 @@ def complete_exponential_sum(c: int, p: int) -> complex:
     return complex(np.exp(2j * np.pi * ((c % p) * s % p) / p).sum())
 
 
-def _fiber_counts(rows: np.ndarray, cols: np.ndarray, op, p: int) -> np.ndarray:
-    """counts[t] = #{(r, c) : op(r, c) % p == t}, added up over the blocks of
-    kernels.index_blocks, so the full target array is never built."""
-    counts = np.zeros(p, dtype=np.int64)
-    for _, targets in kernels.index_blocks(rows, cols, op, p):
-        counts += np.bincount(targets.ravel(), minlength=p)
-    return counts
+def _window_counts(members: np.ndarray, lo: int, hi: int, m: int) -> np.ndarray:
+    """counts[t] = #{c in members : (c - t) % m in [lo, hi]} for every t in
+    [0, m), given 0 <= lo <= hi < m and members in [0, m).
+
+    Each count is a window sum of the members' indicator over t+lo .. t+hi,
+    read as one difference of a cumulative sum over the doubled indicator."""
+    ind = np.bincount(members, minlength=m)
+    cum = np.concatenate(([0], ind, ind))
+    np.cumsum(cum, out=cum)
+    return cum[hi + 1 : hi + 1 + m] - cum[lo : lo + m]
 
 
 def _histogram(counts: np.ndarray, p: int, map_name: str, x: int, domain_size: int) -> FiberHistogram:
@@ -210,29 +223,35 @@ def _histogram(counts: np.ndarray, p: int, map_name: str, x: int, domain_size: i
 
 
 def fiber_histograms(x: int, k: int, table: SmallFieldTable) -> tuple[FiberHistogram, FiberHistogram]:
-    """Exhaustive fiber censuses of the two error-term maps.
+    """Exact fiber censuses of the two error-term maps.
 
     alpha(m, n) = tau**(k*m+1) - n over m in [0, (p-1)/k), n in [2, x]:
-    every nonzero fiber should have at most x-1 elements.
+    every nonzero fiber should have at most x-1 elements.  The fiber of t
+    holds the coset members c with (c - t) % p in [2, x].
     beta(u, v) = u*v over u in [1, x], v in [1, p-1]: every nonzero fiber
-    has exactly x elements.
+    has exactly x elements.  With u = tau**i and v = tau**l, the fiber of
+    tau**j holds the u with (i - j) % (p-1) in [0, p-2], so it is the same
+    window count over the exponents i of u in [1, x], the j with
+    powers[j] <= x; no product is 0 mod p.
 
-    The two domains together may hold at most _FIBER_WORK points.
+    Both counts take O(p) time and memory; no domain point is enumerated.
+    _FIBER_WORK still caps the two domains at _FIBER_WORK points together,
+    though it no longer bounds the work; it is deliberately left in place.
     """
     p = table.p
     if p > _FIBER_LIMIT:
         raise ResourceError(f"fiber censuses are limited to p <= {_FIBER_LIMIT}")
+    x = _cutoff(x, "x")
     if not 2 <= x < p:
         raise DomainError(f"need 2 <= x < p, got x={x}")
-    coset = table.nonresidue_coset(k).astype(np.int64)
+    coset = table.nonresidue_coset(k)
     alpha_size, beta_size = len(coset) * (x - 1), x * (p - 1)
     if alpha_size + beta_size > _FIBER_WORK:
         raise ResourceError(f"fiber censuses are limited to {_FIBER_WORK} domain points, "
                             f"p={p} x={x} k={k} needs {alpha_size + beta_size}")
-    n = np.arange(2, x + 1, dtype=np.int64)
-    alpha = _histogram(_fiber_counts(coset, n, np.subtract, p), p, "alpha", x, alpha_size)
+    alpha = _histogram(_window_counts(coset, 2, x, p), p, "alpha", x, alpha_size)
 
-    u = np.arange(1, x + 1, dtype=np.int64)
-    v = np.arange(1, p, dtype=np.int64)
-    beta = _histogram(_fiber_counts(u, v, np.multiply, p), p, "beta", x, beta_size)
+    counts = np.zeros(p, dtype=np.int64)
+    counts[table.powers] = _window_counts(np.flatnonzero(table.powers <= x), 0, p - 2, p - 1)
+    beta = _histogram(counts, p, "beta", x, beta_size)
     return alpha, beta

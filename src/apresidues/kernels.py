@@ -16,10 +16,9 @@ same terms as its literal definition, only in exponent order.  The character
 combine reads row p-u of a sliding window over the reversed, doubled inner
 sums, adding one u at a time in a fixed order.
 
-The single-a oracle char_sum_one, the swapped U-hat loop and the fiber
-censuses in expsum stay on the independent gather path: they gather
-table[op(r, s) % p], or count op(r, s) % p, over an index grid r x s through
-index_blocks, one block of rows at a time.  A block holds about
+The single-a oracle char_sum_one and the swapped U-hat loop stay on the
+independent gather path: they gather table[op(r, s) % p] over an index grid
+r x s through index_blocks, one block of rows at a time.  A block holds about
 _BLOCK = 2**18 index entries (at least one row), so its int64 indices and
 gathered complex terms take about 6 MiB whatever p is.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bigmod import euler_flags, prime_mask, prime_powers_up_to, primes_up_to
+from .bigmod import euler_flags, is_prime, prime_mask, prime_powers_up_to, primes_up_to
 from .errors import DomainError, ResourceError
 from .residues import Verdict
 
@@ -85,12 +85,19 @@ def _residue_mask(p: int) -> np.ndarray:
     return mask
 
 
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+
+
 def _check_window(p: int, x: int) -> None:
-    """Validate a cutoff x <= p, and bound its work before anything is sized by x."""
+    """Validate a cutoff x <= p, and bound its work before anything is sized
+    by x; then check that p is prime."""
     if x > p:
         raise DomainError(f"need x <= p, got x={x}, p={p}")
     if x > _CENSUS_LIMIT:
         raise ResourceError(f"census budget is x <= {_CENSUS_LIMIT}, got x={x}")
+    _check_prime(p)
 
 
 def _gap_stats_from_starts(starts: np.ndarray, p: int, which: Verdict) -> GapStats:
@@ -133,6 +140,7 @@ def gap_statistics(p: int, which: Verdict) -> GapStats:
     """Gap statistics of consecutive same-class pairs in [1, p-1]."""
     if p > _CENSUS_LIMIT:
         raise ResourceError(f"census budget is p <= {_CENSUS_LIMIT}")
+    _check_prime(p)
     rmask = _residue_mask(p)
     left, right = rmask[1 : p - 1], rmask[2:p]
     pairs = left & right if which is Verdict.RESIDUE else ~(left | right)
@@ -149,6 +157,7 @@ def pattern_census(p: int) -> PatternCensus:
         raise ResourceError(f"census budget is p <= {_CENSUS_LIMIT}")
     if p < 5:
         raise DomainError("census needs p >= 5")
+    _check_prime(p)
     rmask = _residue_mask(p)
     pmask = prime_mask(p - 1)
 

@@ -98,8 +98,11 @@ class SmallFieldTable:
         """[tau**(k*m+1) for 0 <= m < (p-1)/k] -- one coset of nonresidues.
 
         For k = 2 this is all of them; for k >= 3 it is a proper subset.
+        k = 1 has no nonresidues, so it is a DomainError.
         """
         self._check_k(k)
+        if k < 2:
+            raise DomainError(f"k={k} has no nonresidues; a nonresidue coset needs k >= 2")
         return self.powers[1::k].copy()
 
     def nonresidues_all(self, k: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from apresidues import kernels
 from apresidues.bigmod import OddPrimeContext
+from apresidues.expsum import FiberHistogram
 from apresidues.residues import build_small_field_table
 
 P24 = 10**24 + 7
@@ -93,6 +94,37 @@ def gather_uhat(a_vals, s: np.ndarray, roots: np.ndarray, p: int) -> np.ndarray:
     for i, a in enumerate(a_vals):
         out[i] = (roots[(-int(a) * b) % p] * s[1:]).sum()
     return out
+
+
+# Reference for expsum.fiber_histograms: the per-point census it replaces,
+# one bincount of op(r, s) % p over every domain point, a block at a time.
+
+def gather_fiber_counts(rows: np.ndarray, cols: np.ndarray, op, p: int) -> np.ndarray:
+    """counts[t] = #{(r, c) : op(r, c) % p == t}, added up over the blocks of
+    kernels.index_blocks."""
+    counts = np.zeros(p, dtype=np.int64)
+    for _, targets in kernels.index_blocks(rows, cols, op, p):
+        counts += np.bincount(targets.ravel(), minlength=p)
+    return counts
+
+
+def _gather_histogram(name: str, rows: np.ndarray, cols: np.ndarray, op, p: int, x: int) -> FiberHistogram:
+    counts = gather_fiber_counts(rows, cols, op, p)
+    sizes, freq = np.unique(counts[1:][counts[1:] > 0], return_counts=True)
+    return FiberHistogram(p=p, x=x, map_name=name, histogram=dict(zip(sizes.tolist(), freq.tolist())),
+                          zero_hits=int(counts[0]), domain_size=len(rows) * len(cols),
+                          max_fiber=int(sizes.max()) if len(sizes) else 0)
+
+
+def gather_alpha(x: int, k: int, table) -> FiberHistogram:
+    """Census of alpha(m, n) = tau**(k*m+1) - n over the coset and n in [2, x]."""
+    return _gather_histogram("alpha", table.nonresidue_coset(k), np.arange(2, x + 1, dtype=np.int64), np.subtract, table.p, x)
+
+
+def gather_beta(x: int, table) -> FiberHistogram:
+    """Census of beta(u, v) = u*v over u in [1, x] and v in [1, p-1]."""
+    u, v = np.arange(1, x + 1, dtype=np.int64), np.arange(1, table.p, dtype=np.int64)
+    return _gather_histogram("beta", u, v, np.multiply, table.p, x)
 
 
 @pytest.fixture(scope="session")

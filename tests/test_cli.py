@@ -197,6 +197,14 @@ class TestExpsumAndPatterns:
         assert "'RR': 9" in out
         assert "twin nonresidue pairs: 2/5" in out
 
+    @pytest.mark.parametrize("argv", [("--p", "9"), ("--p", "1000001"), ("--p", "1000001", "--x", "5000")])
+    def test_patterns_composite_modulus_is_domain_error(self, capsys, argv):
+        # 1000001 = 101 * 9901
+        code, out, err = run_cli(capsys, "patterns", *argv)
+        assert code == EXIT_DOMAIN
+        assert "is not prime" in err
+        assert out == ""
+
     def test_weighted_sum_beyond_budget_is_resource_error(self, capsys):
         # x is refused for its size before the census or any sieve runs
         code, _, err = run_cli(capsys, "patterns", "--p", "10000019", "--x", "10000001")

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from apresidues import kernels
+from apresidues import expsum, kernels
+from apresidues.bigmod import divisors, primes_up_to
 from apresidues.errors import DomainError, ResourceError
 from apresidues.expsum import (
     complete_exponential_sum,
@@ -19,6 +20,7 @@ from apresidues.expsum import (
     uhat_all_residues,
 )
 from apresidues.residues import build_small_field_table
+from conftest import gather_alpha, gather_beta
 
 
 def direct_incomplete_sum(b, x, tau, p):
@@ -58,6 +60,15 @@ class TestIncompleteExpSum:
         assert s.bound == pytest.approx(math.sqrt(101) * math.log(101) ** 2)
         assert s.ratio == pytest.approx(s.magnitude / s.bound)
         assert s.ratio >= 0
+
+    @pytest.mark.parametrize("x", [3.5, 20.0, "20", None])
+    def test_cutoff_must_be_an_integer(self, table41, x):
+        with pytest.raises(DomainError, match="integer"):
+            incomplete_expsum(1, x, table41)
+
+    def test_numpy_integer_cutoff(self, table41):
+        for x in (np.int64(20), np.int32(20), np.uint8(20)):
+            assert incomplete_expsum(1, x, table41) == incomplete_expsum(1, 20, table41)
 
     def test_zero_b_rejected(self, table41):
         with pytest.raises(DomainError):
@@ -173,6 +184,19 @@ class TestFiberHistograms:
         with pytest.raises(DomainError):
             fiber_histograms(101, 2, table101)
 
+    def test_k1_has_no_nonresidue_coset(self):
+        with pytest.raises(DomainError, match="no nonresidues"):
+            fiber_histograms(3, 1, build_small_field_table(11))
+
+    @pytest.mark.parametrize("x", [3.5, 4.0, "4", None])
+    def test_cutoff_must_be_an_integer(self, table101, x):
+        with pytest.raises(DomainError, match="integer"):
+            fiber_histograms(x, 2, table101)
+
+    def test_numpy_integer_cutoff(self, table101):
+        for x in (np.int64(10), np.int32(10), np.uint16(10)):
+            assert fiber_histograms(x, 2, table101) == fiber_histograms(10, 2, table101)
+
     def test_blocked_counts_match_full_targets(self, table1009, monkeypatch):
         # blocks of a few rows each, against one bincount over every target
         monkeypatch.setattr(kernels, "_BLOCK", 3000)
@@ -200,6 +224,51 @@ class TestFiberHistograms:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20  # the coset alone; no target block
+
+
+def _census_cases(p: int):
+    """Every k >= 2 dividing p-1 and x in {2, 3, p//8, p//4, p-1} that the
+    census admits: 2 <= x < p and both domains within the work budget."""
+    ks = [k for k in divisors(p - 1) if k >= 2]
+    xs = sorted({x for x in (2, 3, p // 8, p // 4, p - 1) if 2 <= x < p})
+    return [(x, [k for k in ks if (p - 1) // k * (x - 1) + x * (p - 1) <= expsum._FIBER_WORK]) for x in xs]
+
+
+class TestFiberWindowCounts:
+    @pytest.mark.parametrize("ps", [[int(p) for p in primes_up_to(500)[1:]], [1009], [4999], [10007]],
+                             ids=["p<=500", "1009", "4999", "10007"])
+    def test_matches_the_per_point_census(self, ps):
+        for p in ps:
+            table = build_small_field_table(p)
+            for x, ks in _census_cases(p):
+                beta_want = gather_beta(x, table)
+                for k in ks:
+                    alpha, beta = fiber_histograms(x, k, table)
+                    assert alpha == gather_alpha(x, k, table), (p, k, x)
+                    assert beta == beta_want, (p, k, x)
+
+    def test_no_per_point_path_is_left(self, table1009, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a fiber census enumerated domain points")
+
+        monkeypatch.setattr(kernels, "index_blocks", refuse)
+        alpha, beta = fiber_histograms(300, 3, table1009)
+        assert beta.histogram == {300: 1008}
+        assert alpha.domain_size == 336 * 299
+
+    def test_memory_is_a_few_arrays_of_p(self):
+        # about 4.2 MiB: a handful of int64 arrays of p entries, no block of
+        # domain points
+        table = build_small_field_table(99991)
+        tracemalloc.start()
+        try:
+            alpha, beta = fiber_histograms(600, 2, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert beta.histogram == {600: 99990}
+        assert alpha.max_fiber <= 599
+        assert peak < 6 * 2**20
 
 
 class TestOrthogonality:

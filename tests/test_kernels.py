@@ -239,8 +239,8 @@ def _bits(x) -> bytes:
 
 
 def _field_outputs(p: int) -> list:
-    """Every output of the field kernels at p (the fiber censuses are built on
-    index_blocks), as bytes or exact values."""
+    """Every output of the field kernels at p, as bytes or exact values; the
+    fiber censuses ride along, though they read no index grid at all."""
     table = build_small_field_table(p)
     out = [_bits(kernels.inner_complete_sums(p, table.powers, table.roots)),
            _bits(kernels.halfsums(table.powers, p, table.roots)),

@@ -158,6 +158,17 @@ class TestWorkBudgets:
             with pytest.raises(ResourceError):
                 fn(P24, 10**12)
 
+    @pytest.mark.parametrize("p", [9, 1000001])  # 1000001 = 101 * 9901
+    def test_composite_modulus_is_domain_error(self, p):
+        with pytest.raises(DomainError, match="not prime"):
+            pattern_census(p)
+        for which in Verdict:
+            with pytest.raises(DomainError, match="not prime"):
+                gap_statistics(p, which)
+        for fn in (weighted_pattern_sum, twin_nonresidue_density):
+            with pytest.raises(DomainError, match="not prime"):
+                fn(p, min(p, 5000))
+
     def test_even_modulus_is_domain_error(self):
         for fn in (weighted_pattern_sum, twin_nonresidue_density):
             with pytest.raises(DomainError):

@@ -128,6 +128,15 @@ class TestSmallFieldTable:
     def test_least_primitive_root_accepts_a_factorisation(self, factors):
         assert least_primitive_root(41, factors) == 6
 
+    def test_k1_has_no_nonresidue_coset(self):
+        # every element is a first power, so a k = 1 table has no nonresidues
+        table = build_small_field_table(11)
+        assert sorted(table.residue_coset(1).tolist()) == list(range(1, 11))
+        with pytest.raises(DomainError, match="no nonresidues"):
+            table.nonresidue_coset(1)
+        with pytest.raises(DomainError, match="no nonresidues"):
+            coset_indicator(1, 1, table)
+
     def test_cosets(self, table41):
         assert len(table41.nonresidue_coset(2)) == 20
         assert set(table41.nonresidue_coset(2).tolist()) == N41
