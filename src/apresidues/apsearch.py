@@ -11,7 +11,7 @@ Search targets:
   "nonresidue" label); the target needs the full factorisation of p-1.
 
 Default epsilon is 0 so the bound x reproduces the published example values;
-it is configurable everywhere it appears.
+searches and counts take it as an argument, density sweeps always use 0.
 """
 
 from __future__ import annotations
@@ -137,6 +137,8 @@ def unweighted_prediction(ctx: OddPrimeContext, k: int, q: int, epsilon: float =
 
 
 def _check_target(target: Target, k: int, ctx: OddPrimeContext, p_minus_1_factors) -> None:
+    if k < 2:
+        raise DomainError(f"k must be >= 2, got {k}")
     if (ctx.p - 1) % k != 0:
         raise DomainError(f"k={k} does not divide p-1")
     if target is Target.GENERATOR and p_minus_1_factors is None:
@@ -261,9 +263,12 @@ def parse_x_rule(rule: str):
         return (rule, None)
     if rule.startswith("fixed:"):
         try:
-            return ("fixed", float(rule.split(":", 1)[1]))
+            x = float(rule.split(":", 1)[1])
         except ValueError:
-            raise DomainError(f"x rule {rule!r} needs a number after 'fixed:'") from None
+            x = math.nan
+        if not math.isfinite(x):
+            raise DomainError(f"x rule {rule!r} needs a finite number after 'fixed:'")
+        return ("fixed", x)
     raise DomainError(f"unknown x rule {rule!r}")
 
 
@@ -273,15 +278,17 @@ def density_sweep(
     prime_range: tuple[int, int],
     x_rule: str = "prime",
     target: Target = Target.NONRESIDUE,
-    epsilon: float = 0.0,
     max_primes: int | None = None,
 ) -> DensitySweepResult:
     """Observed fraction of progression primes up to x with the target
     verdict, for every conforming prime p in the range (k | p-1); skipped
-    nonconforming primes are counted, never silently dropped."""
+    nonconforming primes are counted, never silently dropped.  The "bound"
+    x rule takes bound_x at epsilon 0."""
     lo, hi = prime_range
-    if hi > 10**9:
-        raise ResourceError("prime range is limited to 1e9")
+    if k < 2:
+        raise DomainError(f"k must be >= 2, got {k}")
+    if hi < lo:
+        raise DomainError(f"empty prime range: prime_max {hi} < prime_min {lo}")
     if target is Target.GENERATOR:
         raise DomainError("density sweeps support RESIDUE/NONRESIDUE targets only")
     rule, fixed_x = parse_x_rule(x_rule)
@@ -298,7 +305,7 @@ def density_sweep(
         if rule == "prime":
             x = float(p)
         elif rule == "bound":
-            x = bound_x(OddPrimeContext.for_prime(p, allow_small=True), k, epsilon)
+            x = bound_x(OddPrimeContext.for_prime(p, allow_small=True), k)
         else:
             x = fixed_x
         chosen.append((p, x))

@@ -195,13 +195,11 @@ def pattern_census(p: int) -> PatternCensus:
     )
 
 
-def weighted_pattern_sum(p: int, x: int, pattern: str = "NN_weighted") -> WeightedPatternSum:
+def weighted_pattern_sum(p: int, x: int) -> WeightedPatternSum:
     """(1/4) sum (1 - (n|p)) (1 - (n+1|p)) Lambda(n) over 2 <= n <= x, and the
     same sum through the 0/1 nonresidue indicators; n with p | n(n+1) are
     skipped and counted.  Only the prime powers n <= x carry weight, and
     only they are tested."""
-    if pattern != "NN_weighted":
-        raise DomainError(f"unknown pattern {pattern!r}")
     _check_window(p, x)
     # as x <= p, the n with p | n(n+1) are p-1 and p, the two largest
     skipped = sum(2 <= n <= x for n in (p - 1, p))

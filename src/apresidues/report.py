@@ -18,8 +18,6 @@ from datetime import datetime, timezone
 
 SCHEMA_VERSION = "1"
 
-_BIGINT_CUTOFF = 2**63 - 1
-
 
 def format_value(v) -> str:
     """Canonical cell rendering: 6 significant digits for reals, decimal

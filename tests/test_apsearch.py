@@ -2,10 +2,12 @@ import math
 
 import pytest
 
+from apresidues import apsearch
 from apresidues.apsearch import (
     Target,
     bound_x,
     density_sweep,
+    first_primes_with_verdict,
     least_prime_with_verdict,
     main_term_prediction,
     unweighted_prediction,
@@ -132,6 +134,12 @@ class TestLeastPrimeSearch:
         with pytest.raises(DomainError):
             least_prime_with_verdict(Target.GENERATOR, 2, ResidueClass(1, 4), ctx41, 100)
 
+    @pytest.mark.parametrize("k", [0, 1, -2])
+    def test_k_below_two_is_a_domain_error(self, ctx41, k):
+        # checked before (p - 1) % k, so k = 0 is no ZeroDivisionError
+        with pytest.raises(DomainError, match="k must be >= 2"):
+            first_primes_with_verdict(Target.NONRESIDUE, k, ResidueClass(1, 4), ctx41, 1, 100)
+
 
 class TestWeightedCount:
     def test_brute_force_oracle_p41(self, ctx41, ctx24):
@@ -185,6 +193,15 @@ class TestWeightedCount:
     def test_x_below_two_or_nan_rejected(self, ctx24, x):
         with pytest.raises(DomainError, match="x must be >= 2"):
             weighted_count(Target.NONRESIDUE, 2, ResidueClass(1, 4), x, ctx24)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_k_below_two_rejected_before_sieving(self, ctx41, monkeypatch, k):
+        def refuse(*args):
+            raise AssertionError("sieved before validating k")
+
+        monkeypatch.setattr(apsearch, "prime_powers_up_to", refuse)
+        with pytest.raises(DomainError, match="k must be >= 2"):
+            weighted_count(Target.NONRESIDUE, k, ResidueClass(1, 4), 100.0, ctx41)
 
     def test_dichotomy_conservation(self, ctx41):
         x = 500.0
@@ -262,6 +279,29 @@ class TestDensitySweep:
         assert bound.samples[0].x == pytest.approx(bound_x(ctx, 2))
         with pytest.raises(DomainError):
             density_sweep(2, ResidueClass(0, 1), (10**4, 10**4 + 200), x_rule="nope")
+
+    @pytest.mark.parametrize("rule", ["fixed:nan", "fixed:inf", "fixed:-inf", "fixed:"])
+    def test_fixed_x_must_be_a_finite_number(self, rule):
+        with pytest.raises(DomainError, match="finite number"):
+            density_sweep(2, ResidueClass(0, 1), (10**4, 10**4 + 200), x_rule=rule)
+
+    @pytest.mark.parametrize("k,prime_range,message", [
+        (0, (1000, 1100), "k must be >= 2"),
+        (1, (1000, 1100), "k must be >= 2"),
+        (-2, (1000, 1100), "k must be >= 2"),
+        (2, (2000, 1000), "empty prime range"),
+    ])
+    def test_bad_k_or_inverted_range_rejected_before_sieving(self, monkeypatch, k, prime_range, message):
+        def refuse(*args):
+            raise AssertionError("sieved before validating the sweep")
+
+        monkeypatch.setattr(apsearch, "primes_up_to", refuse)
+        with pytest.raises(DomainError, match=message):
+            density_sweep(k, ResidueClass(0, 1), prime_range)
+
+    def test_one_point_range_is_not_inverted(self):
+        result = density_sweep(2, ResidueClass(0, 1), (10007, 10007), max_primes=1)
+        assert [s.p for s in result.samples] == [10007]
 
 
 class TestErrorTermShape:

@@ -136,6 +136,13 @@ class TestCount:
         assert body[1].startswith("p,k,q,a,target,x,")
         assert body[2].startswith("41,2,4,1,nonresidue,300,")
 
+    def test_k_zero_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--target", "nonresidue", "--k", "0", "--q", "4",
+                                 "--a", "1", "--p", "10^24+7", "--x", "100")
+        assert code == EXIT_DOMAIN
+        assert "k must be >= 2, got 0" in err
+        assert out == ""
+
 
 @pytest.mark.parametrize("command", [
     ["search", "--target", "nonresidue", "--q", "4", "--epsilon", "nan"],
@@ -190,6 +197,12 @@ class TestExpsumAndPatterns:
         code, out, _ = run_cli(capsys, "expsum", "--p", "101", "--max-ratio-table")
         assert code == EXIT_OK
         assert out.startswith("p=101 tau=2: max ratio over all b,x = ")
+
+    def test_expsum_beyond_the_table_limit_is_resource_error(self, capsys):
+        code, out, err = run_cli(capsys, "expsum", "--p", "1000003", "--max-ratio-table")
+        assert code == EXIT_RESOURCE
+        assert "small-field tables are limited to p <= 1000000" in err
+        assert out == ""
 
     def test_patterns_output(self, capsys):
         code, out, _ = run_cli(capsys, "patterns", "--p", "41", "--x", "39")
@@ -309,6 +322,17 @@ out_dir = {tmp_path}/reports
         assert code == EXIT_OK
         assert (tmp_path / "reports" / "density.density.csv").exists()
 
+    @pytest.mark.parametrize("lines,message", [
+        ("k = 0\nprime_min = 1000\nprime_max = 1100", "k must be >= 2, got 0"),
+        ("prime_min = 2000\nprime_max = 1000", "empty prime range"),
+    ])
+    def test_density_bad_k_or_inverted_range_is_domain_error(self, capsys, tmp_path, lines, message):
+        cfg = self.write_config(tmp_path, f"campaign = density\n{lines}\nout_dir = {tmp_path}/r\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_DOMAIN
+        assert message in err
+        assert not (tmp_path / "r").exists()
+
     def test_unknown_campaign_is_domain_error(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, "campaign = nope\n")
         code, _, err = run_cli(capsys, "sweep", "--config", cfg)
@@ -375,3 +399,67 @@ out_dir = {blocked}/nested
         assert _effective_workers(1) == 1
         assert _effective_workers(0) == 1
         assert _effective_workers(-3) == 1
+
+
+# Bad numeric input for every subcommand: k in {0, -2}, inverted ranges, NaN,
+# and sizes just past each budget the CLI reaches (scan and count caps, the
+# small-field table, the pattern census, the sieve).  Each must end in a
+# usage (1), domain (2) or resource (3) exit, never a traceback; main runs
+# in-process, so an exception that escapes it fails the test.
+_BIG = ("--q", "4", "--a", "1", "--p", "10^24+7")
+_BAD_INPUTS = [
+    ("symbol", "--n", "4", "--p", "41", "--k", "0", "--allow-small"),
+    ("symbol", "--n", "4", "--p", "41", "--k", "-2", "--allow-small"),
+    ("symbol", "--n", "nan", "--p", "41", "--allow-small"),
+    ("symbol", "--n", "4", "--p", "nan"),
+    ("search", "--target", "nonresidue", "--k", "0", *_BIG),
+    ("search", "--target", "generator", "--k", "-2", *_BIG, "--factors", "2,3"),
+    ("search", "--target", "nonresidue", "--k", "nan", *_BIG),
+    ("search", "--target", "nonresidue", *_BIG, "--epsilon", "nan"),
+    ("search", "--target", "nonresidue", *_BIG, "--scan-limit", "100000001"),
+    ("search", "--target", "nonresidue", *_BIG, "--scan-limit", "-5"),
+    ("count", "--k", "0", *_BIG, "--x", "100"),
+    ("count", "--k", "-2", *_BIG, "--x", "100"),
+    ("count", "--k", "0", *_BIG),
+    ("count", *_BIG, "--x", "nan"),
+    ("count", *_BIG, "--x", "inf"),
+    ("count", *_BIG, "--x", "100000001"),
+    ("reproduce", "nan"),
+    ("expsum", "--p", "1000003"),
+    ("expsum", "--p", "1000003", "--max-ratio-table"),
+    ("expsum", "--p", "nan"),
+    ("expsum", "--p", "-7"),
+    ("expsum", "--p", "41", "--b", "0"),
+    ("expsum", "--p", "41", "--b", "1", "--x-cutoff", "-3"),
+    ("patterns", "--p", "-7"),
+    ("patterns", "--p", "nan"),
+    ("patterns", "--p", "41", "--x", "42"),
+    ("patterns", "--p", "10000019"),
+    ("patterns", "--p", "10000019", "--x", "10000001"),
+    ("sweep", "campaign = density\nk = 0\nprime_min = 1000\nprime_max = 1100"),
+    ("sweep", "campaign = density\nk = -2\nprime_min = 1000\nprime_max = 1100"),
+    ("sweep", "campaign = density\nk = nan"),
+    ("sweep", "campaign = density\nprime_min = 2000\nprime_max = 1000"),
+    ("sweep", "campaign = density\nprime_min = 1000\nprime_max = 1100\nx_rule = fixed:nan"),
+    ("sweep", "campaign = density\nprime_min = 1000\nprime_max = 1100\nx_rule = fixed:inf"),
+    ("sweep", "campaign = density\nprime_min = 1000\nprime_max = 1000000001"),
+    ("sweep", "campaign = density\nprime_min = 1000\nprime_max = 1100\nx_rule = fixed:1000000001"),
+    ("sweep", "campaign = least_nonresidue\nprime_min = 2000\nprime_max = 1000"),
+    ("sweep", "campaign = least_nonresidue\nprime_min = 100000\nprime_max = 100100\n"
+              "prime_count = 1\nepsilon = nan"),
+    ("sweep", "campaign = expsum\np_list = 1000003"),
+    ("sweep", "campaign = expsum\np_list = nan"),
+    ("sweep", "campaign = patterns\np_list = 10000019"),
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_INPUTS, ids=lambda argv: " ".join(argv).replace("\n", "; "))
+def test_bad_numeric_input_never_tracebacks(capsys, tmp_path, argv):
+    if argv[0] == "sweep":
+        cfg = tmp_path / "sweep.conf"
+        cfg.write_text(f"{argv[1]}\nout_dir = {tmp_path}/r\n", encoding="utf-8")
+        argv = ("sweep", "--config", str(cfg))
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (EXIT_USAGE, EXIT_DOMAIN, EXIT_RESOURCE)
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()

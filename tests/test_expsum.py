@@ -213,25 +213,27 @@ class TestFiberHistograms:
             assert h.zero_hits == counts[0]
             assert h.domain_size == targets.size
 
-    def test_work_budget_refuses_before_allocating(self):
-        # (p-1)/2 * (x-1) + x * (p-1) is about 1.5e10 domain points
-        table = build_small_field_table(99991)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceError, match="domain points"):
-                fiber_histograms(99990, 2, table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20  # the coset alone; no target block
+    def test_full_width_census_returns(self):
+        # (p-1)/2 * (x-1) + x * (p-1) is about 1.5e10 domain points, but the
+        # window counts take O(p)
+        alpha, beta = fiber_histograms(99990, 2, build_small_field_table(99991))
+        assert beta.histogram == {99990: 99990}
+        assert alpha.max_fiber <= 99989
+        for h in (alpha, beta):
+            mass = sum(size * count for size, count in h.histogram.items())
+            assert mass + h.zero_hits == h.domain_size
+
+    def test_table_limit_is_the_only_size_budget(self):
+        with pytest.raises(ResourceError, match="small-field tables"):
+            build_small_field_table(1000003)
 
 
 def _census_cases(p: int):
-    """Every k >= 2 dividing p-1 and x in {2, 3, p//8, p//4, p-1} that the
-    census admits: 2 <= x < p and both domains within the work budget."""
+    """Every k >= 2 dividing p-1 and x in {2, 3, p//8, p//4, p-1} with
+    2 <= x < p."""
     ks = [k for k in divisors(p - 1) if k >= 2]
     xs = sorted({x for x in (2, 3, p // 8, p // 4, p - 1) if 2 <= x < p})
-    return [(x, [k for k in ks if (p - 1) // k * (x - 1) + x * (p - 1) <= expsum._FIBER_WORK]) for x in xs]
+    return [(x, ks) for x in xs]
 
 
 class TestFiberWindowCounts:
@@ -269,6 +271,23 @@ class TestFiberWindowCounts:
         assert beta.histogram == {600: 99990}
         assert alpha.max_fiber <= 599
         assert peak < 6 * 2**20
+
+    def test_largest_table_stays_under_64_mib(self):
+        # about 42-50 MiB at the largest prime a table admits
+        p = 999983
+        table = build_small_field_table(p)
+        tracemalloc.start()
+        try:
+            alpha, beta = fiber_histograms(p // 4, 2, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert beta.histogram == {p // 4: p - 1}
+        assert alpha.max_fiber <= p // 4 - 1
+        for h in (alpha, beta):
+            mass = sum(size * count for size, count in h.histogram.items())
+            assert mass + h.zero_hits == h.domain_size
+        assert peak < 64 * 2**20
 
 
 class TestOrthogonality:

@@ -115,8 +115,6 @@ class TestWeightedPatternSum:
     def test_validation(self):
         with pytest.raises(DomainError):
             weighted_pattern_sum(41, 50)
-        with pytest.raises(DomainError):
-            weighted_pattern_sum(41, 39, pattern="RR_weighted")
 
 
 class TestTwinNonresidueDensity:
