@@ -40,7 +40,6 @@ from .expsum import (
 from .kernels import kernel_backend
 from .patterns import (
     PatternCensus,
-    gap_statistics,
     pattern_census,
     twin_nonresidue_density,
     weighted_pattern_sum,
@@ -52,7 +51,6 @@ from .residues import (
     build_small_field_table,
     char_function_oracle,
     kth_power_verdict,
-    quadratic_verdict,
 )
 from .scenarios import list_scenarios, run_scenario
 
@@ -81,7 +79,6 @@ __all__ = [
     "euler_totient",
     "fiber_histograms",
     "fourier_U_hat",
-    "gap_statistics",
     "incomplete_expsum",
     "is_prime",
     "jacobi",
@@ -94,7 +91,6 @@ __all__ = [
     "multiplicative_order",
     "pattern_census",
     "primes_up_to",
-    "quadratic_verdict",
     "run_scenario",
     "twin_nonresidue_density",
     "unweighted_prediction",

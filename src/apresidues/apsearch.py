@@ -160,7 +160,7 @@ def _class_prime_blocks(cls: ResidueClass, p: int, limit: int):
     while done < limit:
         primes = primes_up_to(hi)
         block = primes[np.searchsorted(primes, done, side="right"):]
-        block = block[block % cls.q == cls.a % cls.q]
+        block = block[cls.contains(block)]
         yield block[block != p] if p <= hi else block
         done, hi = hi, min(2 * hi, limit)
 
@@ -232,7 +232,7 @@ def weighted_count(
 
     limit = math.floor(x)
     powers, bases = prime_powers_up_to(limit)
-    keep = powers % cls.q == cls.a % cls.q
+    keep = cls.contains(powers)
     if p <= limit:
         keep &= bases != p
     powers, bases = powers[keep], bases[keep]
@@ -242,7 +242,7 @@ def weighted_count(
     unweighted = int(np.count_nonzero(hits & is_prime))
     progression_primes = int(np.count_nonzero(is_prime))
     # the multiples of p in the class form one class mod p*q, or none
-    first = next((m for m in range(p, p * cls.q + 1, p) if m % cls.q == cls.a % cls.q), None)
+    first = next((m for m in range(p, p * cls.q + 1, p) if cls.contains(m)), None)
     skipped = len(range(first, limit + 1, p * cls.q)) if first else 0
     main = main_term_prediction(k, cls.q, x)
     density = unweighted / progression_primes if progression_primes else math.nan
@@ -314,7 +314,7 @@ def density_sweep(
     # one sieve serves every p: each x takes a prefix of it
     top = math.floor(max((x for _, x in chosen), default=0))
     primes = candidates[candidates <= top] if top <= hi else primes_up_to(top)
-    in_class = primes[primes % cls.q == cls.a % cls.q]
+    in_class = primes[cls.contains(primes)]
     samples = []
     for p, x in chosen:
         limit = math.floor(x)

@@ -594,5 +594,6 @@ class ResidueClass:
         if math.gcd(self.a, self.q) != 1:
             raise DomainError(f"gcd({self.a}, {self.q}) != 1")
 
-    def contains(self, n: int) -> bool:
+    def contains(self, n):
+        """n in the class; on an integer array, the elementwise mask."""
         return n % self.q == self.a

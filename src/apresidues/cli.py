@@ -13,17 +13,14 @@ Exit codes:
   5  search: nothing found up to the scan limit
   6  reproduce: a computed value failed verification (not a publication
      discrepancy -- those are first-class rows and exit 0)
-
-APRESIDUES_WORKERS sets the default sweep worker count.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import apsearch, expsum, patterns
 from .bigmod import OddPrimeContext, ResidueClass, next_prime
@@ -46,18 +43,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("APRESIDUES_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _effective_workers(requested: int) -> int:
-    """Sweep worker processes: at least one, at most one per CPU."""
-    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def build_parser() -> _Parser:
@@ -329,14 +314,14 @@ def _sweep_primes(conf: dict) -> list[int]:
     return sorted(out)
 
 
-def _q_values(ctx, q_rule: str):
-    import math
-
+def _q_values(ctx, q_rule: str) -> range:
+    """The moduli q the rule gives at p; a domain error when none has a
+    progression a + q*m with 1 <= a < q."""
     if q_rule == "loglog":
-        return range(2, math.floor(ctx.loglog_p) + 1)
-    if q_rule == "loglog2":
-        return range(2, math.ceil(ctx.loglog_p**2) + 1)
-    if q_rule.startswith("fixed:"):
+        qs = range(2, math.floor(ctx.loglog_p) + 1)
+    elif q_rule == "loglog2":
+        qs = range(2, math.ceil(ctx.loglog_p**2) + 1)
+    elif q_rule.startswith("fixed:"):
         try:
             q = int(q_rule.split(":", 1)[1])
         except ValueError:
@@ -344,14 +329,15 @@ def _q_values(ctx, q_rule: str):
         if q > math.ceil(ctx.loglog_p**2):
             print(f"warning: q={q} is outside the loglog^2 regime for p={ctx.p}",
                   file=sys.stderr)
-        return range(q, q + 1)
-    raise DomainError(f"unknown q rule {q_rule!r}")
+        qs = range(q, q + 1)
+    else:
+        raise DomainError(f"unknown q rule {q_rule!r}")
+    if max(qs, default=0) < 2:
+        raise DomainError(f"q rule {q_rule!r} gives no progression at p={ctx.p}")
+    return qs
 
 
-def _least_nonresidue_one(task):
-    p, epsilon, q_rule = task
-    import math
-
+def _least_nonresidue_rows(p: int, epsilon: float, q_rule: str) -> list[dict]:
     ctx = OddPrimeContext.for_prime(p)
     rows = []
     for q in _q_values(ctx, q_rule):
@@ -371,14 +357,8 @@ def _least_nonresidue_one(task):
 def _campaign_least_nonresidue(conf: dict, envelope: ReportEnvelope):
     epsilon = _conf_value(conf, "epsilon", "0.5", float)
     primes = _sweep_primes(conf)
-    workers = _effective_workers(_conf_value(conf, "workers", str(_default_workers())))
-    tasks = [(p, epsilon, conf.get("q_rule", "loglog")) for p in primes]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_least_nonresidue_one, tasks))
-    else:
-        chunks = [_least_nonresidue_one(t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    q_rule = conf.get("q_rule", "loglog")
+    rows = [row for p in primes for row in _least_nonresidue_rows(p, epsilon, q_rule)]
     violations = [r for r in rows if not r["within_bound"]]
     envelope.add_section("least_nonresidue", rows,
                          ["p", "q", "a", "found_n", "bound_x", "within_bound"])
@@ -409,6 +389,8 @@ def _campaign_density(conf: dict, envelope: ReportEnvelope):
     lo = _conf_value(conf, "prime_min", "100000")
     hi = _conf_value(conf, "prime_max", "110000")
     max_primes = _conf_value(conf, "prime_count", "25")
+    if max_primes <= 0:
+        raise DomainError(f"config key 'prime_count' must be > 0, got {max_primes}")
     target = _conf_value(conf, "target", "nonresidue", apsearch.Target)
     result = apsearch.density_sweep(k, ResidueClass(a=a, q=q), (lo, hi),
                                     x_rule=conf.get("x_rule", "prime"),
@@ -444,7 +426,7 @@ def _campaign_patterns(conf: dict, envelope: ReportEnvelope):
 # campaign -> (runner, the config keys it reads besides campaign and out_dir)
 _CAMPAIGNS = {
     "least_nonresidue": (_campaign_least_nonresidue,
-                         ("prime_min", "prime_max", "prime_count", "q_rule", "epsilon", "workers")),
+                         ("prime_min", "prime_max", "prime_count", "q_rule", "epsilon")),
     "expsum": (_campaign_expsum, ("p_list",)),
     "density": (_campaign_density,
                 ("k", "q", "a", "prime_min", "prime_max", "prime_count", "x_rule", "target")),

@@ -136,17 +136,6 @@ def _gap_stats_from_starts(starts: np.ndarray, p: int, which: Verdict) -> GapSta
                     ks_uniform=ks, absent=absent)
 
 
-def gap_statistics(p: int, which: Verdict) -> GapStats:
-    """Gap statistics of consecutive same-class pairs in [1, p-1]."""
-    if p > _CENSUS_LIMIT:
-        raise ResourceError(f"census budget is p <= {_CENSUS_LIMIT}")
-    _check_prime(p)
-    rmask = _residue_mask(p)
-    left, right = rmask[1 : p - 1], rmask[2:p]
-    pairs = left & right if which is Verdict.RESIDUE else ~(left | right)
-    return _gap_stats_from_starts(np.flatnonzero(pairs) + 1, p, which)
-
-
 def pattern_census(p: int) -> PatternCensus:
     """Single pass over [1, p-1]: binary pair patterns, prime/composite
     refinements of RR and NN, twin-nonresidue stats and gap statistics.

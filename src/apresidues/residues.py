@@ -57,11 +57,6 @@ class CharacterVerdict:
     witness: int
 
 
-def quadratic_verdict(n: int, ctx: OddPrimeContext) -> CharacterVerdict:
-    """Quadratic residue verdict by the Euler criterion."""
-    return kth_power_verdict(n, 2, ctx)
-
-
 def kth_power_verdict(n: int, k: int, ctx: OddPrimeContext) -> CharacterVerdict:
     """Residue iff n**((p-1)/k) = 1 mod p; requires k | p-1 and p not dividing n."""
     p = ctx.p

@@ -444,3 +444,12 @@ class TestResidueClass:
             ResidueClass(a=0, q=4)
         with pytest.raises(DomainError):
             ResidueClass(a=1, q=1)
+
+    @pytest.mark.parametrize("a,q", [(0, 1), (3, 4), (5, 12), (1, 7)])
+    def test_array_form_matches_scalar_form(self, a, q):
+        cls = ResidueClass(a=a, q=q)
+        ns = primes_up_to(500)
+        mask = cls.contains(ns)
+        assert mask.dtype == bool
+        assert mask.tolist() == [cls.contains(int(n)) for n in ns]
+        assert mask.any()

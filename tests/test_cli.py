@@ -1,5 +1,8 @@
+import json
 import os
+import re
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,6 @@ from apresidues.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
-    _effective_workers,
     main,
 )
 
@@ -291,20 +293,6 @@ out_dir = {tmp_path}/reports
         qs = {int(line.split(",")[1]) for line in csv_rows[2:]}
         assert max(qs) >= 6  # ceil(loglog(1e5)^2) = 6
 
-    def test_least_nonresidue_parallel_workers(self, capsys, tmp_path):
-        cfg = self.write_config(tmp_path, f"""
-campaign = least_nonresidue
-prime_min = 100000
-prime_max = 120000
-prime_count = 6
-epsilon = 0.5
-workers = 2
-out_dir = {tmp_path}/reports
-""")
-        code, out, _ = run_cli(capsys, "sweep", "--config", cfg)
-        assert code == EXIT_OK
-        assert "0 beyond-bound rows" in out
-
     def test_density_campaign(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, f"""
 campaign = density
@@ -325,6 +313,7 @@ out_dir = {tmp_path}/reports
     @pytest.mark.parametrize("lines,message", [
         ("k = 0\nprime_min = 1000\nprime_max = 1100", "k must be >= 2, got 0"),
         ("prime_min = 2000\nprime_max = 1000", "empty prime range"),
+        ("prime_count = -1", "config key 'prime_count' must be > 0, got -1"),
     ])
     def test_density_bad_k_or_inverted_range_is_domain_error(self, capsys, tmp_path, lines, message):
         cfg = self.write_config(tmp_path, f"campaign = density\n{lines}\nout_dir = {tmp_path}/r\n")
@@ -332,6 +321,34 @@ out_dir = {tmp_path}/reports
         assert code == EXIT_DOMAIN
         assert message in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("lines,message", [
+        ("prime_count = 2\nq_rule = fixed:0", "q rule 'fixed:0' gives no progression at p=100003"),
+        ("prime_count = 2\nq_rule = fixed:1", "q rule 'fixed:1' gives no progression at p=100003"),
+        ("prime_min = 1000\nprime_max = 1100\nprime_count = 3",
+         "q rule 'loglog' gives no progression at p=1009"),
+    ])
+    def test_q_rule_without_progression_is_domain_error(self, capsys, tmp_path, lines, message):
+        cfg = self.write_config(tmp_path, f"campaign = least_nonresidue\n{lines}\nout_dir = {tmp_path}/r\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_DOMAIN
+        assert message in err
+        assert out == ""
+        assert not (tmp_path / "r").exists()
+
+    def test_readme_sweep_config_runs(self, capsys, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("A sweep config is a flat key-value file:\n\n```\n", 1)[1].split("```", 1)[0]
+        out_dir = tmp_path / "reports"
+        cfg = self.write_config(tmp_path, re.sub(r"(?m)^out_dir = .*$", f"out_dir = {out_dir}", block))
+        code, out, _ = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_OK
+        assert "500 progressions over 500 primes, 0 beyond-bound rows" in out
+        envelope = json.loads((out_dir / "least_nonresidue.json").read_text(encoding="utf-8"))
+        assert envelope["checksums"]["least_nonresidue"] == (
+            "d82fd997bc7ec8db3b4cd19fe7041f99a3a3f5f6ea2f45c7bf04a33513e8c28a")
+        assert envelope["checksums"]["violations"] == (
+            "a7b1591f62b104c1b1d45fcf63e3a74454324c53f8b1e7c06e95659efda4d1f8")
 
     def test_unknown_campaign_is_domain_error(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, "campaign = nope\n")
@@ -374,8 +391,8 @@ out_dir = {blocked}/nested
         assert "wrote" not in out
 
     def test_non_integer_values_are_domain_errors(self, capsys, tmp_path):
-        for campaign, line in (("density", "k = two"), ("least_nonresidue", "workers = many"),
-                               ("least_nonresidue", "prime_count = 5.5"), ("patterns", "p_list = 41,x")):
+        for campaign, line in (("density", "k = two"), ("least_nonresidue", "prime_count = 5.5"),
+                               ("patterns", "p_list = 41,x")):
             key = line.split(" = ")[0]
             cfg = self.write_config(tmp_path, f"campaign = {campaign}\n{line}\nout_dir = {tmp_path}/r\n")
             code, _, err = run_cli(capsys, "sweep", "--config", cfg)
@@ -384,6 +401,7 @@ out_dir = {blocked}/nested
 
     @pytest.mark.parametrize("campaign,line", [("patterns", "p_lsit = 41"),
                                                ("least_nonresidue", "p_list = 41"),
+                                               ("least_nonresidue", "workers = 2"),
                                                ("expsum", "prime_count = 5")])
     def test_unknown_keys_are_domain_errors(self, capsys, tmp_path, campaign, line):
         key = line.split(" = ")[0]
@@ -393,17 +411,11 @@ out_dir = {blocked}/nested
         assert f"'{key}'" in err
         assert not (tmp_path / "r").exists()
 
-    def test_workers_clamped_to_cpu_count(self):
-        cpus = os.cpu_count() or 1
-        assert _effective_workers(10**6) == cpus
-        assert _effective_workers(1) == 1
-        assert _effective_workers(0) == 1
-        assert _effective_workers(-3) == 1
-
 
 # Bad numeric input for every subcommand: k in {0, -2}, inverted ranges, NaN,
-# and sizes just past each budget the CLI reaches (scan and count caps, the
-# small-field table, the pattern census, the sieve).  Each must end in a
+# sizes just past each budget the CLI reaches (scan and count caps, the
+# small-field table, the pattern census, the sieve), and sweep configs that
+# select no prime or no progression.  Each must end in a
 # usage (1), domain (2) or resource (3) exit, never a traceback; main runs
 # in-process, so an exception that escapes it fails the test.
 _BIG = ("--q", "4", "--a", "1", "--p", "10^24+7")
@@ -447,6 +459,10 @@ _BAD_INPUTS = [
     ("sweep", "campaign = least_nonresidue\nprime_min = 2000\nprime_max = 1000"),
     ("sweep", "campaign = least_nonresidue\nprime_min = 100000\nprime_max = 100100\n"
               "prime_count = 1\nepsilon = nan"),
+    ("sweep", "campaign = density\nprime_count = -1"),
+    ("sweep", "campaign = least_nonresidue\nprime_count = 2\nq_rule = fixed:0"),
+    ("sweep", "campaign = least_nonresidue\nprime_count = 2\nq_rule = fixed:1"),
+    ("sweep", "campaign = least_nonresidue\nprime_min = 1000\nprime_max = 1100\nprime_count = 3"),
     ("sweep", "campaign = expsum\np_list = 1000003"),
     ("sweep", "campaign = expsum\np_list = nan"),
     ("sweep", "campaign = patterns\np_list = 10000019"),

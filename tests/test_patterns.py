@@ -6,9 +6,6 @@ from apresidues.bigmod import primes_up_to
 from apresidues.errors import DomainError, ResourceError
 from apresidues.patterns import (
     PAIR_KEYS,
-    GapStats,
-    Verdict,
-    gap_statistics,
     pattern_census,
     twin_nonresidue_density,
     weighted_pattern_sum,
@@ -160,9 +157,6 @@ class TestWorkBudgets:
     def test_composite_modulus_is_domain_error(self, p):
         with pytest.raises(DomainError, match="not prime"):
             pattern_census(p)
-        for which in Verdict:
-            with pytest.raises(DomainError, match="not prime"):
-                gap_statistics(p, which)
         for fn in (weighted_pattern_sum, twin_nonresidue_density):
             with pytest.raises(DomainError, match="not prime"):
                 fn(p, min(p, 5000))
@@ -175,12 +169,12 @@ class TestWorkBudgets:
 
 class TestGapStatistics:
     def test_f41_nonresidue_starts_and_events(self):
-        g = gap_statistics(41, Verdict.NONRESIDUE)
+        g = pattern_census(41).gap_nonresidue
         assert g.starts == len(F41_NN_STARTS)
         assert g.events == len(F41_NN_EVENTS)
 
     def test_f41_gap_values(self):
-        g = gap_statistics(41, Verdict.NONRESIDUE)
+        g = pattern_census(41).gap_nonresidue
         # events 6, 11, 26, 34 give d-1 gaps 4, 14, 7
         assert g.histogram == {4: 1, 7: 1, 14: 1}
         assert g.mean_gap == pytest.approx(25 / 3)
@@ -191,18 +185,18 @@ class TestGapStatistics:
 
     def test_histogram_total_telescopes(self):
         for p in (41, 101, 1009):
-            for which in (Verdict.RESIDUE, Verdict.NONRESIDUE):
-                g = gap_statistics(p, which)
+            census = pattern_census(p)
+            for g in (census.gap_residue, census.gap_nonresidue):
                 assert sum(g.histogram.values()) == max(g.events - 1, 0)
                 adjacent = g.starts - g.events
                 assert sum(g.raw_histogram.values()) == max(g.starts - 1 - adjacent, 0)
 
     def test_ks_statistic_in_range(self):
-        g = gap_statistics(10007, Verdict.NONRESIDUE)
+        g = pattern_census(10007).gap_nonresidue
         assert 0 <= g.ks_uniform <= 1
         assert not g.absent
 
     def test_absent_when_no_pairs(self):
         # p = 5: residues {1, 4}, nonresidues {2, 3}; residue pairs absent
-        g = gap_statistics(5, Verdict.RESIDUE)
+        g = pattern_census(5).gap_residue
         assert g.absent or g.events < 2

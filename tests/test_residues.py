@@ -17,7 +17,6 @@ from apresidues.residues import (
     coset_indicator,
     kth_power_verdict,
     least_primitive_root,
-    quadratic_verdict,
 )
 
 from conftest import P24, P48, P128
@@ -29,18 +28,18 @@ N41 = frozenset({3, 6, 7, 11, 12, 13, 14, 15, 17, 19, 22, 24, 26, 27, 28, 29, 30
 
 class TestEulerVerdicts:
     def test_published_quadratic_examples(self, ctx24):
-        assert quadratic_verdict(5, ctx24).verdict is Verdict.NONRESIDUE
-        assert quadratic_verdict(29, ctx24).verdict is Verdict.RESIDUE
+        assert kth_power_verdict(5, 2, ctx24).verdict is Verdict.NONRESIDUE
+        assert kth_power_verdict(29, 2, ctx24).verdict is Verdict.RESIDUE
 
     def test_explicit_square(self, ctx24):
         n = 123456789**2 % P24
-        v = quadratic_verdict(n, ctx24)
+        v = kth_power_verdict(n, 2, ctx24)
         assert v.verdict is Verdict.RESIDUE
         assert v.witness == 1
 
     def test_witness_invariant(self, ctx41):
         for n in range(1, 41):
-            v = quadratic_verdict(n, ctx41)
+            v = kth_power_verdict(n, 2, ctx41)
             assert (v.verdict is Verdict.RESIDUE) == (v.witness == 1)
 
     def test_kth_power_tables_are_euler_residues(self):
@@ -66,7 +65,7 @@ class TestEulerVerdicts:
         with pytest.raises(DomainError):
             kth_power_verdict(5, 7, ctx41)  # 7 does not divide 40
         with pytest.raises(DomainError):
-            quadratic_verdict(82, ctx41)  # 41 | 82
+            kth_power_verdict(82, 2, ctx41)  # 41 | 82
 
     def test_jacobi_agreement_all_p_below_2000(self):
         for p in primes_up_to(2000):
@@ -75,7 +74,7 @@ class TestEulerVerdicts:
                 continue
             ctx = OddPrimeContext.for_prime(p, allow_small=True)
             for n in range(1, p):
-                sign = 1 if quadratic_verdict(n, ctx).verdict is Verdict.RESIDUE else -1
+                sign = 1 if kth_power_verdict(n, 2, ctx).verdict is Verdict.RESIDUE else -1
                 assert sign == jacobi(n, p)
 
 
