@@ -291,6 +291,8 @@ def density_sweep(
         raise DomainError(f"empty prime range: prime_max {hi} < prime_min {lo}")
     if target is Target.GENERATOR:
         raise DomainError("density sweeps support RESIDUE/NONRESIDUE targets only")
+    if max_primes is not None and max_primes < 1:
+        raise DomainError(f"max_primes must be >= 1, got {max_primes}")
     rule, fixed_x = parse_x_rule(x_rule)
     chosen = []
     skipped = 0

@@ -22,6 +22,10 @@ r x s through index_blocks, one block of rows at a time.  A block holds about
 _BLOCK = 2**18 index entries (at least one row), so its int64 indices and
 gathered complex terms take about 6 MiB whatever p is.
 
+uhat_rows serves the single-a U-hat oracle.  The batch over every quadratic
+residue (expsum.uhat_all_residues) needs no kernel: the half sums take one
+value per exponent parity, so its terms regroup into two sums of R.
+
 prefix_max_abs is exact but not literal.  It evaluates one partial-sum path
 P[i] = sum_{m<=i} roots[tau**m] term by term, reads every row off it by the
 shift identity (the row for b = tau**j at cutoff x is P[j+x] - P[j]), and
@@ -53,12 +57,17 @@ def roots_table(p: int) -> np.ndarray:
 
 
 def pow_table(tau: int, p: int) -> np.ndarray:
-    """powers[j] = tau**j mod p for j in [0, p-1); one multiplication per step."""
-    out = np.empty(p - 1, dtype=np.int64)
-    u = 1
-    for j in range(p - 1):
-        out[j] = u
-        u = u * tau % p
+    """powers[j] = tau**j mod p for j in [0, p-1), by doubling: once the first
+    k entries are filled, out[k:2k] = out[:k] * tau**k mod p (exact in int64
+    for p <= 10**6), so the table takes about log2(p) numpy passes."""
+    n = p - 1
+    out = np.empty(n, dtype=np.int64)
+    out[:1] = 1
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        np.remainder(out[:m] * pow(tau, k, p), p, out=out[k : k + m])
+        k += m
     return out
 
 

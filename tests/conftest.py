@@ -67,6 +67,17 @@ def literal_prefix_max_abs(p: int, tau: int, bs) -> np.ndarray:
     return out
 
 
+def step_pow_table(tau: int, p: int) -> np.ndarray:
+    """Reference for kernels.pow_table: tau**j mod p for j in [0, p-1), one
+    multiplication per step."""
+    out = np.empty(p - 1, dtype=np.int64)
+    u = 1
+    for j in range(p - 1):
+        out[j] = u
+        u = u * tau % p
+    return out
+
+
 # References for the exponent-window kernels: the gather forms they replace,
 # each reading table[op(r, s) % p] over an index grid through kernels.row_sums.
 

@@ -299,6 +299,15 @@ class TestDensitySweep:
         with pytest.raises(DomainError, match=message):
             density_sweep(k, ResidueClass(0, 1), prime_range)
 
+    @pytest.mark.parametrize("max_primes", [0, -3])
+    def test_max_primes_below_one_rejected_before_sieving(self, monkeypatch, max_primes):
+        def refuse(*args):
+            raise AssertionError("sieved before validating the sweep")
+
+        monkeypatch.setattr(apsearch, "primes_up_to", refuse)
+        with pytest.raises(DomainError, match="max_primes must be >= 1"):
+            density_sweep(2, ResidueClass(1, 4), (100000, 110000), max_primes=max_primes)
+
     def test_one_point_range_is_not_inverted(self):
         result = density_sweep(2, ResidueClass(0, 1), (10007, 10007), max_primes=1)
         assert [s.p for s in result.samples] == [10007]

@@ -17,6 +17,7 @@ from conftest import (
     gather_inner_sums,
     gather_uhat,
     literal_prefix_max_abs,
+    step_pow_table,
 )
 
 P = 241
@@ -55,6 +56,19 @@ def test_pow_table_matches_pow(powers):
 
 def test_pow_table_is_permutation(powers):
     assert sorted(powers.tolist()) == list(range(1, P))
+
+
+@pytest.mark.parametrize("tau,p", [(1, 2), (2, 3), (1, 3), (2, 5), (3, 7), (5, 23), (2, 29), (5, 999983)])
+def test_pow_table_by_doubling_matches_the_step_loop(tau, p):
+    got = kernels.pow_table(tau, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, step_pow_table(tau, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(primes_up_to(5000).tolist()), st.integers(0, 10**6))
+def test_pow_table_by_doubling_for_any_base(p, tau):
+    assert np.array_equal(kernels.pow_table(tau, p), step_pow_table(tau, p))
 
 
 def test_inner_complete_sums_match_literal(roots, powers):
@@ -204,6 +218,34 @@ def test_window_kernels_match_the_gather_forms(p):
             assert np.abs(got - ref).max() < 1e-9, (k, which)
             rounded, _ = residues.char_function_values(k, table, which)
             assert np.array_equal(rounded, np.round(ref.real).astype(np.int64)), (k, which)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 241, 1009, 4999, 9973])
+def test_uhat_all_residues_matches_every_window_row(p):
+    # both residues of p mod 4: the half sums are real at p = 1 (mod 4) and
+    # complex at p = 3 (mod 4), and the parity regrouping differs between them
+    table = build_small_field_table(p)
+    roots, powers = table.roots, table.powers
+    s = expsum.halfsums(table)
+    a_vals, mags = expsum.uhat_all_residues(table)
+    assert np.array_equal(a_vals, np.sort(table.residue_coset(2)))
+
+    rows = kernels.uhat_rows(s, 0, (p - 1) // 2, powers, p, roots)  # a = tau**(2n), n ascending
+    rows = rows[np.argsort(table.residue_coset(2))]
+    assert np.abs(rows - gather_uhat(a_vals, s, roots, p)).max() < 1e-9
+    assert np.abs(mags - np.abs(rows)).max() < 1e-9
+
+
+def test_uhat_past_the_literal_cap_at_99991():
+    p = 99991  # above _UHAT_LIMIT, which the literal double sums keep
+    table = build_small_field_table(p)
+    with pytest.raises(apresidues.ResourceError):
+        expsum.fourier_U_hat(1, table)
+    a_vals, mags = expsum.uhat_all_residues(table)
+    squares = np.unique(np.arange(1, p, dtype=np.int64) ** 2 % p)
+    assert np.array_equal(a_vals, squares)
+    # u runs over the nonresidues, so u != a and each inner sum over b != 0 is -1
+    assert np.allclose(mags, (p - 1) / 2, rtol=1e-9, atol=0)
 
 
 def _traced_peak(fn) -> int:
