@@ -6,7 +6,8 @@ import pytest
 from apresidues import kernels
 from apresidues.bigmod import OddPrimeContext
 from apresidues.expsum import FiberHistogram
-from apresidues.residues import build_small_field_table
+from apresidues.patterns import GapStats, PatternCensus
+from apresidues.residues import Verdict, build_small_field_table
 
 P24 = 10**24 + 7
 P128 = 2**128 + 51
@@ -77,6 +78,78 @@ def step_pow_table(tau: int, p: int) -> np.ndarray:
         u = u * tau % p
     return out
 
+
+def loop_sieve(limit: int) -> np.ndarray:
+    """Reference for bigmod's sieve: mask[n] = n is prime for n in [0, limit],
+    striking the multiples of every prime q <= sqrt(limit), even ones included."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for q in range(2, math.isqrt(limit) + 1):
+        if mask[q]:
+            mask[q * q :: q] = False
+    return mask
+
+
+# Reference for patterns.pattern_census: the whole-array census it replaces,
+# with every pair start, gap and KS term held at once.
+
+def _reference_gap_stats(starts: np.ndarray, p: int, which: Verdict) -> GapStats:
+    n_starts = len(starts)
+    if n_starts == 0:
+        return GapStats(which=which, starts=0, events=0, mean_gap=math.nan, max_gap=0,
+                        histogram={}, raw_mean_gap=math.nan, raw_max_gap=0,
+                        raw_histogram={}, ks_uniform=math.nan, absent=True)
+    keep = np.ones(n_starts, dtype=bool)
+    keep[1:] = np.diff(starts) > 1
+    events = starts[keep]
+
+    def summarize(xs: np.ndarray):
+        d = np.diff(xs)
+        gaps = d[d >= 2] - 1
+        if len(gaps) == 0:
+            return math.nan, 0, {}
+        sizes, counts = np.unique(gaps, return_counts=True)
+        return float(gaps.mean()), int(gaps.max()), {int(s): int(c) for s, c in zip(sizes, counts)}
+
+    mean_g, max_g, hist = summarize(events)
+    raw_mean, raw_max, raw_hist = summarize(starts)
+    ecdf = np.arange(1, n_starts + 1) / n_starts
+    uniform = starts / (p - 1)
+    ks = float(np.max(np.maximum(np.abs(ecdf - uniform), np.abs(ecdf - 1 / n_starts - uniform))))
+    return GapStats(which=which, starts=n_starts, events=len(events),
+                    mean_gap=mean_g, max_gap=max_g, histogram=hist,
+                    raw_mean_gap=raw_mean, raw_max_gap=raw_max, raw_histogram=raw_hist,
+                    ks_uniform=ks, absent=len(events) < 2)
+
+
+def reference_pattern_census(p: int) -> PatternCensus:
+    r = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+    rmask = np.zeros(p, dtype=bool)
+    rmask[r * r % p] = True
+    pmask = loop_sieve(p - 1)
+    left_r, right_r = rmask[1 : p - 1], rmask[2:p]
+    left_p, right_p = pmask[1 : p - 1], pmask[2:p]
+    rr = left_r & right_r
+    nn = ~(left_r | right_r)
+    n_rr, n_nn = int(np.count_nonzero(rr)), int(np.count_nonzero(nn))
+    n_rn = int(np.count_nonzero(left_r)) - n_rr
+    refined = {}
+    for base, sel, total in (("R", rr, n_rr), ("N", nn, n_nn)):
+        pp = int(np.count_nonzero(sel & left_p & right_p))
+        pc = int(np.count_nonzero(sel & left_p)) - pp
+        cp = int(np.count_nonzero(sel & right_p)) - pp
+        refined.update({f"{base}p{base}p": pp, f"{base}p{base}c": pc,
+                        f"{base}c{base}p": cp, f"{base}c{base}c": total - pp - pc - cp})
+    twins = pmask[1 : p - 2] & pmask[3:p]
+    return PatternCensus(
+        p=p,
+        pair_counts={"RR": n_rr, "RN": n_rn, "NR": p - 2 - n_rr - n_rn - n_nn, "NN": n_nn},
+        refined_counts=refined,
+        twin_qualifying=int(np.count_nonzero(twins & ~(rmask[1 : p - 2] | rmask[3:p]))),
+        twin_total=int(np.count_nonzero(twins)),
+        gap_residue=_reference_gap_stats(np.flatnonzero(rr) + 1, p, Verdict.RESIDUE),
+        gap_nonresidue=_reference_gap_stats(np.flatnonzero(nn) + 1, p, Verdict.NONRESIDUE),
+    )
 
 # References for the exponent-window kernels: the gather forms they replace,
 # each reading table[op(r, s) % p] over an index grid through kernels.row_sums.

@@ -27,7 +27,7 @@ from apresidues.bigmod import (
 )
 from apresidues.errors import DomainError, ResourceError
 
-from conftest import P24, P48, P48_FACTORS, P128, naive_von_mangoldt
+from conftest import P24, P48, P48_FACTORS, P128, loop_sieve, naive_von_mangoldt
 
 
 class TestJacobi:
@@ -146,6 +146,12 @@ class TestTotientAndFactorization:
 
 
 class TestPrimesUpTo:
+    @pytest.mark.parametrize("limits", [range(2001), (999_983, 1_000_000)], ids=["0..2000", "near 1e6"])
+    def test_odd_only_sieve_matches_the_loop(self, limits):
+        for x in limits:
+            got, want = bigmod._simple_sieve(x), loop_sieve(x)
+            assert got.dtype == want.dtype and np.array_equal(got, want), x
+
     def test_first_primes(self):
         assert primes_up_to(10).tolist() == [2, 3, 5, 7]
 

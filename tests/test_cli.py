@@ -446,6 +446,8 @@ _BAD_INPUTS = [
     ("patterns", "--p", "-7"),
     ("patterns", "--p", "nan"),
     ("patterns", "--p", "41", "--x", "42"),
+    ("patterns", "--p", "41", "--x", "-3"),
+    ("patterns", "--p", "41", "--x", "1"),
     ("patterns", "--p", "10000019"),
     ("patterns", "--p", "10000019", "--x", "10000001"),
     ("sweep", "campaign = density\nk = 0\nprime_min = 1000\nprime_max = 1100"),

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
 
+from apresidues import patterns
 from apresidues.bigmod import primes_up_to
 from apresidues.errors import DomainError, ResourceError
 from apresidues.patterns import (
@@ -11,7 +13,7 @@ from apresidues.patterns import (
     weighted_pattern_sum,
 )
 
-from conftest import P24, euler_sign, naive_is_prime, naive_von_mangoldt
+from conftest import P24, euler_sign, naive_is_prime, naive_von_mangoldt, reference_pattern_census
 
 EDGE_ABOVE = 3_037_000_507  # least prime with (p-1)**2 >= 2**63: symbols per element
 
@@ -80,6 +82,38 @@ class TestPatternCensus:
         assert (census.twin_qualifying, census.twin_total) == (2, 5)
 
 
+class TestBlockedCensus:
+    # repr compares every field, the NaNs of an absent class included, which
+    # == would call unequal; the reference holds every start and gap at once
+
+    def test_matches_the_whole_array_census_below_3000(self):
+        for p in primes_up_to(2999)[2:].tolist():
+            assert repr(pattern_census(p)) == repr(reference_pattern_census(p)), p
+
+    @pytest.mark.parametrize("p", [65537, 65539, 131071, 999983])
+    def test_matches_the_whole_array_census(self, p):
+        assert repr(pattern_census(p)) == repr(reference_pattern_census(p))
+
+    @pytest.mark.parametrize("block", [7, 64, 1000])
+    def test_block_size_does_not_change_a_bit(self, monkeypatch, block):
+        # small windows put runs, events and twin pairs across window edges
+        ps = [5, 7, 13, 41, 101, 1009, 4001, 10007, 65537]
+        want = [repr(pattern_census(p)) for p in ps]
+        monkeypatch.setattr(patterns, "_BLOCK", block)
+        assert [repr(pattern_census(p)) for p in ps] == want
+
+    def test_working_memory_at_999983(self):
+        # the two masks take 2 bytes per unit of p, the sieve half a byte more
+        p = 999983
+        tracemalloc.start()
+        try:
+            pattern_census(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20 + 4 * p
+
+
 class TestWeightedPatternSum:
     def test_forms_agree_exactly(self):
         ws = weighted_pattern_sum(41, 39)
@@ -112,6 +146,12 @@ class TestWeightedPatternSum:
     def test_validation(self):
         with pytest.raises(DomainError):
             weighted_pattern_sum(41, 50)
+
+    @pytest.mark.parametrize("fn", [weighted_pattern_sum, twin_nonresidue_density])
+    @pytest.mark.parametrize("x", [1, 0, -3])
+    def test_x_below_2_is_domain_error(self, fn, x):
+        with pytest.raises(DomainError, match="x must be >= 2"):
+            fn(41, x)
 
 
 class TestTwinNonresidueDensity:
