@@ -145,11 +145,12 @@ def _check_target(target: Target, k: int, ctx: OddPrimeContext, p_minus_1_factor
         raise DomainError("GENERATOR target needs the factorisation of p-1")
 
 
-def _verdicts(ns: np.ndarray, target: Target, k: int, p: int, p_minus_1_factors) -> np.ndarray:
-    """The one verdict: flags[i] = ns[i] has the target verdict mod p."""
+def _verdicts(ns: np.ndarray, target: Target, k: int, p: int, p_minus_1_factors, bases: np.ndarray) -> np.ndarray:
+    """The one verdict: flags[i] = ns[i] has the target verdict mod p, where
+    ns[i] is a power of the prime bases[i]."""
     if target is Target.GENERATOR:
-        return has_exact_order(ns, p, k, p_minus_1_factors)
-    return euler_flags(ns, k, p) == (target is Target.RESIDUE)
+        return has_exact_order(ns, p, k, p_minus_1_factors, bases)
+    return euler_flags(ns, k, p, bases) == (target is Target.RESIDUE)
 
 
 def _class_prime_blocks(cls: ResidueClass, p: int, limit: int):
@@ -181,7 +182,7 @@ def first_primes_with_verdict(
     _check_target(target, k, ctx, p_minus_1_factors)
     found: list[int] = []
     for block in _class_prime_blocks(cls, ctx.p, scan_limit):
-        hits = block[_verdicts(block, target, k, ctx.p, p_minus_1_factors)]
+        hits = block[_verdicts(block, target, k, ctx.p, p_minus_1_factors, block)]
         found += [int(n) for n in hits[: count - len(found)]]
         if len(found) == count:
             break
@@ -237,7 +238,7 @@ def weighted_count(
         keep &= bases != p
     powers, bases = powers[keep], bases[keep]
     is_prime = powers == bases
-    hits = _verdicts(powers, target, k, p, p_minus_1_factors)
+    hits = _verdicts(powers, target, k, p, p_minus_1_factors, bases)
     weighted = math.fsum(np.log(bases[hits]))
     unweighted = int(np.count_nonzero(hits & is_prime))
     progression_primes = int(np.count_nonzero(is_prime))
@@ -322,7 +323,8 @@ def density_sweep(
         limit = math.floor(x)
         total = int(np.searchsorted(primes, limit, side="right")) - (p <= limit)
         members = in_class[: np.searchsorted(in_class, limit, side="right")]
-        qualifying = int(np.count_nonzero(_verdicts(members[members != p], target, k, p, None)))
+        members = members[members != p]
+        qualifying = int(np.count_nonzero(_verdicts(members, target, k, p, None, members)))
         frac = qualifying / total if total else math.nan
         samples.append(
             DensitySample(

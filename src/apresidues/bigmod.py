@@ -343,6 +343,12 @@ _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # moduli keep the scalar pow.
 _MAX_LIMBS = 6
 _ODD_POWERS_OF_2 = 0x2AAAAAAAAAAAAAAA  # the bits 2**1, 2**3, 2**5, ...
+# The reciprocity path has a fixed cost of about 0.07-0.1 ms in numpy calls,
+# and one scalar pow grows with p: about 6 us at 34 bits, 16 at 81 and 35-60
+# at 129-160 bits.  So it takes an array once (entries it takes) * (bits of p)
+# reaches 512; measured with k = 3, it overtakes pow at about 24 entries at 34
+# bits, 12 at 49-65 bits, 8 at 81 bits and 2-3 at 129-201 bits.
+_RECIPROCITY_MIN_WORK = 512
 
 
 def _limb_count(p: int) -> int:
@@ -446,6 +452,15 @@ class _Montgomery:
         return (acc[0] == 1) & ~acc[1:].any(axis=0)
 
 
+def _residues(v: int, m: np.ndarray) -> np.ndarray:
+    """v mod m[i] for an integer v and int64 0 < m[i] < 2**31, by a Horner
+    pass over the 31-bit limbs of |v|."""
+    u, r = abs(v), np.zeros_like(m)
+    for shift in range((u.bit_length() - 1) // 31 * 31, -1, -31):
+        r = ((r << 31) | ((u >> shift) & 0x7FFFFFFF)) % m
+    return r if v >= 0 else -r % m
+
+
 def _quadratic_flags(n: np.ndarray, p: int) -> np.ndarray:
     """flags[i] = (n[i] | p) == 1 for int64 0 < n[i] < 2**31 and an odd prime
     p > 2**31: the binary Jacobi symbol of Cohen, Alg. 1.4.10, on arrays.
@@ -459,9 +474,7 @@ def _quadratic_flags(n: np.ndarray, p: int) -> np.ndarray:
     negative = ((low & _ODD_POWERS_OF_2) != 0) & (p % 8 in (3, 5))
     if p % 4 == 3:
         negative ^= a % 4 == 3
-    m, a = a, np.zeros_like(a)
-    for shift in range((p.bit_length() - 1) // 31 * 31, -1, -31):
-        a = ((a << 31) | ((p >> shift) & 0x7FFFFFFF)) % m
+    m, a = a, _residues(p, a)
     flags = np.zeros(len(n), dtype=bool)
     idx = np.arange(len(n))
     while len(idx):
@@ -478,10 +491,109 @@ def _quadratic_flags(n: np.ndarray, p: int) -> np.ndarray:
     return flags
 
 
-def euler_flags(ns, k: int, p: int) -> np.ndarray:
+# Cubic and quartic verdicts for a prime entry q by reciprocity (Ireland and
+# Rosen, A Classical Introduction to Modern Number Theory, ch. 9): with
+# p = N(pi) for a primary prime pi, whether q is a cube or a 4th power mod p
+# is read off a power of pi in Z[w]/(q) or Z[i]/(q), a ladder of about
+# log2(q) steps on int64 numbers below q, in place of a power mod p.
+
+
+def _cornacchia(d: int, p: int, r: int) -> tuple[int, int]:
+    """(x, y) with x**2 + d*y**2 = p, for a prime p that has such a form and
+    r**2 = -d mod p (Cornacchia's algorithm, Cohen Alg. 1.5.2)."""
+    a, b = p, r
+    while b * b > p:
+        a, b = b, a % b
+    return b, math.isqrt((p - b * b) // d)
+
+
+@lru_cache(maxsize=64)
+def _eisenstein_prime(p: int) -> tuple[int, int]:
+    """(a, b) with a + b*w primary (a = 2, b = 0 mod 3) and of norm
+    a**2 - a*b + b**2 = p, for a prime p = 1 mod 3: sqrt(-3) = 2z + 1 for a
+    cube root of unity z != 1 mod p, Cornacchia gives p = x**2 + 3y**2, and
+    x + y*sqrt(-3) = (x + y) + 2y*w; one of its six associates is primary."""
+    c = 2
+    while (zeta := pow(c, (p - 1) // 3, p)) == 1:
+        c += 1
+    x, y = _cornacchia(3, p, (2 * zeta + 1) % p)
+    a, b = x + y, 2 * y
+    associates = ((a, b), (-b, a - b), (b - a, -a))  # pi, w*pi, w**2*pi
+    return next((s * u, s * v) for u, v in associates for s in (1, -1) if s * u % 3 == 2 and s * v % 3 == 0)
+
+
+@lru_cache(maxsize=64)
+def _gaussian_prime(p: int) -> tuple[int, int]:
+    """(a, b) with a + b*i primary (b even, a + b = 1 mod 4) and of norm
+    a**2 + b**2 = p, for a prime p = 1 mod 4: sqrt(-1) = c**((p-1)/4) for a
+    quadratic nonresidue c, then Cornacchia gives p = x**2 + y**2."""
+    c = 2
+    while jacobi(c, p) != -1:
+        c += 1
+    x, y = _cornacchia(1, p, pow(c, (p - 1) // 4, p))
+    a, b = (x, y) if x % 2 else (y, x)
+    return (a, b) if (a + b) % 4 == 1 else (-a, -b)
+
+
+def _ring_power(x: np.ndarray, y: np.ndarray, e: np.ndarray, q: np.ndarray, s: int):
+    """(u, v) with u + v*t = (x + y*t)**e mod q elementwise, in Z[t] with
+    t**2 = s*t - 1 (s = 0: the Gaussian integers, s = -1: the Eisenstein
+    integers), for int64 0 <= x, y < q < 2**31 and e >= 0.  Every product of
+    two residues is below 2**62, and no coordinate adds more than two."""
+    u, v = np.ones_like(q), np.zeros_like(q)
+    for bit in range(int(e.max(initial=0)).bit_length()):
+        if bit:
+            x, y = (x * x - y * y) % q, y * (2 * x + s * y) % q
+        on = (e >> bit) & 1 == 1
+        u, v = np.where(on, (u * x - v * y) % q, u), np.where(on, (u * y + v * (x + s * y)) % q, v)
+    return u, v
+
+
+def _cubic_flags(q: np.ndarray, p: int) -> np.ndarray:
+    """flags[i] = q[i] is a cube mod p, for primes 3 < q[i] < 2**31 and a prime
+    p = 1 mod 3 other than q[i]: the w-coefficient of pi**((q - eps)/3) mod q
+    is 0, where pi is primary of norm p and eps = +-1 = q mod 3."""
+    a, b = _eisenstein_prime(p)
+    eps = np.where(q % 3 == 1, 1, -1)
+    return _ring_power(_residues(a, q), _residues(b, q), (q - eps) // 3, q, -1)[1] == 0
+
+
+def _quartic_flags(q: np.ndarray, p: int) -> np.ndarray:
+    """flags[i] = q[i] is a 4th power mod p, for primes 3 < q[i] < 2**31 and a
+    prime p = 1 mod 4 other than q[i].  With pi primary of norm p: for
+    q = 1 mod 4, Im pi**((q-1)/4) mod q = 0; for q = 3 mod 4, with
+    y = pi**((q+1)/4) mod q, Im y = 0 when p = 1 mod 8 and Re y = 0 when
+    p = 5 mod 8 (-1 is a 4th power mod p only in the first case)."""
+    a, b = _gaussian_prime(p)
+    up = q % 4 == 1
+    u, v = _ring_power(_residues(a, q), _residues(b, q), (q - np.where(up, 1, -1)) // 4, q, 0)
+    return np.where(up | (p % 8 == 1), v == 0, u == 0)
+
+
+def _reciprocity_flags(r: np.ndarray, j: np.ndarray, d: int, p: int) -> np.ndarray:
+    """flags[i] = r[i]**j[i] is a dth power mod p, for d | 12 with d | p-1 and
+    primes 3 < r[i] < 2**31.  r**j is a square iff 2 | j or r is one; a cube
+    iff 3 | j or r is one; a 4th power iff 4 | j, or j = 2 mod 4 and r is a
+    square, or j is odd and r is a 4th power."""
+    flags = np.ones(len(r), dtype=bool)
+    two = math.gcd(d, 4)
+    if two > 1:
+        part = j % two == two // 2  # j odd for squares, j = 2 mod 4 for 4th powers
+        flags[part] = _quadratic_flags(r[part], p)
+        if two == 4:
+            part = j % 2 == 1
+            flags[part] = _quartic_flags(r[part], p)
+    if d % 3 == 0:
+        part = np.flatnonzero(j % 3 != 0)
+        flags[part] &= _cubic_flags(r[part], p)
+    return flags
+
+
+def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
     """flags[i] = ns[i]**((p-1)/k) == 1 mod p, for integers ns and a prime p
     with k | p-1: the Euler criterion, True exactly for the kth power
-    residues (multiples of p are never flagged).
+    residues (multiples of p are never flagged).  bases, when given, holds
+    for each ns[i] the prime r with ns[i] = r**j, j >= 1.
 
     Square-and-multiply runs over the whole int64 array while (p-1)**2 < 2**63,
     i.e. for p <= 3_037_000_500.  Above that an array of at least 512 entries
@@ -490,13 +602,25 @@ def euler_flags(ns, k: int, p: int) -> np.ndarray:
     on 28-bit limbs while p < 2**166.  Entries the wide path cannot take
     (k = 2 with a residue mod p of 2**31 or more, negatives when p >= 2**63)
     and shorter arrays take one scalar jacobi or pow each.
+
+    With bases, k >= 3 and d = gcd(k, 12) > 1, entries whose prime r lies in
+    [5, 2**31) first take a dth-power test by reciprocity on r, 4096 at a
+    time: Jacobi for the 2-part of d when it is 2, quartic reciprocity when
+    it is 4, and cubic reciprocity for its 3-part.  For k in {3, 4, 6, 12}
+    that is the verdict; for any other k it is a necessary condition, and
+    only its survivors, about 1/d of the entries, go on to the paths above
+    with the full exponent (p-1)/k.  The bases 2 and 3, entries with r of
+    2**31 or more, and bases=None take the paths above alone.
     """
     if k < 1 or (p - 1) % k != 0:
         raise DomainError(f"k={k} does not divide p-1={p - 1}")
     ns = np.asarray(ns, dtype=np.int64)
     e = (p - 1) // k
     if (p - 1) ** 2 >= 2**63:
-        return _flags_above_int64(ns, k, e, p)
+        d = math.gcd(k, 12)
+        if bases is None or k < 3 or d == 1:
+            return _flags_above_int64(ns, k, e, p)
+        return _flags_by_reciprocity(ns, np.asarray(bases, dtype=np.int64), k, d, e, p)
     base = ns % p
     result = np.ones_like(base)
     while e:
@@ -536,20 +660,41 @@ def _flags_above_int64(ns: np.ndarray, k: int, e: int, p: int) -> np.ndarray:
     return flags
 
 
-def has_exact_order(ns, p: int, k: int, p_minus_1_factors) -> np.ndarray:
+def _flags_by_reciprocity(ns, bases, k: int, d: int, e: int, p: int) -> np.ndarray:
+    """euler_flags with bases for p > 3_037_000_500, k >= 3 and d = gcd(k, 12)
+    > 1: the dth-power test by reciprocity on the entries it takes, then
+    _flags_above_int64 on the others and, when d < k, on its survivors."""
+    take = np.flatnonzero((bases >= 5) & (bases < 2**31))
+    if len(take) * p.bit_length() < _RECIPROCITY_MIN_WORK:
+        return _flags_above_int64(ns, k, e, p)
+    flags = np.zeros(len(ns), dtype=bool)
+    for start in range(0, len(take), _WIDE_CHUNK):
+        chunk = take[start : start + _WIDE_CHUNK]
+        r = bases[chunk]
+        j = np.rint(np.log(ns[chunk]) / np.log(r)).astype(np.int64)
+        flags[chunk] = _reciprocity_flags(r, j, d, p)
+    rest = np.ones(len(ns), dtype=bool)
+    rest[take] = flags[take] if d < k else False
+    flags[rest] = _flags_above_int64(ns[rest], k, e, p)
+    return flags
+
+
+def has_exact_order(ns, p: int, k: int, p_minus_1_factors, bases=None) -> np.ndarray:
     """flags[i] = ns[i] has multiplicative order exactly (p-1)/k mod p.
 
     The Euler witness n**((p-1)/k) == 1 goes first and rejects about (k-1)/k
     of all n with one power; a survivor then needs n**((p-1)/(k*f)) != 1 for
-    every prime f dividing (p-1)/k.
+    every prime f dividing (p-1)/k.  bases, as in euler_flags, goes to every
+    stage, which takes the survivors' bases alone.
     """
     ns = np.asarray(ns, dtype=np.int64)
-    flags = euler_flags(ns, k, p)
+    bases = None if bases is None else np.asarray(bases, dtype=np.int64)
+    flags = euler_flags(ns, k, p, bases)
     e = (p - 1) // k
     for f in _distinct_factors(p_minus_1_factors, p):
         if e % f == 0:
             alive = np.flatnonzero(flags)
-            flags[alive] = ~euler_flags(ns[alive], k * f, p)
+            flags[alive] = ~euler_flags(ns[alive], k * f, p, None if bases is None else bases[alive])
     return flags
 
 

@@ -123,9 +123,9 @@ def _check_values(result, fix, ctx, k, q):
 def _run_progression_lists(name, fix) -> ScenarioResult:
     result = ScenarioResult(name=name, title=fix["title"])
     p = parse_integer_expr(fix["p"])
-    ctx = OddPrimeContext.for_prime(p)
+    ctx = OddPrimeContext.for_prime(p)  # the one primality test of p: it raises unless p is prime
     k, q = fix["k"], fix["q"]
-    result.add("p_is_prime", is_prime(p), True, PASS if is_prime(p) else FAIL)
+    result.add("p_is_prime", True, True, PASS)
     _check_values(result, fix, ctx, k, q)
 
     for lst in fix["lists"]:
@@ -173,10 +173,10 @@ def _run_progression_lists(name, fix) -> ScenarioResult:
 def _run_exact_order(name, fix) -> ScenarioResult:
     result = ScenarioResult(name=name, title=fix["title"])
     p = parse_integer_expr(fix["p"])
-    ctx = OddPrimeContext.for_prime(p)
+    ctx = OddPrimeContext.for_prime(p)  # the one primality test of p: it raises unless p is prime
     k, q = fix["k"], fix["q"]
     factors = {int(f): e for f, e in fix["p_minus_1_factors"].items()}
-    result.add("p_is_prime", is_prime(p), True, PASS if is_prime(p) else FAIL)
+    result.add("p_is_prime", True, True, PASS)
     result.add("k_divides_p_minus_1", (p - 1) % k == 0, True,
                PASS if (p - 1) % k == 0 else FAIL)
     order = (p - 1) // k
@@ -205,8 +205,8 @@ def _run_exact_order(name, fix) -> ScenarioResult:
             result.add(f"{lst['name']}:{n}:order", "(p-1)/" + str((p - 1) // ordv), f"(p-1)/{k}",
                        PASS if ordv == order else FAIL)
         for n in lst.get("red_primes", []):
-            result.add(f"{lst['name']}:{n}:prime", is_prime(n), True,
-                       PASS if is_prime(n) else FAIL)
+            prime = is_prime(n)
+            result.add(f"{lst['name']}:{n}:prime", prime, True, PASS if prime else FAIL)
         prefix = exact[: len(lst["elements"])]
         if prefix == lst["elements"]:
             result.add(f"{lst['name']}:exact-order-prefix", "matches", "printed list", PASS)

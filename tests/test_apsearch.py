@@ -105,7 +105,13 @@ class TestLeastPrimeSearch:
                  (edge, Target.NONRESIDUE, 4, ResidueClass(1, 7), None),
                  (edge, Target.GENERATOR, 2, ResidueClass(5, 11), edge_factors),
                  (edge, Target.GENERATOR, 4, ResidueClass(1, 7), edge_factors),
-                 (OddPrimeContext.for_prime(P48), Target.GENERATOR, 7, ResidueClass(2, 3), P48_FACTORS)]
+                 (OddPrimeContext.for_prime(P48), Target.GENERATOR, 7, ResidueClass(2, 3), P48_FACTORS),
+                 # cubic and quartic reciprocity, and their prefilters for k = 9 and 8
+                 (OddPrimeContext.for_prime(P128), Target.RESIDUE, 3, ResidueClass(1, 4), None),
+                 (OddPrimeContext.for_prime(P128), Target.NONRESIDUE, 9, ResidueClass(3, 4), None),
+                 (OddPrimeContext.for_prime(P128), Target.GENERATOR, 3, ResidueClass(2, 5), P128_FACTORS),
+                 (OddPrimeContext.for_prime(P48), Target.RESIDUE, 4, ResidueClass(1, 3), None),
+                 (OddPrimeContext.for_prime(P48), Target.RESIDUE, 8, ResidueClass(0, 1), None)]
         for ctx, target, k, cls, factors in cases:
             outcome = least_prime_with_verdict(target, k, cls, ctx, 10**4, p_minus_1_factors=factors)
             n = outcome.found_n
@@ -151,7 +157,16 @@ class TestWeightedCount:
                  (ctx43, Target.NONRESIDUE, 7, ResidueClass(0, 1), 2000, None),
                  (ctx43, Target.GENERATOR, 7, ResidueClass(1, 3), 1000, {2: 1, 3: 1, 7: 1}),
                  (ctx24, Target.NONRESIDUE, 2, ResidueClass(1, 4), 3000, None),
-                 (OddPrimeContext.for_prime(P48), Target.RESIDUE, 7, ResidueClass(2, 3), 1500, None)]
+                 (OddPrimeContext.for_prime(P48), Target.RESIDUE, 7, ResidueClass(2, 3), 1500, None),
+                 # the reciprocity path, on primes and prime powers
+                 (OddPrimeContext.for_prime(P128), Target.RESIDUE, 3, ResidueClass(0, 1), 1500, None),
+                 (OddPrimeContext.for_prime(P128), Target.NONRESIDUE, 6, ResidueClass(1, 4), 1500, None),
+                 (OddPrimeContext.for_prime(P128), Target.RESIDUE, 9, ResidueClass(0, 1), 1500, None),
+                 (OddPrimeContext.for_prime(P128), Target.GENERATOR, 3, ResidueClass(0, 1), 600, P128_FACTORS),
+                 (OddPrimeContext.for_prime(P48), Target.RESIDUE, 4, ResidueClass(0, 1), 1500, None),
+                 (OddPrimeContext.for_prime(P48), Target.NONRESIDUE, 8, ResidueClass(2, 3), 1500, None),
+                 # the stage k*f = 4 of an order test, on squares of primitive roots
+                 (OddPrimeContext.for_prime(P48), Target.GENERATOR, 2, ResidueClass(0, 1), 1500, P48_FACTORS)]
         for ctx, target, k, cls, x, factors in cases:
             p = ctx.p
             report = weighted_count(target, k, cls, float(x), ctx, p_minus_1_factors=factors)

@@ -27,7 +27,7 @@ from apresidues.bigmod import (
 )
 from apresidues.errors import DomainError, ResourceError
 
-from conftest import P24, P48, P48_FACTORS, P128, loop_sieve, naive_von_mangoldt
+from conftest import P24, P48, P48_FACTORS, P128, P128_FACTORS, loop_sieve, naive_von_mangoldt
 
 
 class TestJacobi:
@@ -371,6 +371,197 @@ class TestWideEulerFlags:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
+
+
+def scalar_flags_by_k(ns, ks, p):
+    """scalar_flags for several k at once: one pow per element, t = n**((p-1)/m)
+    with m = lcm(ks), then n**((p-1)/k) = t**(m/k) for each k."""
+    m = math.lcm(*ks)
+    ts = [pow(int(n), (p - 1) // m, p) for n in ns]
+    return {k: [pow(t, m // k, p) == 1 for t in ts] for k in ks}
+
+
+def seeded_prime(digits, residue, seed):
+    """A random prime of the given number of digits with p = residue mod 24."""
+    rng = random.Random(seed)
+    while True:
+        p = rng.randrange(10 ** (digits - 1), 10**digits) // 24 * 24 + residue
+        if is_prime(p):
+            return p
+
+
+# p = 1 mod 12 at 24 and 48 digits, in both classes mod 8 (p = 1 and 13 mod 24)
+SEEDED = [seeded_prime(digits, residue, 1400 + digits + residue) for digits in (24, 48) for residue in (1, 13)]
+
+
+def smooth_prime(size, cofactor, seed):
+    """A random prime p with p - 1 = cofactor * m, m a product of size primes
+    in [5, 10**4]: (p, factorisation of p - 1)."""
+    rng = random.Random(seed)
+    small = primes_up_to(10**4)[2:].tolist()
+    while True:
+        m = [rng.choice(small) for _ in range(size)]
+        p = cofactor * math.prod(m) + 1
+        if is_prime(p):
+            factors = dict(factorize(cofactor))
+            for q in m:
+                factors[q] = factors.get(q, 0) + 1
+            return p, factors
+
+
+def reciprocity_calls(monkeypatch):
+    """Record the bases of every chunk the reciprocity path evaluates."""
+    chunks = []
+    original = bigmod._reciprocity_flags
+
+    def spy(r, j, d, p):
+        chunks.append(r.tolist())
+        return original(r, j, d, p)
+
+    monkeypatch.setattr(bigmod, "_reciprocity_flags", spy)
+    return chunks
+
+
+class TestReciprocityFlags:
+    # the published moduli with every k <= 12 dividing p-1 that shares a factor
+    # with 12, and the seeded primes with every such k <= 24
+    MODULI = {P128: (3, 6, 9), P48: (4, 8),
+              **{p: tuple(k for k in (3, 4, 6, 8, 9, 12, 24) if (p - 1) % k == 0) for p in SEEDED}}
+
+    @pytest.fixture(scope="class")
+    def entries(self):
+        """Every prime below 10**5 with its powers below 10**5, and r**j below
+        2**63 for j <= 12 and every 37th such prime r: (powers, bases)."""
+        powers, bases = prime_powers_up_to(10**5)
+        more = [(r**j, r) for r in primes_up_to(10**5)[::37].tolist() for j in range(2, 13) if r**j < 2**63]
+        extra_powers, extra_bases = np.array(more, dtype=np.int64).T
+        return np.concatenate([powers, extra_powers]), np.concatenate([bases, extra_bases])
+
+    def test_seeded_primes(self):
+        assert [len(str(p)) for p in SEEDED] == [24, 24, 48, 48]
+        assert [p % 24 for p in SEEDED] == [1, 13, 1, 13]
+
+    @pytest.mark.parametrize("p", list(MODULI), ids=["2^128+51", "10^48+217", "24d-1mod8", "24d-5mod8",
+                                                    "48d-1mod8", "48d-5mod8"])
+    def test_matches_scalar_pow(self, p, entries, monkeypatch):
+        ns, bases = entries
+        chunks = reciprocity_calls(monkeypatch)
+        want = scalar_flags_by_k(ns, self.MODULI[p], p)
+        assert want[self.MODULI[p][0]][:300] == scalar_flags(ns[:300], self.MODULI[p][0], p)
+        for k in self.MODULI[p]:
+            assert euler_flags(ns, k, p, bases=bases).tolist() == want[k], k
+        assert len(chunks) >= len(self.MODULI[p]), "the reciprocity path never ran"
+
+    @pytest.mark.parametrize("p,k", [(P128, 3), (P128, 9), (P48, 4), (P48, 8), (SEEDED[1], 12), (SEEDED[2], 24)])
+    def test_chunk_edges(self, p, k, entries, monkeypatch):
+        monkeypatch.setattr(bigmod, "_WIDE_CHUNK", 64)
+        chunks = reciprocity_calls(monkeypatch)
+        ns, bases = entries
+        # a spread of primes and powers whose last three are kth power
+        # residues, so an entry a chunk misses shows
+        spread = np.linspace(0, len(ns) - 1, 200).astype(np.int64)
+        last = spread[scalar_flags(ns[spread], k, p)][-3:]
+        pick = np.concatenate([spread[~np.isin(spread, last)][:62], last])
+        want = scalar_flags(ns[pick], k, p)
+        for n in (63, 64, 65):
+            assert want[n - 1]
+            assert euler_flags(ns[pick[:n]], k, p, bases=bases[pick[:n]]).tolist() == want[:n], n
+        assert max(map(len, chunks)) == 64
+
+    def test_primary_primes(self):
+        # the sign of pi changes no verdict, so only this test sees it
+        more = [seeded_prime(digits, 13, digits) for digits in range(12, 52, 2)]
+        for p in [P128, P48] + SEEDED + more:
+            if p % 3 == 1:
+                a, b = bigmod._eisenstein_prime(p)
+                assert a * a - a * b + b * b == p and a % 3 == 2 and b % 3 == 0, p
+            if p % 4 == 1:
+                a, b = bigmod._gaussian_prime(p)
+                assert a * a + b * b == p and b % 2 == 0 and (a + b) % 4 == 1, p
+
+    def test_what_takes_the_path(self, monkeypatch):
+        chunks = reciprocity_calls(monkeypatch)
+        rest = []
+        above = bigmod._flags_above_int64
+
+        def above_spy(ns, k, e, p):
+            rest.append(ns.tolist())
+            return above(ns, k, e, p)
+
+        monkeypatch.setattr(bigmod, "_flags_above_int64", above_spy)
+        big = next_prime(2**31)
+        r = primes_up_to(200)[2:]  # 5 .. 199
+        ns = np.concatenate([[2, 4, 8, 3, 9, 27, big], r, r**2])
+        bases = np.concatenate([[2, 2, 2, 3, 3, 3, big], r, r])
+        for p, k in ((P128, 3), (P48, 4), (SEEDED[0], 12)):
+            chunks.clear()
+            rest.clear()
+            got = euler_flags(ns, k, p, bases=bases)
+            assert got.tolist() == scalar_flags(ns, k, p)
+            # bases 2 and 3 and those of 2**31 or more keep the other paths
+            assert chunks == [np.concatenate([r, r]).tolist()]
+            assert rest == [[2, 4, 8, 3, 9, 27, big]]
+            # without bases nothing changes
+            chunks.clear()
+            assert euler_flags(ns, k, p).tolist() == got.tolist()
+            assert chunks == []
+        # for k > gcd(k, 12) only the survivors go on, with the full exponent
+        rest.clear()
+        got = euler_flags(ns, 9, P128, bases=bases)
+        assert got.tolist() == scalar_flags(ns, 9, P128)
+        cubes = set(ns[7:][bigmod._cubic_flags(bases[7:], P128)].tolist())
+        assert rest == [[2, 4, 8, 3, 9, 27, big] + [n for n in ns[7:].tolist() if n in cubes]]
+        # k = 2 is the Jacobi path with or without bases
+        chunks.clear()
+        euler_flags(ns, 2, P128, bases=bases)
+        assert chunks == []
+
+    def test_short_arrays_keep_scalar_pow(self, monkeypatch):
+        chunks = reciprocity_calls(monkeypatch)
+        r = np.array([5, 7, 11, 13, 17], dtype=np.int64)
+        # 3 entries times 129 bits is below the work threshold; 4 reach it
+        euler_flags(r[:3], 3, P128, bases=r[:3])
+        assert chunks == []
+        euler_flags(r[:4], 3, P128, bases=r[:4])
+        assert chunks == [r[:4].tolist()]
+
+    # p = 1 mod 12 with p - 1 factored, in both classes mod 8
+    SMOOTH = [smooth_prime(8, 24, 1401), smooth_prime(8, 12, 1402)]
+
+    def test_smooth_primes(self):
+        for p, factors in self.SMOOTH:
+            assert p % 12 == 1 and p > 2**64
+            assert math.prod(q**e for q, e in factors.items()) == p - 1
+        assert [p % 8 for p, _ in self.SMOOTH] == [1, 5]
+
+    @pytest.mark.parametrize("case", ["P128-3", "P128-6", "P48-2", "P48-4", "smooth1-2", "smooth1-6",
+                                      "smooth5-2", "smooth5-6"])
+    def test_has_exact_order_with_bases(self, case, monkeypatch):
+        chunks = reciprocity_calls(monkeypatch)
+        name, k = case.rsplit("-", 1)
+        p, factors = {"P128": (P128, P128_FACTORS), "P48": (P48, P48_FACTORS),
+                      "smooth1": self.SMOOTH[0], "smooth5": self.SMOOTH[1]}[name]
+        ns, bases = prime_powers_up_to(3000)
+        got = has_exact_order(ns, p, int(k), factors, bases=bases)
+        assert got.tolist() == has_exact_order(ns, p, int(k), factors).tolist()
+        assert chunks, "the reciprocity path never ran"
+        # with k = 2 the stage k*f = 4 needs a Jacobi test on r for r**j with
+        # j = 2 mod 4: r**2 has order (p-1)/2 exactly when r is a primitive root
+        squares = (ns == bases**2) & (bases >= 5)
+        assert int(k) != 2 or got[squares].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3_037_000_501, 2**200), st.sampled_from([3, 4, 6, 8, 9, 12]),
+           st.lists(st.tuples(st.integers(4, 2**31 - 2**20), st.integers(1, 12)), min_size=1, max_size=20))
+    def test_hypothesis_pairs(self, start, k, pairs):
+        p = next_prime(start)
+        while (p - 1) % k:
+            p = next_prime(p)
+        bases = [next_prime(x) for x, _ in pairs]
+        ns = [r**j if r**j < 2**63 else r for r, (_, j) in zip(bases, pairs)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bigmod, "_RECIPROCITY_MIN_WORK", 0)
+            assert euler_flags(ns, k, p, bases=bases).tolist() == scalar_flags(ns, k, p)
 
 
 class TestHasExactOrder:
