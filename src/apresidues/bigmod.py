@@ -330,8 +330,8 @@ def multiplicative_order(u: int, p: int, p_minus_1_factors) -> int:
     return t
 
 
-# The wide path of euler_flags above the int64 ladder: arrays of at least
-# _WIDE_MIN entries (below that the scalar calls are faster), _WIDE_CHUNK
+# The wide path of euler_flags above the int64 ladder: at least _WIDE_MIN
+# entries left (below that the scalar calls are faster), _WIDE_CHUNK
 # entries per pass, which holds the Montgomery working set near 4 MB.
 _WIDE_MIN = 512
 _WIDE_CHUNK = 4096
@@ -589,49 +589,86 @@ def _reciprocity_flags(r: np.ndarray, j: np.ndarray, d: int, p: int) -> np.ndarr
     return flags
 
 
+def _entries(ns, bases) -> tuple[np.ndarray, np.ndarray | None]:
+    """ns, and bases unless it is None, as 1-D int64 arrays of one shape; a
+    DomainError for anything else (a scalar, 2-D input, entries outside
+    int64, or bases of another length)."""
+    arrays = [np.asarray(a) for a in ([ns] if bases is None else [ns, bases])]
+    for a in arrays:
+        integers = a.dtype == np.int64 or a.size == 0 or np.can_cast(a.dtype, np.int64)
+        if a.ndim != 1 or a.shape != arrays[0].shape or not integers:
+            raise DomainError(f"ns must be a 1-D int64 array and bases one of its shape, got {a.dtype} {a.shape}")
+    ns = arrays[0].astype(np.int64, copy=False)
+    return ns, None if bases is None else arrays[1].astype(np.int64, copy=False)
+
+
 def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
-    """flags[i] = ns[i]**((p-1)/k) == 1 mod p, for integers ns and a prime p
-    with k | p-1: the Euler criterion, True exactly for the kth power
-    residues (multiples of p are never flagged).  bases, when given, holds
-    for each ns[i] the prime r with ns[i] = r**j, j >= 1.
+    """flags[i] = ns[i]**((p-1)/k) == 1 mod p: the Euler criterion, True
+    exactly for the kth power residues (multiples of p are never flagged).
+
+    Contract: p is a prime with k | p-1; ns is a 1-D array of int64
+    integers; bases, when given, has the shape of ns and bases[i] is the
+    prime r with ns[i] = r**j, j >= 1.  The shapes and the int64 range are
+    checked before any work (DomainError otherwise); the bases are not, and
+    a wrong base gives a wrong verdict.
 
     Square-and-multiply runs over the whole int64 array while (p-1)**2 < 2**63,
-    i.e. for p <= 3_037_000_500.  Above that an array of at least 512 entries
-    takes the wide path, 4096 entries at a time (about 4 MB of scratch): for
-    k = 2 a binary Jacobi loop on int64 arrays, for k >= 3 Montgomery powers
-    on 28-bit limbs while p < 2**166.  Entries the wide path cannot take
-    (k = 2 with a residue mod p of 2**31 or more, negatives when p >= 2**63)
-    and shorter arrays take one scalar jacobi or pow each.
-
-    With bases, k >= 3 and d = gcd(k, 12) > 1, entries whose prime r lies in
-    [5, 2**31) first take a dth-power test by reciprocity on r, 4096 at a
-    time: Jacobi for the 2-part of d when it is 2, quartic reciprocity when
-    it is 4, and cubic reciprocity for its 3-part.  For k in {3, 4, 6, 12}
-    that is the verdict; for any other k it is a necessary condition, and
-    only its survivors, about 1/d of the entries, go on to the paths above
-    with the full exponent (p-1)/k.  The bases 2 and 3, entries with r of
-    2**31 or more, and bases=None take the paths above alone.
+    i.e. for p <= 3_037_000_500.  Above that one pass takes the entries
+    through three stages in this order, and an entry a stage decides goes no
+    further:
+    1. Reciprocity on its base, with bases, k >= 3 and d = gcd(k, 12) > 1,
+       for entries with 5 <= r < 2**31, once (entries taken) * (bits of p)
+       reaches 512 (below that one pow each is faster): Jacobi for the 2-part
+       of d when it is 2, quartic reciprocity when it is 4, cubic reciprocity
+       for its 3-part.  For k in {3, 4, 6, 12} that is the verdict; for any
+       other k only its survivors, about 1/d of the entries, go on with the
+       full exponent (p-1)/k.
+    2. The wide path on what is left, once at least 512 entries remain: for
+       k = 2 a binary Jacobi loop on int64 arrays (entries with residue mod p
+       in (0, 2**31)), for k >= 3 Montgomery powers on 28-bit limbs while
+       p < 2**166, 4096 entries at a time (about 4 MB of scratch).
+    3. One scalar jacobi (k = 2) or pow per entry still left.
     """
+    ns, bases = _entries(ns, bases)
     if k < 1 or (p - 1) % k != 0:
         raise DomainError(f"k={k} does not divide p-1={p - 1}")
-    ns = np.asarray(ns, dtype=np.int64)
     e = (p - 1) // k
-    if (p - 1) ** 2 >= 2**63:
-        d = math.gcd(k, 12)
-        if bases is None or k < 3 or d == 1:
-            return _flags_above_int64(ns, k, e, p)
-        return _flags_by_reciprocity(ns, np.asarray(bases, dtype=np.int64), k, d, e, p)
-    base = ns % p
-    result = np.ones_like(base)
-    while e:
-        if e & 1:
-            result *= base
-            result %= p
-        e >>= 1
-        if e:
-            base *= base
-            base %= p
-    return result == 1
+    if (p - 1) ** 2 < 2**63:
+        base = ns % p
+        result = np.ones_like(base)
+        while e:
+            if e & 1:
+                result *= base
+                result %= p
+            e >>= 1
+            if e:
+                base *= base
+                base %= p
+        return result == 1
+    flags = np.zeros(len(ns), dtype=bool)
+    left = np.arange(len(ns))
+    if bases is not None and k >= 3 and (d := math.gcd(k, 12)) > 1:
+        take = np.flatnonzero((bases >= 5) & (bases < 2**31))
+        if len(take) * p.bit_length() >= _RECIPROCITY_MIN_WORK:
+            for start in range(0, len(take), _WIDE_CHUNK):
+                chunk = take[start : start + _WIDE_CHUNK]
+                r = bases[chunk]
+                j = np.rint(np.log(ns[chunk]) / np.log(r)).astype(np.int64)
+                flags[chunk] = _reciprocity_flags(r, j, d, p)
+            rest = np.ones(len(ns), dtype=bool)
+            rest[take] = flags[take] if d < k else False
+            left = np.flatnonzero(rest)
+    if len(left) >= _WIDE_MIN and (k == 2 or _limb_count(p) <= _MAX_LIMBS):
+        r = ns[left] % p if p < 2**63 else ns[left]  # every int64 in [0, 2**63) is below p
+        wide = (r > 0) & (r < 2**31) if k == 2 else r > 0
+        todo = np.flatnonzero(wide)
+        for start in range(0, len(todo), _WIDE_CHUNK):
+            chunk = todo[start : start + _WIDE_CHUNK]
+            flags[left[chunk]] = (_quadratic_flags(r[chunk], p) if k == 2
+                                  else _Montgomery(p, len(chunk)).power_is_one(r[chunk], e))
+        left = left[~wide]
+    flags[left] = _scalar_flags(ns[left], k, e, p)
+    return flags
 
 
 def _scalar_flags(ns: np.ndarray, k: int, e: int, p: int) -> np.ndarray:
@@ -639,44 +676,6 @@ def _scalar_flags(ns: np.ndarray, k: int, e: int, p: int) -> np.ndarray:
     if k == 2:
         return np.fromiter((jacobi(int(n), p) == 1 for n in ns), dtype=bool, count=len(ns))
     return np.fromiter((pow(int(n), e, p) == 1 for n in ns), dtype=bool, count=len(ns))
-
-
-def _flags_above_int64(ns: np.ndarray, k: int, e: int, p: int) -> np.ndarray:
-    """euler_flags for p > 3_037_000_500."""
-    if len(ns) < _WIDE_MIN or (k > 2 and _limb_count(p) > _MAX_LIMBS):
-        return _scalar_flags(ns, k, e, p)
-    r = ns % p if p < 2**63 else ns  # every int64 in [0, 2**63) is below p
-    wide = (r > 0) & (r < 2**31) if k == 2 else r > 0
-    flags = np.zeros(len(ns), dtype=bool)
-    todo = np.flatnonzero(wide)
-    for start in range(0, len(todo), _WIDE_CHUNK):
-        chunk = todo[start : start + _WIDE_CHUNK]
-        if k == 2:
-            flags[chunk] = _quadratic_flags(r[chunk], p)
-        else:
-            flags[chunk] = _Montgomery(p, len(chunk)).power_is_one(r[chunk], e)
-    rest = np.flatnonzero(~wide & (r != 0))
-    flags[rest] = _scalar_flags(ns[rest], k, e, p)
-    return flags
-
-
-def _flags_by_reciprocity(ns, bases, k: int, d: int, e: int, p: int) -> np.ndarray:
-    """euler_flags with bases for p > 3_037_000_500, k >= 3 and d = gcd(k, 12)
-    > 1: the dth-power test by reciprocity on the entries it takes, then
-    _flags_above_int64 on the others and, when d < k, on its survivors."""
-    take = np.flatnonzero((bases >= 5) & (bases < 2**31))
-    if len(take) * p.bit_length() < _RECIPROCITY_MIN_WORK:
-        return _flags_above_int64(ns, k, e, p)
-    flags = np.zeros(len(ns), dtype=bool)
-    for start in range(0, len(take), _WIDE_CHUNK):
-        chunk = take[start : start + _WIDE_CHUNK]
-        r = bases[chunk]
-        j = np.rint(np.log(ns[chunk]) / np.log(r)).astype(np.int64)
-        flags[chunk] = _reciprocity_flags(r, j, d, p)
-    rest = np.ones(len(ns), dtype=bool)
-    rest[take] = flags[take] if d < k else False
-    flags[rest] = _flags_above_int64(ns[rest], k, e, p)
-    return flags
 
 
 def has_exact_order(ns, p: int, k: int, p_minus_1_factors, bases=None) -> np.ndarray:
@@ -687,8 +686,7 @@ def has_exact_order(ns, p: int, k: int, p_minus_1_factors, bases=None) -> np.nda
     every prime f dividing (p-1)/k.  bases, as in euler_flags, goes to every
     stage, which takes the survivors' bases alone.
     """
-    ns = np.asarray(ns, dtype=np.int64)
-    bases = None if bases is None else np.asarray(bases, dtype=np.int64)
+    ns, bases = _entries(ns, bases)
     flags = euler_flags(ns, k, p, bases)
     e = (p - 1) // k
     for f in _distinct_factors(p_minus_1_factors, p):

@@ -15,6 +15,7 @@ P48 = 10**48 + 217
 
 # verified in tests/test_scenarios.py: products multiply back to p-1 and every
 # factor passes the primality test
+P24_FACTORS = {2: 1, 7: 1, 29: 1, 2463054187192118226601: 1}
 P128_FACTORS = {2: 1, 3: 5, 17: 1, 89: 1, 6481: 1, 5816689: 1,
                 12275703273579557140363: 1}
 P48_FACTORS = {2: 3, 7: 1, 139449433: 1, 35855291: 1,

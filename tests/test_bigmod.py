@@ -27,7 +27,7 @@ from apresidues.bigmod import (
 )
 from apresidues.errors import DomainError, ResourceError
 
-from conftest import P24, P48, P48_FACTORS, P128, P128_FACTORS, loop_sieve, naive_von_mangoldt
+from conftest import P24, P24_FACTORS, P48, P48_FACTORS, P128, P128_FACTORS, loop_sieve, naive_von_mangoldt
 
 
 class TestJacobi:
@@ -422,6 +422,45 @@ def reciprocity_calls(monkeypatch):
     return chunks
 
 
+def leaf_calls(monkeypatch):
+    """Record (leaf, entries) for every call of a verdict leaf from
+    euler_flags: the reciprocity test (its entries are r**j), the binary
+    Jacobi loop, the Montgomery power and the scalar jacobi/pow.  The Jacobi
+    loop inside the reciprocity test is part of that leaf, so it is not
+    recorded.  The wide leaves see residues mod p, which are the entries
+    themselves for 0 < n < p."""
+    calls, inside = [], []
+    reciprocity, quadratic = bigmod._reciprocity_flags, bigmod._quadratic_flags
+    power, scalar = bigmod._Montgomery.power_is_one, bigmod._scalar_flags
+
+    def reciprocity_spy(r, j, d, p):
+        calls.append(("reciprocity", (r**j).tolist()))
+        inside.append(True)
+        try:
+            return reciprocity(r, j, d, p)
+        finally:
+            inside.pop()
+
+    def quadratic_spy(n, p):
+        if not inside:
+            calls.append(("quadratic", n.tolist()))
+        return quadratic(n, p)
+
+    def power_spy(self, r, e):
+        calls.append(("montgomery", r.tolist()))
+        return power(self, r, e)
+
+    def scalar_spy(ns, k, e, p):
+        calls.append(("scalar", ns.tolist()))
+        return scalar(ns, k, e, p)
+
+    monkeypatch.setattr(bigmod, "_reciprocity_flags", reciprocity_spy)
+    monkeypatch.setattr(bigmod, "_quadratic_flags", quadratic_spy)
+    monkeypatch.setattr(bigmod._Montgomery, "power_is_one", power_spy)
+    monkeypatch.setattr(bigmod, "_scalar_flags", scalar_spy)
+    return calls
+
+
 class TestReciprocityFlags:
     # the published moduli with every k <= 12 dividing p-1 that shares a factor
     # with 12, and the seeded primes with every such k <= 24
@@ -480,41 +519,63 @@ class TestReciprocityFlags:
                 assert a * a + b * b == p and b % 2 == 0 and (a + b) % 4 == 1, p
 
     def test_what_takes_the_path(self, monkeypatch):
-        chunks = reciprocity_calls(monkeypatch)
-        rest = []
-        above = bigmod._flags_above_int64
-
-        def above_spy(ns, k, e, p):
-            rest.append(ns.tolist())
-            return above(ns, k, e, p)
-
-        monkeypatch.setattr(bigmod, "_flags_above_int64", above_spy)
+        calls = leaf_calls(monkeypatch)
         big = next_prime(2**31)
         r = primes_up_to(200)[2:]  # 5 .. 199
-        ns = np.concatenate([[2, 4, 8, 3, 9, 27, big], r, r**2])
+        other = [2, 4, 8, 3, 9, 27, big]
+        ns = np.concatenate([other, r, r**2])
         bases = np.concatenate([[2, 2, 2, 3, 3, 3, big], r, r])
         for p, k in ((P128, 3), (P48, 4), (SEEDED[0], 12)):
-            chunks.clear()
-            rest.clear()
+            calls.clear()
             got = euler_flags(ns, k, p, bases=bases)
             assert got.tolist() == scalar_flags(ns, k, p)
             # bases 2 and 3 and those of 2**31 or more keep the other paths
-            assert chunks == [np.concatenate([r, r]).tolist()]
-            assert rest == [[2, 4, 8, 3, 9, 27, big]]
+            assert calls == [("reciprocity", ns[7:].tolist()), ("scalar", other)]
             # without bases nothing changes
-            chunks.clear()
+            calls.clear()
             assert euler_flags(ns, k, p).tolist() == got.tolist()
-            assert chunks == []
+            assert calls == [("scalar", ns.tolist())]
         # for k > gcd(k, 12) only the survivors go on, with the full exponent
-        rest.clear()
+        calls.clear()
         got = euler_flags(ns, 9, P128, bases=bases)
         assert got.tolist() == scalar_flags(ns, 9, P128)
-        cubes = set(ns[7:][bigmod._cubic_flags(bases[7:], P128)].tolist())
-        assert rest == [[2, 4, 8, 3, 9, 27, big] + [n for n in ns[7:].tolist() if n in cubes]]
+        cubes = ns[7:][bigmod._cubic_flags(bases[7:], P128)].tolist()
+        assert calls == [("reciprocity", ns[7:].tolist()), ("scalar", other + cubes)]
         # k = 2 is the Jacobi path with or without bases
-        chunks.clear()
+        calls.clear()
         euler_flags(ns, 2, P128, bases=bases)
-        assert chunks == []
+        assert calls == [("scalar", ns.tolist())]
+        # short arrays: (entries taken) * (bits of p) below the work threshold
+        calls.clear()
+        euler_flags(r[:3], 3, P128, bases=r[:3])
+        assert calls == [("scalar", r[:3].tolist())]
+
+    @pytest.mark.parametrize("p,k,x", [(P128, 9, 5000), (P128, 9, 40000), (P48, 8, 5000), (P48, 8, 40000),
+                                       (P128, 3, 5000), (P48, 2, 40000), (P24, 7, 5000)],
+                             ids=["2^128+51-9-short", "2^128+51-9", "10^48+217-8-short", "10^48+217-8",
+                                  "2^128+51-3", "10^48+217-2", "10^24+7-7"])
+    def test_each_entry_reaches_one_leaf(self, p, k, x, monkeypatch):
+        """Every entry reaches one leaf, or two (reciprocity, then the wide
+        path or one pow) when it survives the dth-power test and d < k; the
+        wide path takes what is left once that is at least _WIDE_MIN entries,
+        whatever the length of the whole array."""
+        calls = leaf_calls(monkeypatch)
+        big = next_prime(2**31)
+        ns, bases = prime_powers_up_to(x)
+        ns, bases = np.append(ns, big), np.append(bases, big)
+        d = math.gcd(k, 12)
+        want = scalar_flags_by_k(ns, (d, k), p)
+        assert euler_flags(ns, k, p, bases=bases).tolist() == want[k]
+        taken = (bases >= 5) & (bases < 2**31) & (k >= 3 and d > 1)
+        left = ~taken | (taken & np.array(want[d]) & (d < k))
+        wide = (left.sum() >= bigmod._WIDE_MIN) & ((ns < 2**31) | (k > 2))
+        last = np.where(wide, "quadratic" if k == 2 else "montgomery", "scalar")
+        reached = {}
+        for leaf, entries in calls:
+            for n in entries:
+                reached.setdefault(n, []).append(leaf)
+        assert reached == {n: ["reciprocity"] * t + [leaf] * g
+                           for n, t, g, leaf in zip(ns.tolist(), taken.tolist(), left.tolist(), last.tolist())}
 
     def test_short_arrays_keep_scalar_pow(self, monkeypatch):
         chunks = reciprocity_calls(monkeypatch)
@@ -562,6 +623,49 @@ class TestReciprocityFlags:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bigmod, "_RECIPROCITY_MIN_WORK", 0)
             assert euler_flags(ns, k, p, bases=bases).tolist() == scalar_flags(ns, k, p)
+
+
+class TestInputContract:
+    """One input contract on every path: 1-D int64 ns, and bases of its shape."""
+
+    FIVE_UP = primes_up_to(2000)[2:]  # 5, 7, 11, ...
+    BAD = {
+        "scalar": (5, None),
+        "2-D": ([[5, 7], [11, 13]], None),
+        "2**63": ([5, 2**63], None),
+        "2**64": ([2**64], None),
+        "float": ([5.0, 7.5], None),
+        "str": (["5"], None),
+        "longer bases": (FIVE_UP[:296], FIVE_UP[:301]),
+        "shorter bases": (FIVE_UP[:296], FIVE_UP[:291]),
+        "2-D bases": ([5, 7], [[5, 7]]),
+        "scalar bases": ([5], 5),
+        "bases of 2**64": ([5], [2**64]),
+    }
+    # (p, k, factors of p-1): the int64 ladder, then above it Jacobi (k = 2)
+    # and the reciprocity path (k = 3)
+    MODULI = [(1009, 3, factorize(1008)), (P24, 2, P24_FACTORS), (P128, 3, P128_FACTORS)]
+
+    @pytest.mark.parametrize("modulus", MODULI, ids=["1009", "10^24+7", "2^128+51"])
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_bad_input_is_domain_error(self, modulus, case):
+        p, k, factors = modulus
+        ns, bases = self.BAD[case]
+        with pytest.raises(DomainError, match="1-D int64"):
+            euler_flags(ns, k, p, bases)
+        with pytest.raises(DomainError, match="1-D int64"):
+            has_exact_order(ns, p, k, factors, bases)
+
+    @pytest.mark.parametrize("modulus", MODULI, ids=["1009", "10^24+7", "2^128+51"])
+    def test_good_input_on_every_path(self, modulus):
+        p, k, factors = modulus
+        ns = self.FIVE_UP[:296]
+        want = scalar_flags(ns, k, p)
+        # a list of ints, a narrower integer dtype and an empty list are int64 entries
+        assert euler_flags(ns.tolist(), k, p, bases=ns.tolist()).tolist() == want
+        assert euler_flags(ns.astype(np.int32), k, p, bases=ns.astype(np.uint16)).tolist() == want
+        assert euler_flags([], k, p).tolist() == euler_flags([], k, p, bases=[]).tolist() == []
+        assert has_exact_order(ns, p, k, factors, bases=ns).tolist() == has_exact_order(ns, p, k, factors).tolist()
 
 
 class TestHasExactOrder:

@@ -10,7 +10,7 @@ from apresidues.scenarios import (
     run_scenario,
 )
 
-from conftest import P48, P48_FACTORS, P128, P128_FACTORS
+from conftest import P24, P24_FACTORS, P48, P48_FACTORS, P128, P128_FACTORS
 
 
 class TestParseIntegerExpr:
@@ -31,7 +31,7 @@ class TestParseIntegerExpr:
 
 
 class TestFixtureFactorizations:
-    @pytest.mark.parametrize("p,factors", [(P128, P128_FACTORS), (P48, P48_FACTORS)])
+    @pytest.mark.parametrize("p,factors", [(P128, P128_FACTORS), (P48, P48_FACTORS), (P24, P24_FACTORS)])
     def test_products_and_primality(self, p, factors):
         prod = 1
         for q, e in factors.items():
