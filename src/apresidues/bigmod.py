@@ -349,6 +349,19 @@ _ODD_POWERS_OF_2 = 0x2AAAAAAAAAAAAAAA  # the bits 2**1, 2**3, 2**5, ...
 # reaches 512; measured with k = 3, it overtakes pow at about 24 entries at 34
 # bits, 12 at 49-65 bits, 8 at 81 bits and 2-3 at 129-201 bits.
 _RECIPROCITY_MIN_WORK = 512
+# The shared-prime stage of euler_flags takes entries 1 <= n <= _FACTOR_LIMIT
+# without a base.  Its table of smallest prime factors of max(n), int32, the
+# mask of the primes in use and their temporaries peak at 5.6 MiB at the limit.
+# It pays one pow per distinct prime where the other paths pay one power per
+# entry, so it runs when its powers are fewer: a table unit (14-17 ns) weighs
+# 1/_TABLE_UNITS_PER_POW of a pow (27-81 us from 80 to 160 bits), and a
+# Montgomery power 1/_MONTGOMERY_GAIN of one when the wide path would take the
+# entries.  Measured on runs of consecutive n, the stage overtakes Montgomery
+# at (entries)/(primes) of about 1.4-2 for 512 entries, and 3.5 (129-160 bits)
+# to 8 (80 bits) for 4096.
+_FACTOR_LIMIT = 2**20
+_MONTGOMERY_GAIN = 4
+_TABLE_UNITS_PER_POW = 2048
 
 
 def _limb_count(p: int) -> int:
@@ -589,6 +602,54 @@ def _reciprocity_flags(r: np.ndarray, j: np.ndarray, d: int, p: int) -> np.ndarr
     return flags
 
 
+def _smallest_prime_factors(x: int) -> np.ndarray:
+    """spf[n] = the least prime factor of n for 2 <= n <= x, and n itself for
+    n < 2, as int32: each prime q up to sqrt(x) claims the multiples from q*q
+    on that no smaller prime has claimed, and what is left is prime."""
+    spf = np.zeros(x + 1, dtype=np.int32)
+    for q in np.flatnonzero(_simple_sieve(math.isqrt(x))).tolist():
+        multiples = spf[q * q :: q]
+        multiples[multiples == 0] = q
+    unclaimed = np.flatnonzero(spf == 0)
+    spf[unclaimed] = unclaimed
+    return spf
+
+
+def _shared_prime_flags(n: np.ndarray, e: int, p: int, gain: int) -> np.ndarray | None:
+    """flags[i] = n[i]**e == 1 mod p for 1 <= n[i] <= _FACTOR_LIMIT, by one pow
+    per distinct prime of the entries: the witness of n[i] is the product of
+    its primes' witnesses mod p, _WIDE_CHUNK entries at a time.  None, before
+    any pow, unless that costs fewer powers than len(n) at 1/gain of a pow
+    each, where the table counts 1/_TABLE_UNITS_PER_POW of a pow per unit."""
+    top, budget = int(n.max(initial=0)), len(n) * _TABLE_UNITS_PER_POW
+    if top * gain >= budget:
+        return None
+    spf = _smallest_prime_factors(top)
+    used = np.zeros(top + 1, dtype=bool)
+    m = n[n > 1]
+    while len(m):
+        r = spf[m]
+        used[r] = True
+        m = m // r
+        m = m[m > 1]
+    primes = np.flatnonzero(used)
+    if (len(primes) * _TABLE_UNITS_PER_POW + top) * gain >= budget:
+        return None
+    witness = np.array([pow(r, e, p) for r in primes.tolist()], dtype=object)
+    flags = np.empty(len(n), dtype=bool)
+    for start in range(0, len(n), _WIDE_CHUNK):
+        m = n[start : start + _WIDE_CHUNK].copy()
+        acc = np.ones(len(m), dtype=object)
+        live = np.flatnonzero(m > 1)
+        while len(live):
+            r = spf[m[live]]
+            acc[live] = acc[live] * witness[np.searchsorted(primes, r)] % p
+            m[live] //= r
+            live = live[m[live] > 1]
+        flags[start : start + _WIDE_CHUNK] = acc == 1
+    return flags
+
+
 def _entries(ns, bases) -> tuple[np.ndarray, np.ndarray | None]:
     """ns, and bases unless it is None, as 1-D int64 arrays of one shape; a
     DomainError for anything else (a scalar, 2-D input, entries outside
@@ -609,25 +670,33 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
     Contract: p is a prime with k | p-1; ns is a 1-D array of int64
     integers; bases, when given, has the shape of ns and bases[i] is the
     prime r with ns[i] = r**j, j >= 1.  The shapes and the int64 range are
-    checked before any work (DomainError otherwise); the bases are not, and
-    a wrong base gives a wrong verdict.
+    checked before any work, and r**j == ns[i] on every entry the
+    reciprocity stage takes (DomainError otherwise); that r is prime is
+    trusted.
 
     Square-and-multiply runs over the whole int64 array while (p-1)**2 < 2**63,
     i.e. for p <= 3_037_000_500.  Above that one pass takes the entries
-    through three stages in this order, and an entry a stage decides goes no
+    through four stages in this order, and an entry a stage decides goes no
     further:
-    1. Reciprocity on its base, with bases, k >= 3 and d = gcd(k, 12) > 1,
+    1. Shared primes, without bases and for k >= 3, on entries
+       1 <= n <= 2**20: a table of smallest prime factors of their maximum
+       splits each into primes, each distinct prime r pays one
+       pow(r, (p-1)/k, p), and an entry's witness is the product of its
+       primes' witnesses mod p.  It runs when that costs fewer powers than
+       stages 3 and 4 would (a Montgomery power weighs 1/4 of a pow and 2048
+       table units one pow); the table peaks under 6 MiB.
+    2. Reciprocity on its base, with bases, k >= 3 and d = gcd(k, 12) > 1,
        for entries with 5 <= r < 2**31, once (entries taken) * (bits of p)
        reaches 512 (below that one pow each is faster): Jacobi for the 2-part
        of d when it is 2, quartic reciprocity when it is 4, cubic reciprocity
        for its 3-part.  For k in {3, 4, 6, 12} that is the verdict; for any
        other k only its survivors, about 1/d of the entries, go on with the
        full exponent (p-1)/k.
-    2. The wide path on what is left, once at least 512 entries remain: for
+    3. The wide path on what is left, once at least 512 entries remain: for
        k = 2 a binary Jacobi loop on int64 arrays (entries with residue mod p
        in (0, 2**31)), for k >= 3 Montgomery powers on 28-bit limbs while
        p < 2**166, 4096 entries at a time (about 4 MB of scratch).
-    3. One scalar jacobi (k = 2) or pow per entry still left.
+    4. One scalar jacobi (k = 2) or pow per entry still left.
     """
     ns, bases = _entries(ns, bases)
     if k < 1 or (p - 1) % k != 0:
@@ -647,13 +716,26 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
         return result == 1
     flags = np.zeros(len(ns), dtype=bool)
     left = np.arange(len(ns))
+    if bases is None and k >= 3:
+        small = (ns >= 1) & (ns <= _FACTOR_LIMIT)
+        gain = _MONTGOMERY_GAIN if len(ns) >= _WIDE_MIN and _limb_count(p) <= _MAX_LIMBS else 1
+        shared = _shared_prime_flags(ns[small], e, p, gain)
+        if shared is not None:
+            flags[small] = shared
+            left = np.flatnonzero(~small)
     if bases is not None and k >= 3 and (d := math.gcd(k, 12)) > 1:
         take = np.flatnonzero((bases >= 5) & (bases < 2**31))
         if len(take) * p.bit_length() >= _RECIPROCITY_MIN_WORK:
             for start in range(0, len(take), _WIDE_CHUNK):
                 chunk = take[start : start + _WIDE_CHUNK]
-                r = bases[chunk]
-                j = np.rint(np.log(ns[chunk]) / np.log(r)).astype(np.int64)
+                r, n = bases[chunk], ns[chunk]
+                j = np.rint(np.log(np.maximum(n, 1)) / np.log(r)).astype(np.int64)
+                # a power r**j below 2**64 fits int64 or wraps to a negative number
+                fits = (j >= 1) & (j * np.log2(r) < 63.5)
+                wrong = np.flatnonzero(~fits | (r ** np.where(fits, j, 0) != n))
+                if len(wrong):
+                    i = chunk[wrong[0]]
+                    raise DomainError(f"bases[{i}] = {bases[i]} is not the prime of ns[{i}] = {ns[i]}")
                 flags[chunk] = _reciprocity_flags(r, j, d, p)
             rest = np.ones(len(ns), dtype=bool)
             rest[take] = flags[take] if d < k else False
@@ -682,9 +764,13 @@ def has_exact_order(ns, p: int, k: int, p_minus_1_factors, bases=None) -> np.nda
     """flags[i] = ns[i] has multiplicative order exactly (p-1)/k mod p.
 
     The Euler witness n**((p-1)/k) == 1 goes first and rejects about (k-1)/k
-    of all n with one power; a survivor then needs n**((p-1)/(k*f)) != 1 for
-    every prime f dividing (p-1)/k.  bases, as in euler_flags, goes to every
-    stage, which takes the survivors' bases alone.
+    of all n; a survivor then must not be a (k*f)th power for any prime f
+    dividing (p-1)/k.  For f dividing k that stage tests
+    n**((p-1)/(k*f)) == 1.  For f not dividing k it is euler_flags with f
+    in place of k*f: F_p* is cyclic, so for gcd(k, f) = 1 its (k*f)th powers
+    are its kth powers that are fth powers, and f = 2 is a Jacobi symbol and
+    f = 3 cubic reciprocity on entries with a base.  bases, as in
+    euler_flags, goes to every stage, which takes the survivors' bases alone.
     """
     ns, bases = _entries(ns, bases)
     flags = euler_flags(ns, k, p, bases)
@@ -692,7 +778,8 @@ def has_exact_order(ns, p: int, k: int, p_minus_1_factors, bases=None) -> np.nda
     for f in _distinct_factors(p_minus_1_factors, p):
         if e % f == 0:
             alive = np.flatnonzero(flags)
-            flags[alive] = ~euler_flags(ns[alive], k * f, p, None if bases is None else bases[alive])
+            flags[alive] = ~euler_flags(ns[alive], k * f if k % f == 0 else f, p,
+                                        None if bases is None else bases[alive])
     return flags
 
 

@@ -185,12 +185,13 @@ def _run_exact_order(name, fix) -> ScenarioResult:
                PASS if order == expected_order else FAIL)
     _check_values(result, fix, ctx, k, q)
 
-    limit = fix["list_limit"]
+    # one call over every list's class, so the lists share their primes' powers;
+    # multiples of p have no order, and has_exact_order never flags them
+    ns = np.arange(2, fix["list_limit"] + 1)
+    ns = ns[np.isin(ns % q, [lst["a"] % q for lst in fix["lists"]])]
+    exact = ns[has_exact_order(ns, p, k, factors)]
     for lst in fix["lists"]:
         a = lst["a"]
-        # multiples of p have no order, and has_exact_order never flags them
-        ns = np.arange(a if a >= 2 else a + q, limit + 1, q)
-        exact = ns[has_exact_order(ns, p, k, factors)].tolist()
         for n in lst["elements"]:
             verdict = kth_power_verdict(n, k, ctx).verdict
             ordv = multiplicative_order(n, p, factors)
@@ -207,7 +208,7 @@ def _run_exact_order(name, fix) -> ScenarioResult:
         for n in lst.get("red_primes", []):
             prime = is_prime(n)
             result.add(f"{lst['name']}:{n}:prime", prime, True, PASS if prime else FAIL)
-        prefix = exact[: len(lst["elements"])]
+        prefix = exact[exact % q == a % q][: len(lst["elements"])].tolist()
         if prefix == lst["elements"]:
             result.add(f"{lst['name']}:exact-order-prefix", "matches", "printed list", PASS)
         else:

@@ -331,23 +331,34 @@ class TestWideEulerFlags:
         assert max(sizes) == 64
 
     def test_what_takes_the_wide_path(self, monkeypatch):
-        sizes = wide_calls(monkeypatch)
+        calls = leaf_calls(monkeypatch)
+
+        def sizes(*leaves):
+            return [len(entries) for leaf, entries in calls if leaf in leaves]
+
         ns = np.arange(1, 1001)
+        primes = primes_up_to(7919)  # the first 1000 primes
         euler_flags(ns, 2, P24)
+        # for k >= 3 the shared-prime stage takes 1..1000 (168 powers), but
+        # not primes without a base, nor entries above its table budget
         euler_flags(ns, 7, P48)
-        assert sizes == [1000, 1000]
+        euler_flags(primes, 7, P48)
+        euler_flags(ns + bigmod._FACTOR_LIMIT, 7, P48)
+        assert sizes("quadratic", "montgomery") == [1000, 1000, 1000]
+        assert sizes("shared") == [1000]
         # 2**31 and above stay scalar for k = 2, 0 everywhere
         mixed = np.concatenate([ns, [0, 2**31, 2**40]])
         assert euler_flags(mixed, 2, P24).tolist() == scalar_flags(mixed, 2, P24)
+        mixed = np.concatenate([primes, [0, 2**31, 2**40]])
         assert euler_flags(mixed, 7, P24).tolist() == scalar_flags(mixed, 7, P24)
-        assert sizes[2:] == [1000, 1002]
+        assert sizes("quadratic", "montgomery")[3:] == [1000, 1002]
         # short arrays, and moduli of more than 6 limbs for k >= 3, stay scalar
         p170 = next(q for q in range(2**170 + 1, 2**170 + 10**5, 2) if q % 3 == 1 and is_prime(q))
         euler_flags(ns[: bigmod._WIDE_MIN - 1], 2, P24)
-        euler_flags(ns, 3, p170)
-        assert len(sizes) == 4
+        euler_flags(primes, 3, p170)
+        assert len(sizes("quadratic", "montgomery")) == 5 and len(sizes("shared")) == 1
         euler_flags(ns, 2, p170)
-        assert sizes[4:] == [1000]
+        assert sizes("quadratic", "montgomery")[5:] == [1000]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3_037_000_501, 2**180), st.sampled_from([2, 3, 4, 5, 6, 7, 8, 12]),
@@ -424,14 +435,21 @@ def reciprocity_calls(monkeypatch):
 
 def leaf_calls(monkeypatch):
     """Record (leaf, entries) for every call of a verdict leaf from
-    euler_flags: the reciprocity test (its entries are r**j), the binary
-    Jacobi loop, the Montgomery power and the scalar jacobi/pow.  The Jacobi
-    loop inside the reciprocity test is part of that leaf, so it is not
-    recorded.  The wide leaves see residues mod p, which are the entries
-    themselves for 0 < n < p."""
+    euler_flags: the shared-prime stage (when it takes its entries), the
+    reciprocity test (its entries are r**j), the binary Jacobi loop, the
+    Montgomery power and the scalar jacobi/pow.  The Jacobi loop inside the
+    reciprocity test is part of that leaf, so it is not recorded.  The wide
+    leaves see residues mod p, which are the entries themselves for
+    0 < n < p."""
     calls, inside = [], []
     reciprocity, quadratic = bigmod._reciprocity_flags, bigmod._quadratic_flags
-    power, scalar = bigmod._Montgomery.power_is_one, bigmod._scalar_flags
+    power, scalar, shared = bigmod._Montgomery.power_is_one, bigmod._scalar_flags, bigmod._shared_prime_flags
+
+    def shared_spy(n, e, p, gain):
+        flags = shared(n, e, p, gain)
+        if flags is not None:
+            calls.append(("shared", n.tolist()))
+        return flags
 
     def reciprocity_spy(r, j, d, p):
         calls.append(("reciprocity", (r**j).tolist()))
@@ -454,6 +472,7 @@ def leaf_calls(monkeypatch):
         calls.append(("scalar", ns.tolist()))
         return scalar(ns, k, e, p)
 
+    monkeypatch.setattr(bigmod, "_shared_prime_flags", shared_spy)
     monkeypatch.setattr(bigmod, "_reciprocity_flags", reciprocity_spy)
     monkeypatch.setattr(bigmod, "_quadratic_flags", quadratic_spy)
     monkeypatch.setattr(bigmod._Montgomery, "power_is_one", power_spy)
@@ -531,10 +550,12 @@ class TestReciprocityFlags:
             assert got.tolist() == scalar_flags(ns, k, p)
             # bases 2 and 3 and those of 2**31 or more keep the other paths
             assert calls == [("reciprocity", ns[7:].tolist()), ("scalar", other)]
-            # without bases nothing changes
+            # without bases no reciprocity runs: the entries below 2**20 share
+            # their 46 primes' powers, and the prime 2**31 + 11 takes one pow
             calls.clear()
             assert euler_flags(ns, k, p).tolist() == got.tolist()
-            assert calls == [("scalar", ns.tolist())]
+            below = ns[ns != big].tolist()
+            assert calls == [("shared", below), ("scalar", [big])]
         # for k > gcd(k, 12) only the survivors go on, with the full exponent
         calls.clear()
         got = euler_flags(ns, 9, P128, bases=bases)
@@ -625,6 +646,84 @@ class TestReciprocityFlags:
             assert euler_flags(ns, k, p, bases=bases).tolist() == scalar_flags(ns, k, p)
 
 
+class TestSharedPrimes:
+    """The shared-prime stage: entries without a base split into primes by a
+    table of smallest prime factors, and one pow per distinct prime."""
+
+    # the published moduli with the k of the exact-order tables and their
+    # k*f stages
+    MODULI = {P128: (3, 6, 9), P48: (4, 7, 8, 14), P24: (7, 14)}
+
+    @pytest.mark.parametrize("p", list(MODULI), ids=["2^128+51", "10^48+217", "10^24+7"])
+    def test_matches_scalar_pow_up_to_10_4(self, p, monkeypatch):
+        calls = leaf_calls(monkeypatch)
+        ns = np.arange(1, 10**4 + 1)
+        want = scalar_flags_by_k(ns, self.MODULI[p], p)
+        for k in self.MODULI[p]:
+            assert euler_flags(ns, k, p).tolist() == want[k], k
+        assert [call for call in calls if call[1]] == [("shared", ns.tolist())] * len(self.MODULI[p])
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_other_entries_fall_through(self, wide, monkeypatch):
+        calls = leaf_calls(monkeypatch)
+        limit = bigmod._FACTOR_LIMIT
+        others = [0, -1, -6, -(2**40), limit + 1, limit + 6, 2**40]
+        body = np.arange(1, 2001 if wide else 301)
+        ns = np.concatenate([others[:4], body, others[4:]])
+        for p, k in ((P128, 9), (P48, 7), (P24, 14)):
+            calls.clear()
+            assert euler_flags(ns, k, p).tolist() == scalar_flags(ns, k, p), (p, k)
+            assert calls == [("shared", body.tolist()), ("scalar", others)]
+            if wide:
+                # once the rest are _WIDE_MIN entries, those above 0 take the
+                # Montgomery power
+                calls.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(bigmod, "_WIDE_MIN", len(others))
+                    euler_flags(ns, k, p)
+                assert calls == [("shared", body.tolist()), ("montgomery", others[4:]), ("scalar", others[:4])]
+
+    def test_declines_when_it_saves_no_power(self, monkeypatch):
+        calls = leaf_calls(monkeypatch)
+        # primes, and one entry per prime, take one power each however routed
+        for ns in ([5, 7, 11, 13], [4, 9, 25, 49], [2**20]):
+            calls.clear()
+            euler_flags(ns, 3, P128)
+            assert calls == [("scalar", ns)], ns
+        # two entries that share a prime pay one power, unless the table of
+        # 2**20 units costs more than the powers it saves
+        calls.clear()
+        euler_flags([4, 8], 3, P128)
+        assert calls == [("shared", [4, 8]), ("scalar", [])]
+        calls.clear()
+        euler_flags([4, 8, 2**20], 3, P128)
+        assert calls == [("scalar", [4, 8, 2**20])]
+        # k = 2 keeps the Jacobi symbol, and entries with bases reciprocity
+        calls.clear()
+        euler_flags(np.arange(1, 101), 2, P128)
+        euler_flags(np.arange(5, 101, 2) ** 2, 3, P128, bases=np.arange(5, 101, 2))
+        assert all(leaf != "shared" for leaf, _ in calls)
+
+    def test_smallest_prime_factors(self):
+        spf = bigmod._smallest_prime_factors(5000)
+        assert spf.dtype == np.int32 and spf[:2].tolist() == [0, 1]
+        assert spf[2:].tolist() == [min(factorize(n)) for n in range(2, 5001)]
+        for x in range(4):
+            assert bigmod._smallest_prime_factors(x).tolist() == list(range(x + 1))
+
+    def test_table_memory_at_the_budget(self):
+        # 4096 entries up to 2**20 build the whole table, then go on to the
+        # Montgomery power (consecutive entries share few primes)
+        ns = np.arange(bigmod._FACTOR_LIMIT - 4095, bigmod._FACTOR_LIMIT + 1)
+        tracemalloc.start()
+        try:
+            euler_flags(ns, 7, P24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
+
 class TestInputContract:
     """One input contract on every path: 1-D int64 ns, and bases of its shape."""
 
@@ -668,6 +767,25 @@ class TestInputContract:
         assert has_exact_order(ns, p, k, factors, bases=ns).tolist() == has_exact_order(ns, p, k, factors).tolist()
 
 
+    def test_wrong_bases_are_domain_errors(self):
+        ns = self.FIVE_UP[:296]
+        sevens = np.full(len(ns), 7)
+        # the reciprocity stage read these 296 entries as powers of 7, and
+        # gave 194 verdicts wrong without a word
+        with pytest.raises(DomainError, match=r"bases\[0\] = 7 is not the prime of ns\[0\] = 5"):
+            euler_flags(ns, 3, P128, bases=sevens)
+        with pytest.raises(DomainError, match="is not the prime of"):
+            has_exact_order(ns, P128, 3, P128_FACTORS, bases=sevens)
+        # a power of another prime, j = 0, n <= 0, and r**j past 2**63 (it
+        # wraps to a negative int64 at r = 2228243, j = 3)
+        for n, r in ((25, 7), (7**3, 5), (1, 5), (0, 5), (-25, 5), (2**63 - 1, 2**31 - 1), (2**63 - 1, 2228243)):
+            with pytest.raises(DomainError, match=rf"bases\[296\] = {r} is not the prime of ns\[296\] = {n}$"):
+                euler_flags(np.append(ns, n), 3, P128, bases=np.append(ns, r))
+        # right bases of high powers pass
+        ns, bases = np.append(ns, [5**27, 7**22]), np.append(ns, [5, 7])
+        assert euler_flags(ns, 3, P128, bases=bases).tolist() == scalar_flags(ns, 3, P128)
+
+
 class TestHasExactOrder:
     def test_matches_multiplicative_order_for_every_n(self):
         for p in (41, 97, 101, 241, 1009):
@@ -687,6 +805,40 @@ class TestHasExactOrder:
     def test_incomplete_factorization_rejected(self):
         with pytest.raises(DomainError):
             has_exact_order(np.arange(1, 41), 41, 2, {2: 3})
+
+    @pytest.mark.parametrize("p,factors", [(P128, P128_FACTORS), (P48, P48_FACTORS), (P24, P24_FACTORS)],
+                             ids=["2^128+51", "10^48+217", "10^24+7"])
+    def test_big_moduli_match_multiplicative_order(self, p, factors):
+        """Every n <= 3000, and every prime power below it with its base, at
+        every k in 2..30 that divides p-1."""
+        ns = np.arange(1, 3001)
+        orders = [multiplicative_order(n, p, factors) for n in ns.tolist()]
+        powers, bases = prime_powers_up_to(3000)
+        ks = [k for k in range(2, 31) if (p - 1) % k == 0]
+        assert len(ks) >= 4
+        for k in ks:
+            want = np.array([t == (p - 1) // k for t in orders])
+            assert has_exact_order(ns, p, k, factors).tolist() == want.tolist(), k
+            assert has_exact_order(powers, p, k, factors, bases=bases).tolist() == want[powers - 1].tolist(), k
+
+    def test_a_stage_k_f_with_f_not_dividing_k_is_an_fth_power_test(self, monkeypatch):
+        stages = []
+        original = bigmod.euler_flags
+
+        def spy(ns, k, p, bases=None):
+            stages.append(k)
+            return original(ns, k, p, bases)
+
+        monkeypatch.setattr(bigmod, "euler_flags", spy)
+        ns, bases = prime_powers_up_to(3000)
+        # p - 1 = 2 * 3**5 * 17 * 89 * 6481 * 5816689 * q
+        q = 12275703273579557140363
+        has_exact_order(ns, P128, 3, P128_FACTORS, bases=bases)
+        assert stages == [3, 2, 9, 17, 89, 6481, 5816689, q]
+        # (p - 1)/6 is odd, and 3 divides 6
+        stages.clear()
+        has_exact_order(ns, P128, 6, P128_FACTORS)
+        assert stages == [6, 18, 17, 89, 6481, 5816689, q]
 
 
 class TestPrimePowers:

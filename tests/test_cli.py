@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -165,6 +166,18 @@ class TestReproduce:
             code, out, _ = run_cli(capsys, "reproduce", name)
             assert code == EXIT_OK, name
             assert "0 FAIL" in out
+
+    @pytest.mark.parametrize("name,digest", [
+        ("example-9.1", "246daa15b8c42046"),
+        ("example-9.2", "88afc867015db1be"),
+        ("example-11.1", "3815622ed6ec2372"),
+        ("example-11.2", "8f9154be5454837c"),
+        ("f41", "055ef56874069f7a"),
+    ])
+    def test_stdout_is_pinned_byte_for_byte(self, capsys, name, digest):
+        code, out, _ = run_cli(capsys, "reproduce", name)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     def test_discrepancies_are_visible(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "example-9.1")

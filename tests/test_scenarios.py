@@ -1,5 +1,6 @@
 import pytest
 
+from apresidues import bigmod, scenarios
 from apresidues.bigmod import is_prime
 from apresidues.scenarios import (
     DISCREPANCY,
@@ -137,3 +138,28 @@ class TestScenarios:
             r = run_scenario(name)
             fails = [row for row in r.rows if row.status == FAIL]
             assert fails == [], f"{name}: {fails}"
+
+    @pytest.mark.parametrize("name,most", [("example-11.1", 450), ("example-11.2", 130)])
+    def test_exact_order_lists_share_their_primes_powers(self, name, most, monkeypatch):
+        """The pows of the scenario's has_exact_order call, p-1's factor
+        checks included (from a cold cache): 1,034 and 308 when each list was
+        its own call and each composite entry paid one pow per stage."""
+        counted, inside = [0], [False]
+        has_exact_order = scenarios.has_exact_order
+
+        def counting_pow(*args):
+            counted[0] += inside[0]
+            return pow(*args)
+
+        def spy(*args, **kwargs):
+            inside[0] = True
+            try:
+                return has_exact_order(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        bigmod._checked_factors.cache_clear()
+        monkeypatch.setattr(bigmod, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(scenarios, "has_exact_order", spy)
+        assert run_scenario(name).passed
+        assert 0 < counted[0] <= most
