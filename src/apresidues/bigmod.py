@@ -281,14 +281,6 @@ def euler_totient(q: int) -> int:
     return result
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    ds = [1]
-    for q, e in factorize(n).items():
-        ds = [d * q**i for d in ds for i in range(e + 1)]
-    return sorted(ds)
-
-
 def _distinct_factors(p_minus_1_factors, p: int) -> tuple[int, ...]:
     """The distinct primes of a factorisation of p-1, given as a {prime:
     exponent} dict, a list of primes, or (prime, exponent) pairs."""

@@ -300,18 +300,14 @@ def _sweep_primes(conf: dict) -> list[int]:
     count = _conf_value(conf, "prime_count", "500")
     if count <= 0 or hi <= lo:
         raise DomainError("prime_count must be > 0 and prime_max > prime_min")
-    out = []
-    seen = set()
+    out, p = [], lo
     for i in range(count):
-        candidate = lo + i * (hi - lo) // count
-        p = next_prime(candidate)
-        while p in seen:
-            p = next_prime(p)
+        # each candidate takes the first prime past it and past the last pick
+        p = next_prime(max(lo + i * (hi - lo) // count, p))
         if p > hi:
             break
-        seen.add(p)
         out.append(p)
-    return sorted(out)
+    return out
 
 
 def _q_values(ctx, q_rule: str) -> range:

@@ -45,10 +45,13 @@ class ExpSumSample:
 @dataclass(frozen=True)
 class UHatSample:
     """The double sum over b of e(-a*b/p) * sum over the nonresidue
-    enumeration of e(b * tau**(2n+1) / p), for a quadratic residue a.
+    enumeration of e(b * tau**(2n+1) / p), for a quadratic residue a,
+    evaluated literally.
 
-    identity_residual = value + half_sum is the quantity the decomposition
-    identity bounds by O(sqrt(p) log(p)**2); half_sum is the b = 1 inner sum.
+    With g the quadratic Gauss sum (sqrt(p) for p = 1 mod 4, i*sqrt(p) for
+    p = 3 mod 4), the fields have closed forms: value = -(p-1)/2;
+    half_sum, the b = 1 inner sum S[1], is (-1 - g)/2; and
+    identity_residual = value + half_sum = -(p + g)/2, of size about p/2.
     """
 
     p: int
@@ -164,29 +167,16 @@ def fourier_U_hat_swapped(a: int, table: SmallFieldTable) -> complex:
 
 
 def uhat_all_residues(table: SmallFieldTable) -> tuple[np.ndarray, np.ndarray]:
-    """|U-hat(a)| for every quadratic residue a, from two parity sums of R.
+    """|U-hat(a)| for every quadratic residue a, in closed form: (p-1)/2.
 
-    With R = roots[powers] and n = p - 1, the half sum at b = tau**i is
-    S_exp[i] = sum_m R[i+2m+1], and U-hat at a = tau**(2r) is
-    sum_i R[i+2r+n/2] * S_exp[i] (-1 = tau**(n/2)).  As n is even, i+1, i+3,
-    ..., i+n-1 run over every exponent of the parity opposite to i, so
-    S_exp[i] = E[(i+1) % 2] with E[0] = sum R[0::2] (the residues) and
-    E[1] = sum R[1::2] (the nonresidues).  Grouping the U-hat terms by the
-    parity of i the same way gives U-hat(a) = E[1]*E[h] + E[0]*E[1-h] with
-    h = (n/2) % 2, the same value for every residue a: the literal double
-    sum's terms, regrouped, in O(p) time.  The table's own size limit is the
-    only budget; the literal evaluations (fourier_U_hat,
-    fourier_U_hat_swapped) stay the oracle.  Every magnitude is (p-1)/2 up
-    to rounding (within 1e-9 at p = 999983).  Returns (residues a ascending,
+    U-hat(a) = sum_{b!=0} e(-ab/p) S[b] = sum_u sum_{b!=0} e(b(u-a)/p), u over
+    the nonresidues; a residue a is no such u, so each inner sum is -1 and
+    U-hat(a) = -(p-1)/2 exactly.  The literal evaluations (fourier_U_hat,
+    fourier_U_hat_swapped) stay the oracle.  Returns (residues a ascending,
     magnitudes).
     """
-    n = table.p - 1
-    r = table.roots[table.powers]
-    e = (r[0::2].sum(), r[1::2].sum())
-    h = n // 2 % 2
-    u = e[1] * e[h] + e[0] * e[1 - h]
     a_vals = np.sort(table.residue_coset(2))
-    return a_vals, np.full(len(a_vals), abs(u))
+    return a_vals, np.full(len(a_vals), (table.p - 1) / 2)
 
 
 def complete_exponential_sum(c: int, p: int) -> complex:

@@ -22,9 +22,7 @@ r x s through index_blocks, one block of rows at a time.  A block holds about
 _BLOCK = 2**18 index entries (at least one row), so its int64 indices and
 gathered complex terms take about 6 MiB whatever p is.
 
-uhat_rows serves the single-a U-hat oracle.  The batch over every quadratic
-residue (expsum.uhat_all_residues) needs no kernel: the half sums take one
-value per exponent parity, so its terms regroup into two sums of R.
+uhat_rows serves the single-a U-hat oracle.
 
 prefix_max_abs is exact but not literal.  It evaluates one partial-sum path
 P[i] = sum_{m<=i} roots[tau**m] term by term, reads every row off it by the

@@ -25,6 +25,7 @@ exponent-1 element (tau**p = tau) and break the 0/1 property.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,14 +130,30 @@ def least_primitive_root(p: int, p_minus_1_factors=None) -> int:
 
 
 def build_small_field_table(p: int) -> SmallFieldTable:
-    """Construct the full enumeration table for a small prime p <= 1e6."""
+    """Construct the full enumeration table for a small prime p <= 1e6,
+    certified by its quadratic Gauss sum.
+
+    With R = roots[powers], E0 = sum R[0::2] runs over the quadratic residues
+    and E1 = sum R[1::2] over the nonresidues, so E0 - E1 is the Gauss sum g:
+    sqrt(p) for p = 1 (mod 4) and i*sqrt(p) for p = 3 (mod 4) (Ireland and
+    Rosen, ch. 6).  A table whose g misses by more than 1e-6 (a tau that is
+    not a generator, a root table that is off) raises IntegrityError.  p = 2
+    has no quadratic character and is not checked.
+    """
     if p > _TABLE_LIMIT:
         raise ResourceError(f"small-field tables are limited to p <= {_TABLE_LIMIT}")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     factors = factorize(p - 1)
     tau = least_primitive_root(p, factors)
-    return SmallFieldTable(p=p, tau=tau, powers=kernels.pow_table(tau, p), roots=kernels.roots_table(p))
+    table = SmallFieldTable(p=p, tau=tau, powers=kernels.pow_table(tau, p), roots=kernels.roots_table(p))
+    if p > 2:
+        r = table.roots[table.powers]
+        g = r[0::2].sum() - r[1::2].sum()
+        err = abs(g - (math.sqrt(p) if p % 4 == 1 else 1j * math.sqrt(p)))
+        if err > _INTEGRALITY_TOL:
+            raise IntegrityError(f"table p={p} tau={tau}: Gauss sum {g} is off by {err:.3e}")
+    return table
 
 
 def _oracle_enumeration(k: int, table: SmallFieldTable, which: str) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apresidues import kernels
-from apresidues.bigmod import OddPrimeContext
+from apresidues.bigmod import OddPrimeContext, factorize, next_prime
 from apresidues.expsum import FiberHistogram
 from apresidues.patterns import GapStats, PatternCensus
 from apresidues.residues import Verdict, build_small_field_table
@@ -20,6 +20,31 @@ P128_FACTORS = {2: 1, 3: 5, 17: 1, 89: 1, 6481: 1, 5816689: 1,
                 12275703273579557140363: 1}
 P48_FACTORS = {2: 3, 7: 1, 139449433: 1, 35855291: 1,
                3571428571428569285714285714287: 1}
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    ds = [1]
+    for q, e in factorize(n).items():
+        ds = [d * q**i for d in ds for i in range(e + 1)]
+    return sorted(ds)
+
+
+def reference_sweep_primes(lo: int, hi: int, count: int) -> list[int]:
+    """Reference for the least_nonresidue sweep's prime picker: from each of
+    count evenly spaced candidates, the first prime past it that is not yet
+    picked, walking through every picked prime in its way."""
+    out = []
+    seen = set()
+    for i in range(count):
+        p = next_prime(lo + i * (hi - lo) // count)
+        while p in seen:
+            p = next_prime(p)
+        if p > hi:
+            break
+        seen.add(p)
+        out.append(p)
+    return sorted(out)
 
 
 def naive_is_prime(n: int) -> bool:

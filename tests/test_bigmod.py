@@ -11,7 +11,6 @@ from apresidues import bigmod
 from apresidues.bigmod import (
     OddPrimeContext,
     ResidueClass,
-    divisors,
     euler_flags,
     euler_totient,
     factorize,
@@ -27,7 +26,17 @@ from apresidues.bigmod import (
 )
 from apresidues.errors import DomainError, ResourceError
 
-from conftest import P24, P24_FACTORS, P48, P48_FACTORS, P128, P128_FACTORS, loop_sieve, naive_von_mangoldt
+from conftest import (
+    P24,
+    P24_FACTORS,
+    P48,
+    P48_FACTORS,
+    P128,
+    P128_FACTORS,
+    divisors,
+    loop_sieve,
+    naive_von_mangoldt,
+)
 
 
 class TestJacobi:

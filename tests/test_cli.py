@@ -1,13 +1,16 @@
 import hashlib
 import json
 import os
+import random
 import re
 import stat
+import time
 from pathlib import Path
 
 import pytest
 
-from apresidues import cli
+from apresidues import cli, residues
+from apresidues.bigmod import primes_up_to
 from apresidues.cli import (
     EXIT_ABSENT,
     EXIT_BEYOND_BOUND,
@@ -17,6 +20,8 @@ from apresidues.cli import (
     EXIT_USAGE,
     main,
 )
+
+from conftest import reference_sweep_primes
 
 
 def run_cli(capsys, *argv):
@@ -219,6 +224,14 @@ class TestExpsumAndPatterns:
         assert "small-field tables are limited to p <= 1000000" in err
         assert out == ""
 
+    def test_expsum_table_failing_its_gauss_check_is_domain_error(self, capsys, monkeypatch):
+        least = residues.least_primitive_root
+        monkeypatch.setattr(residues, "least_primitive_root", lambda q, f=None: least(q, f) ** 2 % q)
+        code, out, err = run_cli(capsys, "expsum", "--p", "103", "--max-ratio-table")
+        assert code == EXIT_DOMAIN
+        assert "Gauss sum" in err
+        assert out == ""
+
     def test_patterns_output(self, capsys):
         code, out, _ = run_cli(capsys, "patterns", "--p", "41", "--x", "39")
         assert code == EXIT_OK
@@ -362,6 +375,24 @@ out_dir = {tmp_path}/reports
             "d82fd997bc7ec8db3b4cd19fe7041f99a3a3f5f6ea2f45c7bf04a33513e8c28a")
         assert envelope["checksums"]["violations"] == (
             "a7b1591f62b104c1b1d45fcf63e3a74454324c53f8b1e7c06e95659efda4d1f8")
+
+    def test_prime_picker_matches_the_walking_reference(self):
+        rng = random.Random(18)
+        for _ in range(300):
+            lo = rng.randrange(2, 3000)
+            hi = lo + rng.randrange(1, 400)
+            count = rng.randrange(1, 200)
+            conf = {"prime_min": str(lo), "prime_max": str(hi), "prime_count": str(count)}
+            assert cli._sweep_primes(conf) == reference_sweep_primes(lo, hi, count), conf
+
+    def test_prime_count_beyond_the_range_takes_every_prime(self):
+        # 8,392 primes in the range: a picker that walks through its earlier
+        # picks from every candidate is quadratic here
+        t0 = time.perf_counter()
+        got = cli._sweep_primes({"prime_min": "100000", "prime_max": "200000", "prime_count": "32000"})
+        assert time.perf_counter() - t0 < 10.0
+        primes = primes_up_to(200000)
+        assert got == primes[primes > 100000].tolist()
 
     def test_unknown_campaign_is_domain_error(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, "campaign = nope\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from apresidues import expsum, kernels
-from apresidues.bigmod import divisors, primes_up_to
+from apresidues.bigmod import primes_up_to
 from apresidues.errors import DomainError, ResourceError
 from apresidues.expsum import (
     complete_exponential_sum,
@@ -20,7 +20,7 @@ from apresidues.expsum import (
     uhat_all_residues,
 )
 from apresidues.residues import build_small_field_table
-from conftest import gather_alpha, gather_beta
+from conftest import divisors, gather_alpha, gather_beta
 
 
 def direct_incomplete_sum(b, x, tau, p):
@@ -123,6 +123,8 @@ class TestFourierUHat:
             assert abs(sample.value - swapped) < 1e-8
 
     def test_identity_residual_within_bound(self, table101, table1009):
+        # |identity_residual| = |p + g|/2 and |value| = (p-1)/2: both hold only
+        # because (p-1)/2 <= sqrt(p) log(p)**2 below about p = 57,830
         for table in (table101, table1009):
             bound = theoretical_bound(table.p)
             for a in sorted(table.residue_coset(2).tolist())[:20]:
@@ -136,6 +138,25 @@ class TestFourierUHat:
         for i in (0, 10, 49):
             sample = fourier_U_hat(int(a_vals[i]), table101)
             assert mags[i] == pytest.approx(abs(sample.value), abs=1e-8)
+
+    @pytest.mark.parametrize("p", [101, 2003])
+    def test_fields_match_the_closed_forms(self, p):
+        # g is the quadratic Gauss sum: sqrt(p) at p = 1 (mod 4), i*sqrt(p) at p = 3 (mod 4)
+        table = build_small_field_table(p)
+        g = math.sqrt(p) if p % 4 == 1 else 1j * math.sqrt(p)
+        for a in sorted(table.residue_coset(2).tolist()):
+            sample = fourier_U_hat(a, table)
+            assert abs(sample.value + (p - 1) / 2) < 1e-9
+            assert abs(sample.half_sum - (-1 - g) / 2) < 1e-9
+            assert abs(sample.identity_residual + (p + g) / 2) < 1e-9
+
+    @pytest.mark.parametrize("p", [3, 13, 4999, 99991, 999983])
+    def test_batch_is_exactly_half_of_p_minus_1(self, p):
+        table = build_small_field_table(p)
+        a_vals, mags = uhat_all_residues(table)
+        assert a_vals.dtype == np.int64 and mags.dtype == np.float64
+        assert np.array_equal(a_vals, np.sort(table.residue_coset(2)))
+        assert np.array_equal(mags, np.full((p - 1) // 2, (p - 1) / 2))
 
     def test_nonresidue_rejected(self, table101):
         nonres = sorted(table101.nonresidues_all(2).tolist())[0]

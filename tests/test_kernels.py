@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import apresidues
 from apresidues import expsum, kernels, residues
-from apresidues.bigmod import divisors, primes_up_to
+from apresidues.bigmod import primes_up_to
 from apresidues.residues import build_small_field_table, least_primitive_root
 from conftest import (
+    divisors,
     gather_char_values,
     gather_halfsums,
     gather_inner_sums,
@@ -223,7 +224,7 @@ def test_window_kernels_match_the_gather_forms(p):
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 241, 1009, 4999, 9973])
 def test_uhat_all_residues_matches_every_window_row(p):
     # both residues of p mod 4: the half sums are real at p = 1 (mod 4) and
-    # complex at p = 3 (mod 4), and the parity regrouping differs between them
+    # complex at p = 3 (mod 4), where the Gauss sum is sqrt(p) and i*sqrt(p)
     table = build_small_field_table(p)
     roots, powers = table.roots, table.powers
     s = expsum.halfsums(table)

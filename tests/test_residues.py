@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from apresidues.bigmod import OddPrimeContext, divisors, jacobi, primes_up_to
+from apresidues import kernels, residues
+from apresidues.bigmod import OddPrimeContext, jacobi, primes_up_to
 from apresidues.errors import DomainError, IntegrityError
 from apresidues.residues import (
     NONRESIDUE_INDICATOR,
@@ -19,7 +21,7 @@ from apresidues.residues import (
     least_primitive_root,
 )
 
-from conftest import P24, P48, P128
+from conftest import P24, P48, P128, divisors
 
 # the two reference sets for F_41
 Q41 = frozenset({1, 2, 4, 5, 8, 9, 10, 16, 18, 20, 21, 23, 25, 31, 32, 33, 36, 37, 39, 40})
@@ -144,6 +146,36 @@ class TestSmallFieldTable:
         assert len(table41.nonresidue_coset(4)) == 10
         assert set(table41.nonresidue_coset(4).tolist()) < set(table41.nonresidues_all(4).tolist())
         assert len(table41.nonresidues_all(4)) == 30
+
+
+def gauss_residual(table) -> float:
+    """|E0 - E1 - g|, recomputed from the table: E0 and E1 sum R = roots[powers]
+    over the even and odd exponents, g = sqrt(p) or i*sqrt(p) by p mod 4."""
+    p, r = table.p, table.roots[table.powers]
+    g = math.sqrt(p) if p % 4 == 1 else 1j * math.sqrt(p)
+    return abs(r[0::2].sum() - r[1::2].sum() - g)
+
+
+class TestGaussSumCheck:
+    def test_residual_below_5000_and_at_the_table_limit(self):
+        ps = primes_up_to(4999)[1:].tolist() + [99991, 999983]
+        worst = max(gauss_residual(build_small_field_table(p)) for p in ps)
+        assert worst <= 1e-9
+
+    def test_conjugated_roots_raise_at_3_mod_4(self, monkeypatch):
+        # at p = 1 (mod 4) g = sqrt(p) is real, so conjugated roots pass there
+        roots_table = kernels.roots_table
+        monkeypatch.setattr(kernels, "roots_table", lambda p: roots_table(p).conj())
+        assert build_small_field_table(101).p == 101
+        with pytest.raises(IntegrityError, match="Gauss sum"):
+            build_small_field_table(103)
+
+    @pytest.mark.parametrize("p", [101, 103])
+    def test_a_non_generator_raises(self, monkeypatch, p):
+        least = residues.least_primitive_root
+        monkeypatch.setattr(residues, "least_primitive_root", lambda q, f=None: least(q, f) ** 2 % q)
+        with pytest.raises(IntegrityError, match=f"table p={p} tau={least(p) ** 2 % p}"):
+            build_small_field_table(p)
 
 
 class TestCharFunctionOracle:
