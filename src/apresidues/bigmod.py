@@ -344,16 +344,19 @@ _RECIPROCITY_MIN_WORK = 512
 # The shared-prime stage of euler_flags takes entries 1 <= n <= _FACTOR_LIMIT
 # without a base.  Its table of smallest prime factors of max(n), int32, the
 # mask of the primes in use and their temporaries peak at 5.6 MiB at the limit.
-# It pays one pow per distinct prime where the other paths pay one power per
-# entry, so it runs when its powers are fewer: a table unit (14-17 ns) weighs
-# 1/_TABLE_UNITS_PER_POW of a pow (27-81 us from 80 to 160 bits), and a
-# Montgomery power 1/_MONTGOMERY_GAIN of one when the wide path would take the
-# entries.  Measured on runs of consecutive n, the stage overtakes Montgomery
-# at (entries)/(primes) of about 1.4-2 for 512 entries, and 3.5 (129-160 bits)
-# to 8 (80 bits) for 4096.
+# It pays at most one pow per distinct prime where the other paths pay one
+# power per entry, so it runs when it costs fewer pows of p than they would.
+# A table unit (about 14 ns) weighs 1/_TABLE_UNITS_PER_POW of a pow (18-50 us
+# from 80 to 160 bits), and an entry's walk through its primes (0.6-1.1 us)
+# _ENTRY_UNITS table units.  One Montgomery call on a chunk of n entries costs
+# about _MONTGOMERY_FIXED_POWS + n * limbs / _MONTGOMERY_LIMBS_PER_POW pows:
+# timed against pow at 40 to 160 bits (2 to 6 limbs), the fixed part read
+# 244-290 pows and the part per entry limbs/17 to limbs/20 of a pow.
 _FACTOR_LIMIT = 2**20
-_MONTGOMERY_GAIN = 4
 _TABLE_UNITS_PER_POW = 2048
+_ENTRY_UNITS = 64
+_MONTGOMERY_FIXED_POWS = 260
+_MONTGOMERY_LIMBS_PER_POW = 18
 
 
 def _limb_count(p: int) -> int:
@@ -554,13 +557,20 @@ def _ring_power(x: np.ndarray, y: np.ndarray, e: np.ndarray, q: np.ndarray, s: i
     return u, v
 
 
-def _cubic_flags(q: np.ndarray, p: int) -> np.ndarray:
-    """flags[i] = q[i] is a cube mod p, for primes 3 < q[i] < 2**31 and a prime
-    p = 1 mod 3 other than q[i]: the w-coefficient of pi**((q - eps)/3) mod q
-    is 0, where pi is primary of norm p and eps = +-1 = q mod 3."""
+def _cubic_index(q: np.ndarray, p: int) -> np.ndarray:
+    """t[i] in {0, 1, 2} with q[i]**((p-1)/3) = c**t[i] mod p, for primes
+    3 < q[i] < 2**31 and a prime p = 1 mod 3 other than q[i], where c is the
+    image of w mod p, -a/b for the primary pi = a + b*w of norm p; q[i] is a
+    cube iff t[i] = 0.  With eps = +-1 = q mod 3, y = pi**((q - eps)/3) mod q
+    is s*w**e with s in F_q*, that is (s, 0), (0, s) or (-s, -s) for e = 0, 1,
+    2.  For q = 2 mod 3, y**(q-1) is w**e, which is the index.  For q = 1 mod
+    3, q = rho * conj(rho), the characters mod rho and mod conj(rho) multiply
+    to w**(2e), and the index is -e."""
     a, b = _eisenstein_prime(p)
-    eps = np.where(q % 3 == 1, 1, -1)
-    return _ring_power(_residues(a, q), _residues(b, q), (q - eps) // 3, q, -1)[1] == 0
+    split = q % 3 == 1
+    u, v = _ring_power(_residues(a, q), _residues(b, q), (q - np.where(split, 1, -1)) // 3, q, -1)
+    e = np.where(v == 0, 0, np.where(u == 0, 1, 2))
+    return np.where(split, -e % 3, e)
 
 
 def _quartic_flags(q: np.ndarray, p: int) -> np.ndarray:
@@ -590,7 +600,7 @@ def _reciprocity_flags(r: np.ndarray, j: np.ndarray, d: int, p: int) -> np.ndarr
             flags[part] = _quartic_flags(r[part], p)
     if d % 3 == 0:
         part = np.flatnonzero(j % 3 != 0)
-        flags[part] &= _cubic_flags(r[part], p)
+        flags[part] &= _cubic_index(r[part], p) == 0
     return flags
 
 
@@ -607,14 +617,23 @@ def _smallest_prime_factors(x: int) -> np.ndarray:
     return spf
 
 
-def _shared_prime_flags(n: np.ndarray, e: int, p: int, gain: int) -> np.ndarray | None:
-    """flags[i] = n[i]**e == 1 mod p for 1 <= n[i] <= _FACTOR_LIMIT, by one pow
-    per distinct prime of the entries: the witness of n[i] is the product of
-    its primes' witnesses mod p, _WIDE_CHUNK entries at a time.  None, before
-    any pow, unless that costs fewer powers than len(n) at 1/gain of a pow
-    each, where the table counts 1/_TABLE_UNITS_PER_POW of a pow per unit."""
-    top, budget = int(n.max(initial=0)), len(n) * _TABLE_UNITS_PER_POW
-    if top * gain >= budget:
+def _shared_prime_flags(n: np.ndarray, k: int, p: int, budget: float) -> np.ndarray | None:
+    """flags[i] = n[i]**((p-1)/k) == 1 mod p for 1 <= n[i] <= _FACTOR_LIMIT,
+    from the distinct primes of the entries, which a table of smallest prime
+    factors splits, _WIDE_CHUNK entries at a time.
+
+    For k in (3, 6), once the primes from 5 on reach the reciprocity work
+    threshold, each prime takes its cubic index (_cubic_index; 2 and 3 pay
+    one pow each, which is 1, c or c**2), n[i] is a cube iff its primes'
+    indices sum to 0 mod 3, and for k = 6 its own Jacobi symbol must be 1 as
+    well.  Otherwise each prime pays pow(r, (p-1)/k, p), and the witness of
+    n[i] is the product of its primes' witnesses mod p.  None, before any
+    pow, unless the pows it pays, its table and its walks through the
+    entries' primes (_ENTRY_UNITS table units each, 1/_TABLE_UNITS_PER_POW of
+    a pow per unit) cost fewer than budget pows."""
+    top = int(n.max(initial=0))
+    units = top + len(n) * _ENTRY_UNITS
+    if units >= budget * _TABLE_UNITS_PER_POW:
         return None
     spf = _smallest_prime_factors(top)
     used = np.zeros(top + 1, dtype=bool)
@@ -625,20 +644,34 @@ def _shared_prime_flags(n: np.ndarray, e: int, p: int, gain: int) -> np.ndarray 
         m = m // r
         m = m[m > 1]
     primes = np.flatnonzero(used)
-    if (len(primes) * _TABLE_UNITS_PER_POW + top) * gain >= budget:
+    cubic = k in (3, 6) and np.count_nonzero(primes >= 5) * p.bit_length() >= _RECIPROCITY_MIN_WORK
+    paid = primes[primes < 5] if cubic else primes
+    if len(paid) * _TABLE_UNITS_PER_POW + units >= budget * _TABLE_UNITS_PER_POW:
         return None
-    witness = np.array([pow(r, e, p) for r in primes.tolist()], dtype=object)
+    if cubic:
+        # the indices add in Z/3; a + b*c = 0 mod p picks out c = -a/b
+        a, b = _eisenstein_prime(p)
+        roots = [pow(r, (p - 1) // 3, p) for r in paid.tolist()]
+        witness = np.array([0 if w == 1 else 1 if (a + b * w) % p == 0 else 2 for w in roots]
+                           + _cubic_index(primes[len(paid):], p).tolist(), dtype=np.int64)
+        one, times = 0, lambda x, y: (x + y) % 3
+    else:
+        witness = np.array([pow(r, (p - 1) // k, p) for r in primes.tolist()], dtype=object)
+        one, times = 1, lambda x, y: x * y % p
     flags = np.empty(len(n), dtype=bool)
     for start in range(0, len(n), _WIDE_CHUNK):
-        m = n[start : start + _WIDE_CHUNK].copy()
-        acc = np.ones(len(m), dtype=object)
+        chunk = slice(start, start + _WIDE_CHUNK)
+        m = n[chunk].copy()
+        acc = np.full(len(m), one, dtype=witness.dtype)
         live = np.flatnonzero(m > 1)
         while len(live):
             r = spf[m[live]]
-            acc[live] = acc[live] * witness[np.searchsorted(primes, r)] % p
+            acc[live] = times(acc[live], witness[np.searchsorted(primes, r)])
             m[live] //= r
             live = live[m[live] > 1]
-        flags[start : start + _WIDE_CHUNK] = acc == 1
+        flags[chunk] = acc == one
+        if cubic and k == 6:
+            flags[chunk] &= _quadratic_flags(n[chunk], p)
     return flags
 
 
@@ -672,11 +705,17 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
     further:
     1. Shared primes, without bases and for k >= 3, on entries
        1 <= n <= 2**20: a table of smallest prime factors of their maximum
-       splits each into primes, each distinct prime r pays one
-       pow(r, (p-1)/k, p), and an entry's witness is the product of its
-       primes' witnesses mod p.  It runs when that costs fewer powers than
-       stages 3 and 4 would (a Montgomery power weighs 1/4 of a pow and 2048
-       table units one pow); the table peaks under 6 MiB.
+       splits each into primes.  For k in {3, 6}, once (primes from 5 on) *
+       (bits of p) reaches 512 as in stage 2, each prime r >= 5 takes its
+       cubic character index by cubic reciprocity and 2 and 3 pay one
+       pow(r, (p-1)/3, p) each; an entry is a cube iff its primes' indices
+       sum to 0 mod 3, and for k = 6 its Jacobi symbol must be 1 too.
+       Otherwise each distinct prime r pays one pow(r, (p-1)/k, p), and an
+       entry's witness is the product of its primes' witnesses mod p.  It
+       runs when the pows it pays, its table and its walks cost less than
+       stages 3 and 4 would (2048 table units weigh one pow, an entry's walk
+       64 units, and a Montgomery chunk of n entries about
+       260 + n * limbs / 18 pows); the table peaks under 6 MiB.
     2. Reciprocity on its base, with bases, k >= 3 and d = gcd(k, 12) > 1,
        for entries with 5 <= r < 2**31, once (entries taken) * (bits of p)
        reaches 512 (below that one pow each is faster): Jacobi for the 2-part
@@ -710,8 +749,10 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
     left = np.arange(len(ns))
     if bases is None and k >= 3:
         small = (ns >= 1) & (ns <= _FACTOR_LIMIT)
-        gain = _MONTGOMERY_GAIN if len(ns) >= _WIDE_MIN and _limb_count(p) <= _MAX_LIMBS else 1
-        shared = _shared_prime_flags(ns[small], e, p, gain)
+        budget = m = int(np.count_nonzero(small))  # one pow each
+        if len(ns) >= _WIDE_MIN and _limb_count(p) <= _MAX_LIMBS:
+            budget = -(-m // _WIDE_CHUNK) * _MONTGOMERY_FIXED_POWS + m * _limb_count(p) / _MONTGOMERY_LIMBS_PER_POW
+        shared = _shared_prime_flags(ns[small], k, p, budget)
         if shared is not None:
             flags[small] = shared
             left = np.flatnonzero(~small)
@@ -761,8 +802,12 @@ def has_exact_order(ns, p: int, k: int, p_minus_1_factors, bases=None) -> np.nda
     n**((p-1)/(k*f)) == 1.  For f not dividing k it is euler_flags with f
     in place of k*f: F_p* is cyclic, so for gcd(k, f) = 1 its (k*f)th powers
     are its kth powers that are fth powers, and f = 2 is a Jacobi symbol and
-    f = 3 cubic reciprocity on entries with a base.  bases, as in
-    euler_flags, goes to every stage, which takes the survivors' bases alone.
+    f = 3 cubic reciprocity on entries with a base.  Without bases, every
+    stage of degree 3 or 6 (the first one for k in {3, 6}, or f = 3) sums
+    its entries' primes' cubic indices, so only the primes 2 and 3 pay a
+    power there.  bases, as in euler_flags, goes to every stage, which takes
+    the survivors' bases alone.  A flagged entry has order (p-1)/k, so a
+    caller that needs the order of one need not compute it again.
     """
     ns, bases = _entries(ns, bases)
     flags = euler_flags(ns, k, p, bases)

@@ -190,11 +190,14 @@ def _run_exact_order(name, fix) -> ScenarioResult:
     ns = np.arange(2, fix["list_limit"] + 1)
     ns = ns[np.isin(ns % q, [lst["a"] % q for lst in fix["lists"]])]
     exact = ns[has_exact_order(ns, p, k, factors)]
+    flagged = set(exact.tolist())
     for lst in fix["lists"]:
         a = lst["a"]
         for n in lst["elements"]:
             verdict = kth_power_verdict(n, k, ctx).verdict
-            ordv = multiplicative_order(n, p, factors)
+            # a flagged element has order (p-1)/k; any other one is ordered
+            # here, so a FAIL row shows the order it has
+            ordv = order if n in flagged else multiplicative_order(n, p, factors)
             if verdict is Verdict.NONRESIDUE:
                 result.add(f"{lst['name']}:{n}", verdict.value, "Nonresidue", FAIL,
                            note="published label would be mathematically correct here")

@@ -361,13 +361,18 @@ class TestWideEulerFlags:
         mixed = np.concatenate([primes, [0, 2**31, 2**40]])
         assert euler_flags(mixed, 7, P24).tolist() == scalar_flags(mixed, 7, P24)
         assert sizes("quadratic", "montgomery")[3:] == [1000, 1002]
-        # short arrays, and moduli of more than 6 limbs for k >= 3, stay scalar
-        p170 = next(q for q in range(2**170 + 1, 2**170 + 10**5, 2) if q % 3 == 1 and is_prime(q))
+        # short arrays, and moduli of more than 6 limbs for k >= 3, stay
+        # scalar; k = 9 has no cubic index route, so its primes pay one pow each
+        p170 = next(q for q in range(2**170 + 1, 2**170 + 10**5, 2) if q % 9 == 1 and is_prime(q))
         euler_flags(ns[: bigmod._WIDE_MIN - 1], 2, P24)
-        euler_flags(primes, 3, p170)
+        euler_flags(primes, 9, p170)
         assert len(sizes("quadratic", "montgomery")) == 5 and len(sizes("shared")) == 1
+        assert calls[-1] == ("scalar", primes.tolist())
         euler_flags(ns, 2, p170)
         assert sizes("quadratic", "montgomery")[5:] == [1000]
+        # for k = 3 the same primes take their cubic indices, at any size of p
+        euler_flags(primes, 3, p170)
+        assert sizes("shared")[1:] == [1000] and len(sizes("quadratic", "montgomery")) == 6
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3_037_000_501, 2**180), st.sampled_from([2, 3, 4, 5, 6, 7, 8, 12]),
@@ -446,16 +451,21 @@ def leaf_calls(monkeypatch):
     """Record (leaf, entries) for every call of a verdict leaf from
     euler_flags: the shared-prime stage (when it takes its entries), the
     reciprocity test (its entries are r**j), the binary Jacobi loop, the
-    Montgomery power and the scalar jacobi/pow.  The Jacobi loop inside the
-    reciprocity test is part of that leaf, so it is not recorded.  The wide
+    Montgomery power and the scalar jacobi/pow.  The Jacobi loops inside the
+    reciprocity test and the shared-prime stage (k = 6) are part of those
+    leaves, so they are not recorded.  The wide
     leaves see residues mod p, which are the entries themselves for
     0 < n < p."""
     calls, inside = [], []
     reciprocity, quadratic = bigmod._reciprocity_flags, bigmod._quadratic_flags
     power, scalar, shared = bigmod._Montgomery.power_is_one, bigmod._scalar_flags, bigmod._shared_prime_flags
 
-    def shared_spy(n, e, p, gain):
-        flags = shared(n, e, p, gain)
+    def shared_spy(n, k, p, budget):
+        inside.append(True)
+        try:
+            flags = shared(n, k, p, budget)
+        finally:
+            inside.pop()
         if flags is not None:
             calls.append(("shared", n.tolist()))
         return flags
@@ -569,7 +579,7 @@ class TestReciprocityFlags:
         calls.clear()
         got = euler_flags(ns, 9, P128, bases=bases)
         assert got.tolist() == scalar_flags(ns, 9, P128)
-        cubes = ns[7:][bigmod._cubic_flags(bases[7:], P128)].tolist()
+        cubes = ns[7:][bigmod._cubic_index(bases[7:], P128) == 0].tolist()
         assert calls == [("reciprocity", ns[7:].tolist()), ("scalar", other + cubes)]
         # k = 2 is the Jacobi path with or without bases
         calls.clear()
@@ -679,7 +689,7 @@ class TestSharedPrimes:
         others = [0, -1, -6, -(2**40), limit + 1, limit + 6, 2**40]
         body = np.arange(1, 2001 if wide else 301)
         ns = np.concatenate([others[:4], body, others[4:]])
-        for p, k in ((P128, 9), (P48, 7), (P24, 14)):
+        for p, k in ((P128, 9), (P48, 7), (P24, 14), (P128, 3), (SEEDED[2], 6)):
             calls.clear()
             assert euler_flags(ns, k, p).tolist() == scalar_flags(ns, k, p), (p, k)
             assert calls == [("shared", body.tolist()), ("scalar", others)]
@@ -694,24 +704,92 @@ class TestSharedPrimes:
 
     def test_declines_when_it_saves_no_power(self, monkeypatch):
         calls = leaf_calls(monkeypatch)
-        # primes, and one entry per prime, take one power each however routed
+        # k = 9 has no cubic index route: primes, and one entry per prime, take
+        # one power each however routed
         for ns in ([5, 7, 11, 13], [4, 9, 25, 49], [2**20]):
             calls.clear()
-            euler_flags(ns, 3, P128)
+            euler_flags(ns, 9, P128)
             assert calls == [("scalar", ns)], ns
         # two entries that share a prime pay one power, unless the table of
         # 2**20 units costs more than the powers it saves
         calls.clear()
-        euler_flags([4, 8], 3, P128)
+        euler_flags([4, 8], 9, P128)
         assert calls == [("shared", [4, 8]), ("scalar", [])]
         calls.clear()
-        euler_flags([4, 8, 2**20], 3, P128)
+        euler_flags([4, 8, 2**20], 9, P128)
         assert calls == [("scalar", [4, 8, 2**20])]
+        # for k = 3 the primes from 5 on take their cubic indices, so the
+        # stage pays no power for them
+        calls.clear()
+        euler_flags([5, 7, 11, 13], 3, P128)
+        assert calls == [("shared", [5, 7, 11, 13]), ("scalar", [])]
         # k = 2 keeps the Jacobi symbol, and entries with bases reciprocity
         calls.clear()
         euler_flags(np.arange(1, 101), 2, P128)
         euler_flags(np.arange(5, 101, 2) ** 2, 3, P128, bases=np.arange(5, 101, 2))
         assert all(leaf != "shared" for leaf, _ in calls)
+
+    CUBIC = [P128] + SEEDED
+    CUBIC_IDS = ["2^128+51", "24d-1mod8", "24d-5mod8", "48d-1mod8", "48d-5mod8"]
+
+    @staticmethod
+    def cubic_indices(rs, p):
+        """The t with r**((p-1)/3) = c**t mod p for each r, by one pow each,
+        where c = -a/b is the image of w for pi = a + b*w."""
+        a, b = bigmod._eisenstein_prime(p)
+        c = -a * pow(b, -1, p) % p
+        index = {1: 0, c: 1, c * c % p: 2}
+        return [index[pow(r, (p - 1) // 3, p)] for r in rs]
+
+    @pytest.mark.parametrize("p", CUBIC, ids=CUBIC_IDS)
+    def test_cubic_index_matches_pow(self, p):
+        r = primes_up_to(5000)[2:]
+        got = bigmod._cubic_index(r, p)
+        assert got.tolist() == self.cubic_indices(r.tolist(), p)
+        # both nonzero indices occur at primes r = 1 mod 3, which read -e, so a
+        # lost sign shows at every p
+        assert {1, 2} <= set(got[r % 3 == 1].tolist())
+
+    def test_cubic_indices_of_2_and_3(self):
+        # 2 and 3 pay one pow each: index 1 and 2 both occur over these p, so
+        # c and c**2 taken the wrong way round show
+        assert {t for p in self.CUBIC for t in self.cubic_indices((2, 3), p)} == {0, 1, 2}
+
+    @pytest.mark.parametrize("p", CUBIC, ids=CUBIC_IDS)
+    def test_cubic_route_pays_only_for_2_and_3(self, p, monkeypatch):
+        """k = 3 and 6 on every n <= 3000, among them every 2**i * 3**j * r,
+        match one pow per entry, and the stage's only powers are those of the
+        primes 2 and 3."""
+        calls = leaf_calls(monkeypatch)
+        ns = np.arange(1, 3001)
+        want = scalar_flags_by_k(ns, (3, 6), p)
+        bigmod._eisenstein_prime(p)  # memoised per p, before counting
+        counted = []
+
+        def counting_pow(*args):
+            counted.append(args[0])
+            return pow(*args)
+
+        monkeypatch.setattr(bigmod, "pow", counting_pow, raising=False)
+        for k in (3, 6):
+            assert euler_flags(ns, k, p).tolist() == want[k], k
+        assert counted == [2, 3, 2, 3]
+        assert [call for call in calls if call[1]] == [("shared", ns.tolist())] * 2
+
+    def test_montgomery_cost_grows_with_the_chunk(self, monkeypatch):
+        """At 10^24+7 (3 limbs) 4096 consecutive entries with about 4.5 per
+        distinct prime go to Montgomery (measured 20 ms, the stage 29 ms),
+        while 512 with 2.5 and 1024 with 3.4 per prime take the stage (6.0
+        against 8.2 ms and 9.5 against 10.3 ms)."""
+        calls = leaf_calls(monkeypatch)
+        for start, count, ratio, taker in ((3000, 4096, 4.5, "montgomery"), (1000, 512, 2.5, "shared"),
+                                           (1000, 1024, 3.35, "shared")):
+            ns = np.arange(start, start + count)
+            primes = set().union(*map(factorize, ns.tolist()))
+            assert count / len(primes) == pytest.approx(ratio, abs=0.05)
+            calls.clear()
+            assert euler_flags(ns, 7, P24).tolist() == scalar_flags(ns, 7, P24)
+            assert [leaf for leaf, entries in calls if entries] == [taker], (start, count)
 
     def test_smallest_prime_factors(self):
         spf = bigmod._smallest_prime_factors(5000)

@@ -1,7 +1,7 @@
 import pytest
 
-from apresidues import bigmod, scenarios
-from apresidues.bigmod import is_prime
+from apresidues import bigmod, residues, scenarios
+from apresidues.bigmod import is_prime, multiplicative_order
 from apresidues.scenarios import (
     DISCREPANCY,
     FAIL,
@@ -139,11 +139,13 @@ class TestScenarios:
             fails = [row for row in r.rows if row.status == FAIL]
             assert fails == [], f"{name}: {fails}"
 
-    @pytest.mark.parametrize("name,most", [("example-11.1", 450), ("example-11.2", 130)])
+    @pytest.mark.parametrize("name,most", [("example-11.1", 290), ("example-11.2", 130)])
     def test_exact_order_lists_share_their_primes_powers(self, name, most, monkeypatch):
         """The pows of the scenario's has_exact_order call, p-1's factor
         checks included (from a cold cache): 1,034 and 308 when each list was
-        its own call and each composite entry paid one pow per stage."""
+        its own call and each composite entry paid one pow per stage, 447 and
+        122 when 11.1's k = 3 stage paid one pow per prime (now 282 and 122:
+        the cubic indices leave it the pows of 2 and 3)."""
         counted, inside = [0], [False]
         has_exact_order = scenarios.has_exact_order
 
@@ -163,3 +165,62 @@ class TestScenarios:
         monkeypatch.setattr(scenarios, "has_exact_order", spy)
         assert run_scenario(name).passed
         assert 0 < counted[0] <= most
+
+    @pytest.mark.parametrize("name,most", [("example-11.1", 330), ("example-11.2", 200)])
+    def test_a_run_pays_few_powers_mod_p(self, name, most, monkeypatch):
+        """Every pow mod p of a whole run, from a cold cache of p-1's factor
+        checks: 849 and 262 when each printed element also paid
+        multiplicative_order and 11.1's k = 3 stage one pow per prime; 315 and
+        192 now."""
+        p = parse_integer_expr(scenarios._load_fixtures()[name]["p"])
+        counted = [0]
+
+        def counting_pow(*args):
+            counted[0] += args[2:] == (p,)
+            return pow(*args)
+
+        bigmod._checked_factors.cache_clear()
+        for module in (bigmod, residues):
+            monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+        assert run_scenario(name).passed
+        assert 0 < counted[0] <= most
+
+    @pytest.mark.parametrize("name", ["example-11.1", "example-11.2"])
+    def test_order_rows_agree_with_the_exact_order_pass(self, name, monkeypatch):
+        """The rows take the order (p-1)/k of a printed element from the
+        has_exact_order pass: multiplicative_order equals it exactly on the
+        elements the pass flags, and the pass sees every printed element."""
+        fix = scenarios._load_fixtures()[name]
+        p, k = parse_integer_expr(fix["p"]), fix["k"]
+        factors = {int(f): e for f, e in fix["p_minus_1_factors"].items()}
+        passes = []
+        has_exact_order = scenarios.has_exact_order
+
+        def spy(ns, *args):
+            flags = has_exact_order(ns, *args)
+            passes.append(dict(zip(ns.tolist(), flags.tolist())))
+            return flags
+
+        monkeypatch.setattr(scenarios, "has_exact_order", spy)
+        rows = {row.label: row for row in run_scenario(name).rows}
+        [flagged] = passes
+        for lst in fix["lists"]:
+            for n in lst["elements"]:
+                exact = multiplicative_order(n, p, factors) == (p - 1) // k
+                assert flagged[n] == exact, n
+                assert rows[f"{lst['name']}:{n}:order"].status == (PASS if exact else FAIL)
+
+    def test_an_unflagged_element_keeps_its_true_order(self, monkeypatch):
+        """An element the pass does not flag is ordered by multiplicative_order,
+        so a FAIL row prints the order it has: 25 (in class 1 mod 8, order
+        (p-1)/6), 64 (outside every list's class) and 1001 and 1009 (above
+        list_limit, of order (p-1)/9 and (p-1)/3) mod 2^128+51."""
+        fixtures = scenarios._load_fixtures()
+        fix = fixtures["example-11.1"]
+        fix["lists"][0]["elements"] = fix["lists"][0]["elements"] + [25, 64, 1001, 1009]
+        monkeypatch.setattr(scenarios, "_load_fixtures", lambda: fixtures)
+        rows = {row.label: row for row in run_scenario("example-11.1").rows}
+        for n, index, status in ((25, 6, FAIL), (64, 6, FAIL), (1001, 9, FAIL), (1009, 3, PASS)):
+            assert (P128 - 1) // multiplicative_order(n, P128, P128_FACTORS) == index
+            row = rows[f"N1:{n}:order"]
+            assert (row.computed, row.status) == (f"(p-1)/{index}", status), n
