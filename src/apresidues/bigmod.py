@@ -715,7 +715,9 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
        runs when the pows it pays, its table and its walks cost less than
        stages 3 and 4 would (2048 table units weigh one pow, an entry's walk
        64 units, and a Montgomery chunk of n entries about
-       260 + n * limbs / 18 pows); the table peaks under 6 MiB.
+       260 + n * limbs / 18 pows; when the other entries run that pass
+       anyway, the stage's entries are charged only n * limbs / 18 and the
+       fixed part of any chunk they add); the table peaks under 6 MiB.
     2. Reciprocity on its base, with bases, k >= 3 and d = gcd(k, 12) > 1,
        for entries with 5 <= r < 2**31, once (entries taken) * (bits of p)
        reaches 512 (below that one pow each is faster): Jacobi for the 2-part
@@ -751,7 +753,13 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
         small = (ns >= 1) & (ns <= _FACTOR_LIMIT)
         budget = m = int(np.count_nonzero(small))  # one pow each
         if len(ns) >= _WIDE_MIN and _limb_count(p) <= _MAX_LIMBS:
-            budget = -(-m // _WIDE_CHUNK) * _MONTGOMERY_FIXED_POWS + m * _limb_count(p) / _MONTGOMERY_LIMBS_PER_POW
+            # the Montgomery pass they would join: when the other entries keep it
+            # running alone, the small ones add their part per entry and the fixed
+            # part only of the chunks they add
+            rest = len(ns) - m
+            chunks = (-(-len(ns) // _WIDE_CHUNK) - -(-rest // _WIDE_CHUNK) if rest >= _WIDE_MIN
+                      else -(-m // _WIDE_CHUNK))
+            budget = chunks * _MONTGOMERY_FIXED_POWS + m * _limb_count(p) / _MONTGOMERY_LIMBS_PER_POW
         shared = _shared_prime_flags(ns[small], k, p, budget)
         if shared is not None:
             flags[small] = shared

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from apresidues import kernels
 from apresidues.bigmod import OddPrimeContext, factorize, next_prime
@@ -91,6 +92,39 @@ def literal_prefix_max_abs(p: int, tau: int, bs) -> np.ndarray:
     for i in range(0, len(bs), 16):
         b = bs[i : i + 16, None]
         out[i : i + 16] = np.abs(np.cumsum(roots[(b * tau_n) % p], axis=1)).max(axis=1)
+    return out
+
+
+def block_hull_prefix_max_abs(powers: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
+    """Reference for kernels.prefix_max_abs: the block-hull kernel it replaces.
+    Each row scans its whole 256-point block of the path point by point and
+    reads the blocks after and before it through the cumulative _hull of the
+    blocks' full point sets; rows p-b copy rows b."""
+    block = 256
+    n, half = p - 1, (p - 1) // 2
+    rows = p // 2
+    path = np.cumsum(roots[np.roll(powers, -1)])  # path[i] = P[i+1]
+    c = path[-1]
+    start = np.concatenate(([0j], path[: rows - 1]))  # P[j] for each row j
+    blocks = [path[s : s + block] for s in range(0, n, block)]
+    hulls = [kernels._hull(blk) for blk in blocks]
+    empty = np.empty(0, dtype=np.complex128)
+    after = [empty] * (len(blocks) + 1)  # after[k]: hull of blocks k, k+1, ...
+    for k in range(len(blocks) - 1, 0, -1):
+        after[k] = kernels._hull(np.concatenate((hulls[k], after[k + 1])))
+    before = empty
+    best = np.empty(rows)
+    for k in range(-(-rows // block)):
+        if k:
+            before = kernels._hull(np.concatenate((before, hulls[k - 1])))
+        j0, j1 = k * block, min((k + 1) * block, rows)
+        blk, a = blocks[k], start[j0:j1, None]
+        own = sliding_window_view(np.concatenate((blk, blk + c)), len(blk))[: j1 - j0]
+        far = np.concatenate((after[k + 1], before + c))
+        best[j0:j1] = np.maximum(np.abs(own - a).max(axis=1), np.abs(far - a).max(axis=1, initial=0.0))
+    out = np.empty(n, dtype=np.float64)
+    out[powers[:rows] - 1] = best
+    out[powers[half : half + rows] - 1] = best
     return out
 
 

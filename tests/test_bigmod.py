@@ -695,12 +695,17 @@ class TestSharedPrimes:
             assert calls == [("shared", body.tolist()), ("scalar", others)]
             if wide:
                 # once the rest are _WIDE_MIN entries, those above 0 take the
-                # Montgomery power
+                # Montgomery power; at 10^24+7 (3 limbs) the body joins that
+                # pass, where its 2000 entries add about 333 pows, against 303
+                # for their primes plus the stage's table and walks
                 calls.clear()
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(bigmod, "_WIDE_MIN", len(others))
-                    euler_flags(ns, k, p)
-                assert calls == [("shared", body.tolist()), ("montgomery", others[4:]), ("scalar", others[:4])]
+                    assert euler_flags(ns, k, p).tolist() == scalar_flags(ns, k, p), (p, k)
+                if p == P24:
+                    assert calls == [("montgomery", body.tolist() + others[4:]), ("scalar", others[:4])]
+                else:
+                    assert calls == [("shared", body.tolist()), ("montgomery", others[4:]), ("scalar", others[:4])]
 
     def test_declines_when_it_saves_no_power(self, monkeypatch):
         calls = leaf_calls(monkeypatch)
@@ -790,6 +795,22 @@ class TestSharedPrimes:
             calls.clear()
             assert euler_flags(ns, 7, P24).tolist() == scalar_flags(ns, 7, P24)
             assert [leaf for leaf, entries in calls if entries] == [taker], (start, count)
+
+    def test_joins_a_montgomery_pass_the_other_entries_keep_running(self, monkeypatch):
+        """At 10^24+7 with k = 7, 100 entries from 1000 alone take the stage,
+        but next to 600 entries from 2**21, which run a Montgomery pass
+        anyway, they join that pass (measured 10.7 ms with the stage, 7.9 ms
+        in one pass); next to 300, too few for the pass, they keep the stage."""
+        calls = leaf_calls(monkeypatch)
+        small, big = np.arange(1000, 1100), np.arange(2**21, 2**21 + 600)
+        for ns, route in ((small, [("shared", small.tolist()), ("scalar", [])]),
+                          (np.concatenate((small, big)), [("montgomery", small.tolist() + big.tolist()),
+                                                          ("scalar", [])]),
+                          (np.concatenate((small, big[:300])), [("shared", small.tolist()),
+                                                               ("scalar", big[:300].tolist())])):
+            calls.clear()
+            assert euler_flags(ns, 7, P24).tolist() == scalar_flags(ns, 7, P24)
+            assert calls == route, len(ns)
 
     def test_smallest_prime_factors(self):
         spf = bigmod._smallest_prime_factors(5000)

@@ -209,6 +209,13 @@ class TestExpsumAndPatterns:
         assert (tmp_path / "expsum-p101.json").exists()
         assert (tmp_path / "expsum-p101.max_ratio.csv").exists()
 
+    def test_expsum_table_stdout_is_pinned_byte_for_byte(self, capsys):
+        # the line with the table's maximum ratio; tests/test_kernels.py pins
+        # the table's rows bit for bit
+        code, out, _ = run_cli(capsys, "expsum", "--p", "10007", "--max-ratio-table")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "439b3e2251a5535e"
+
     def test_expsum_table_without_out_dir_builds_no_report(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("a report section was built with nothing to write")

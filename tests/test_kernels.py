@@ -12,6 +12,7 @@ from apresidues import expsum, kernels, residues
 from apresidues.bigmod import primes_up_to
 from apresidues.residues import build_small_field_table, least_primitive_root
 from conftest import (
+    block_hull_prefix_max_abs,
     divisors,
     gather_char_values,
     gather_halfsums,
@@ -159,6 +160,74 @@ def test_prefix_max_abs_matches_reference_at_30011():
 def test_prefix_max_abs_matches_reference_below_5000(p):
     tau, _, got = _kernel_rows(p)
     _assert_rows_match(got, p, tau, np.arange(1, p))
+
+
+def _assert_block_hull_bits(p: int):
+    tau, powers, got = _kernel_rows(p)
+    assert np.array_equal(got, block_hull_prefix_max_abs(powers, p, kernels.roots_table(p))), p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251, 263, 509, 521, 10007, 30011, 99991])
+def test_prefix_max_abs_bitwise_equals_the_block_hull_kernel(p):
+    # 251 has one short block and 263 a second block of 6 points; at 509 the
+    # rows end in the first block, and at 521 they reach into the second
+    _assert_block_hull_bits(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(primes_up_to(5000).tolist()))
+def test_prefix_max_abs_bitwise_equals_the_block_hull_kernel_below_5000(p):
+    _assert_block_hull_bits(p)
+
+
+@pytest.mark.parametrize("p", [1009, 4999, 10007])
+def test_prefix_max_abs_rows_that_scan_their_own_block(p, monkeypatch):
+    # past p = 3000 the reach bound spares almost every row its own block;
+    # with no bound every row scans it, and the bits stay the same
+    monkeypatch.setattr(kernels, "_REACH_SLACK", 1e300)
+    _assert_block_hull_bits(p)
+
+
+def _assert_candidates_hold_the_hull(z: np.ndarray):
+    cands = kernels._hull_candidates(z)
+    blocks = [z[s : s + kernels._HULL_BLOCK] for s in range(0, len(z), kernels._HULL_BLOCK)]
+    assert len(cands) == len(blocks)
+    for blk, cand in zip(blocks, cands):
+        assert np.isin(cand, blk).all()
+        assert np.isin(kernels._hull(blk), cand).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 600), st.integers(0, 2**32 - 1),
+       st.sampled_from(["angles", "lattice", "line", "few points"]))
+def test_hull_candidates_hold_every_vertex(n, seed, kind):
+    # lattice steps, points on one line and draws from a few points give exact
+    # cross products with many zero turns and repeated points
+    rng = np.random.default_rng(seed)
+    if kind == "angles":
+        z = np.cumsum(np.exp(2j * np.pi * rng.random(n)))
+    elif kind == "lattice":
+        z = np.cumsum(rng.integers(-1, 2, n) + 1j * rng.integers(-1, 2, n))
+    elif kind == "line":
+        z = rng.integers(-20, 21, n) * complex(*rng.integers(-3, 4, 2)) + complex(*rng.integers(-9, 10, 2))
+    else:
+        z = rng.choice(rng.integers(-3, 4, 5) + 1j * rng.integers(-3, 4, 5), n)
+    _assert_candidates_hold_the_hull(z.astype(np.complex128))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 258, 512, 513, 514])
+def test_hull_candidates_of_short_blocks(n):
+    # a last block of 1 or 2 points, or none
+    rng = np.random.default_rng(n)
+    _assert_candidates_hold_the_hull(np.cumsum(np.exp(2j * np.pi * rng.random(n))))
+    _assert_candidates_hold_the_hull(np.full(n, 1 + 2j))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257, 1009])
+def test_hull_candidates_of_the_partial_sum_path(p):
+    # the path of prefix_max_abs, whose last block is short
+    powers = kernels.pow_table(least_primitive_root(p), p)
+    _assert_candidates_hold_the_hull(np.cumsum(kernels.roots_table(p)[np.roll(powers, -1)]))
 
 
 def test_uhat_matches_literal(roots, coset):
