@@ -61,6 +61,10 @@ class SearchOutcome:
 
 @dataclass(frozen=True)
 class CountReport:
+    """main_term is x/(k*phi(q)) for the residue and generator targets and
+    (k-1)*x/(k*phi(q)) for the nonresidue target, which counts the k-1
+    cosets of the kth powers other than their own."""
+
     k: int
     cls: ResidueClass
     x: float
@@ -78,7 +82,9 @@ class CountReport:
 class DensitySample:
     """observed_fraction = (primes <= x in the class with the target verdict)
     / (all primes <= x, p excluded), so correction_estimate = fraction * k *
-    phi(q) estimates the correction factor in density = c / (k * phi(q))."""
+    phi(q) estimates the correction factor in density = c / (k * phi(q)) for
+    the residue target, and fraction * k * phi(q) / (k-1) the one in
+    density = c * (k-1) / (k * phi(q)) for the nonresidue target."""
 
     p: int
     k: int
@@ -222,7 +228,9 @@ def weighted_count(
     unweighted prime count, main-term prediction and extracted error.
 
     Prime powers carry their log-p weight in the weighted sum; the
-    unweighted count (and the density denominator) restrict to primes.
+    unweighted count (and the density denominator) restrict to primes.  The
+    main term of the nonresidue target covers its k-1 cosets:
+    (k-1)*x/(k*phi(q)), which is x/(2*phi(q)) for k = 2.
     """
     p = ctx.p
     _check_target(target, k, ctx, p_minus_1_factors)
@@ -245,7 +253,7 @@ def weighted_count(
     # the multiples of p in the class form one class mod p*q, or none
     first = next((m for m in range(p, p * cls.q + 1, p) if cls.contains(m)), None)
     skipped = len(range(first, limit + 1, p * cls.q)) if first else 0
-    main = main_term_prediction(k, cls.q, x)
+    main = main_term_prediction(k, cls.q, x) * (k - 1 if target is Target.NONRESIDUE else 1)
     density = unweighted / progression_primes if progression_primes else math.nan
     return CountReport(
         k=k, cls=cls, x=x, target=target,
@@ -330,7 +338,7 @@ def density_sweep(
             DensitySample(
                 p=p, k=k, cls=cls, x=x,
                 observed_fraction=frac,
-                correction_estimate=frac * k * euler_totient(cls.q),
+                correction_estimate=frac * k * euler_totient(cls.q) / (k - 1 if target is Target.NONRESIDUE else 1),
                 qualifying=qualifying, total=total,
             )
         )

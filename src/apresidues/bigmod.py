@@ -10,6 +10,7 @@ All logarithms are natural.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -341,6 +342,17 @@ _ODD_POWERS_OF_2 = 0x2AAAAAAAAAAAAAAA  # the bits 2**1, 2**3, 2**5, ...
 # reaches 512; measured with k = 3, it overtakes pow at about 24 entries at 34
 # bits, 12 at 49-65 bits, 8 at 81 bits and 2-3 at 129-201 bits.
 _RECIPROCITY_MIN_WORK = 512
+# The Eisenstein leaf (ell in {5, 7}) costs about 0.3 ms a call and then
+# 3.5-6.5 us an entry whatever the size of p (its ladder takes about
+# 1.5 * log2(r/ell) steps), against one pow at about 8 us at 34 bits, 25 at
+# 80 and 65-100 at 160-201 bits.  So it takes an array once (entries it takes)
+# * (bits of p) reaches 1024 (times d beside a test of degree d whose
+# survivors alone would pay a pow): measured with k = 7, it overtakes pow at about
+# 40 entries at 34 bits, 30 at 49, 12-16 at 65-80 bits and 5-8 at 129-201
+# bits.  On 4096 entries a Montgomery power costs 5.3 us each at 80 bits, 15.8
+# at 129 and 24.5 at 160, so past the threshold the leaf is the faster at
+# every size measured except 80 bits with r near 10^7 (5.7 against 5.3 us).
+_EISENSTEIN_MIN_WORK = 1024
 # The shared-prime stage of euler_flags takes entries 1 <= n <= _FACTOR_LIMIT
 # without a base.  Its table of smallest prime factors of max(n), int32, the
 # mask of the primes in use and their temporaries peak at 5.6 MiB at the limit.
@@ -585,11 +597,169 @@ def _quartic_flags(q: np.ndarray, p: int) -> np.ndarray:
     return np.where(up | (p % 8 == 1), v == 0, u == 0)
 
 
+# Quintic and septic indices by Eisenstein reciprocity (Ireland and Rosen,
+# ch. 14): for ell in {5, 7}, with c a primitive ell-th root of unity mod p
+# and pi = gcd(p, z - c) primary in Z[z], z**ell = 1, a prime r other than
+# ell and p has r**((p-1)/ell) = c**E mod p exactly when (pi/r) = z**E, a
+# product of powers of pi's conjugates mod r.  Z[z] is norm-Euclidean for
+# these ell (Lenstra, "Euclid's algorithm in cyclotomic fields", 1975).  An
+# element of Z[z] is a tuple of ell - 1 integers, the coefficients of
+# 1, z, ..., z**(ell-2); in F_r[x]/(x**ell - 1) it is a row of ell residues.
+
+
+def _zeta_mul(a, b) -> list:
+    """a*b in Z[z]/(1 + z + ... + z**(ell-1))."""
+    ell = len(a) + 1
+    out = [0] * ell
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % ell] += x * y
+    return [v - out[-1] for v in out[:-1]]
+
+
+def _zeta_conj(a, s: int) -> list:
+    """sigma_s(a), the conjugate of a under z -> z**s."""
+    ell = len(a) + 1
+    out = [0] * ell
+    for i, x in enumerate(a):
+        out[i * s % ell] += x
+    return [v - out[-1] for v in out[:-1]]
+
+
+def _zeta_others(a) -> list:
+    """The product of a's conjugates other than a: a times it is N(a)."""
+    acc = [1] + [0] * (len(a) - 1)
+    for s in range(2, len(a) + 1):
+        acc = _zeta_mul(acc, _zeta_conj(a, s))
+    return acc
+
+
+@lru_cache(maxsize=64)
+def _cyclotomic_prime(ell: int, p: int) -> tuple[int, tuple[int, ...]]:
+    """(c, pi) for ell in {5, 7} and a prime p = 1 mod ell: c is the least
+    power c = g**((p-1)/ell) != 1 over g = 2, 3, ..., and pi = gcd(p, z - c)
+    in Z[z] by Euclid, of norm p, times the z**s that makes it primary
+    (congruent to an integer mod (1 - z)**2): z**i = 1 - i*(1 - z) there, so
+    with A = sum(a_i) and B = sum(i*a_i), s = -B/A mod ell."""
+    g = 2
+    while (c := pow(g, (p - 1) // ell, p)) == 1:
+        g += 1
+    a, b = [p] + [0] * (ell - 2), [-c, 1] + [0] * (ell - 3)
+    rest = _zeta_others(b)
+    norm = _zeta_mul(b, rest)[0]
+    while norm:
+        # a - q*b with q = a*rest/N(b) rounded coefficientwise, or, where that
+        # falls short of N(b) (about one step in a thousand at ell = 7), the
+        # floor or ceiling of each coefficient
+        t = _zeta_mul(a, rest)
+        corners = ([v // norm + e for v, e in zip(t, corner)] for corner in itertools.product((0, 1), repeat=ell - 1))
+        for q in itertools.chain([[(2 * v + norm) // (2 * norm) for v in t]], corners):
+            r = [x - y for x, y in zip(a, _zeta_mul(q, b))]
+            r_rest = _zeta_others(r)
+            if (r_norm := _zeta_mul(r, r_rest)[0]) < norm:
+                break
+        else:
+            raise ArithmeticError(f"no Euclidean step below N = {norm} in Z[z], z**{ell} = 1")
+        a, b, rest, norm = b, r, r_rest, r_norm
+    s = -sum(i * x for i, x in enumerate(a)) * pow(sum(a), -1, ell) % ell
+    v = a + [0]
+    v = v[-s:] + v[:-s] if s else v  # z**s * pi: its coefficients rotated mod x**ell - 1
+    return c, tuple(x - v[-1] for x in v[:-1])
+
+
+@lru_cache(maxsize=64)
+def _stickelberger_tables(ell: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, lam) for _eisenstein_index, from pi of _cyclotomic_prime, as
+    31-bit limbs, most significant first, of ell coefficients mod x**ell - 1
+    made nonnegative by adding a multiple of 1 + x + ... + x**(ell-1), which
+    is 0 in Z[z].  With u(a) = a^-1 mod ell in [1, ell-1]: theta[j] holds
+    limb j of prod over a of sigma_a(pi)**(u(a) - 1), and lam[j, t] limb j
+    of prod sigma_a(pi)**(floor(u(a)*e/ell) - low) for the e = t mod ell in
+    (-ell/2, ell/2), low the least of those exponents."""
+    _, pi = _cyclotomic_prime(ell, p)
+    u = [pow(a, -1, ell) for a in range(1, ell)]
+
+    def product(exponents):
+        # the least exponent is a power of p = N(pi), a unit mod every r
+        acc = [1] + [0] * (ell - 2)
+        for a, count in enumerate(exponents, start=1):
+            conj = _zeta_conj(pi, a)
+            for _ in range(count - min(exponents)):
+                acc = _zeta_mul(acc, conj)
+        low = min(acc + [0])
+        return [x - low for x in acc + [0]]
+
+    def limbs(rows):
+        top = max(x.bit_length() for row in rows for x in row)
+        return np.array([[[(x >> shift) & 0x7FFFFFFF for x in row] for row in rows]
+                         for shift in range((top - 1) // 31 * 31, -1, -31)], dtype=np.int64)
+
+    lams = [product([v * e // ell for v in u]) for e in (t if 2 * t < ell else t - ell for t in range(ell))]
+    return limbs([product(u)])[:, 0], limbs(lams)
+
+
+_CYCLIC = {ell: (np.arange(ell)[None, :] - np.arange(ell)[:, None]) % ell for ell in (5, 7)}
+
+
+def _cyclic_mul(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """a*b in F_r[x]/(x**ell - 1) column by column, for (ell, n) int64 rows
+    of residues mod r[i] < 2**30: each coordinate sums ell products below
+    2**60, so below 2**63."""
+    return np.einsum("in,ikn->kn", a, b[_CYCLIC[len(a)]]) % r
+
+
+def _eisenstein_index(r: np.ndarray, ell: int, p: int) -> np.ndarray:
+    """t[i] in Z/ell with r[i]**((p-1)/ell) = c**t[i] mod p, c and pi as in
+    _cyclotomic_prime, for ell in {5, 7}, primes r[i] < 2**30 other than ell
+    and a prime p = 1 mod ell other than r[i]; r[i] is an ell-th power iff
+    t[i] = 0.
+
+    By Eisenstein reciprocity z**t = (pi/r), the product over the primes
+    P | r of pi**((r**f - 1)/ell) mod P, f the order of r mod ell.  The f
+    base-r digits of (r**f - 1)/ell are floor(w*r/ell), w = r**(f-1-i) mod
+    ell, and pi**r = sigma_r(pi) mod r (Frobenius); with P = sigma_a(P0) for
+    a over the cosets of <r>, the product is prod over every b of
+    sigma_b(pi)**floor(v*r/ell), v = (b*r)^-1 mod ell.  So, with M = r/ell
+    rounded, e = r - ell*M and rho = r mod ell, it is
+    sigma_rho^-1(theta**M * lam_e) times a power of p, a unit mod r (theta
+    and lam_e as in _stickelberger_tables): one ladder of about log2(r/ell)
+    steps in F_r[x]/(x**ell - 1) in place of a power mod p.  A value
+    s*x**t' + u*(1 + x + ... + x**(ell-1)) with s != 0 is z**t' there, so t'
+    is the coordinate unlike the others, and t = t'/rho mod ell.  Arrays
+    go _WIDE_CHUNK entries at a time (about 4 MB of scratch).
+    """
+    if len(r) > _WIDE_CHUNK:
+        return np.concatenate([_eisenstein_index(r[i : i + _WIDE_CHUNK], ell, p) for i in range(0, len(r), _WIDE_CHUNK)])
+    theta, lam = _stickelberger_tables(ell, p)
+    rho = r % ell
+    # theta and lam_e mod r by int64 Horner passes over their limbs
+    x, y = np.zeros((2, ell, len(r)), dtype=np.int64)
+    for limbs in theta:
+        x = ((x << 31) | limbs[:, None]) % r
+    for limbs in lam:
+        y = ((y << 31) | limbs[rho].T) % r
+    # theta**M by 2-bit windows, top digit first: every column reads the same
+    # digit of its own M, and a digit 0 multiplies by 1
+    m = (r + ell // 2) // ell
+    square = _cyclic_mul(x, x, r)
+    table = np.stack([np.eye(ell, 1, dtype=np.int64).repeat(len(r), axis=1), x, square, _cyclic_mul(square, x, r)])
+    top, columns = max(int(m.max(initial=0)).bit_length() - 1, 0) // 2 * 2, np.arange(len(r))
+    acc = table[m >> top, :, columns].T
+    for shift in range(top - 2, -1, -2):
+        acc = _cyclic_mul(acc, acc, r)
+        acc = _cyclic_mul(_cyclic_mul(acc, acc, r), table[(m >> shift) & 3, :, columns].T, r)
+    acc = _cyclic_mul(acc, y, r)
+    unlike = acc != np.where(acc[0] == acc[1], acc[0], acc[2])
+    inverse = np.array([0] + [pow(a, -1, ell) for a in range(1, ell)])
+    return np.argmax(unlike, axis=0) * inverse[rho] % ell
+
+
 def _reciprocity_flags(r: np.ndarray, j: np.ndarray, d: int, p: int) -> np.ndarray:
-    """flags[i] = r[i]**j[i] is a dth power mod p, for d | 12 with d | p-1 and
-    primes 3 < r[i] < 2**31.  r**j is a square iff 2 | j or r is one; a cube
-    iff 3 | j or r is one; a 4th power iff 4 | j, or j = 2 mod 4 and r is a
-    square, or j is odd and r is a 4th power."""
+    """flags[i] = r[i]**j[i] is a dth power mod p, for d | 420 with d | p-1
+    and primes 3 < r[i] < 2**31 (below 2**30 and other than 5 or 7 when that
+    prime divides d).  r**j is a square iff 2 | j or r is one; a 4th power iff
+    4 | j, or j = 2 mod 4 and r is a square, or j is odd and r is a 4th
+    power; an ell-th power, ell in {3, 5, 7}, iff ell | j or r is one."""
     flags = np.ones(len(r), dtype=bool)
     two = math.gcd(d, 4)
     if two > 1:
@@ -598,10 +768,29 @@ def _reciprocity_flags(r: np.ndarray, j: np.ndarray, d: int, p: int) -> np.ndarr
         if two == 4:
             part = j % 2 == 1
             flags[part] = _quartic_flags(r[part], p)
-    if d % 3 == 0:
-        part = np.flatnonzero(j % 3 != 0)
-        flags[part] &= _cubic_index(r[part], p) == 0
+    for ell in (3, 5, 7):
+        if d % ell == 0:
+            part = np.flatnonzero(j % ell != 0)
+            flags[part] &= _prime_index(r[part], ell, p) == 0
     return flags
+
+
+def _prime_index(r: np.ndarray, ell: int, p: int) -> np.ndarray:
+    """The character index leaf of degree ell in {3, 5, 7}: t[i] with
+    r[i]**((p-1)/ell) = c**t[i] mod p, for the primes r[i] that leaf takes,
+    c as in _index_root."""
+    return _cubic_index(r, p) if ell == 3 else _eisenstein_index(r, ell, p)
+
+
+@lru_cache(maxsize=64)
+def _index_root(ell: int, p: int) -> int:
+    """The primitive ell-th root of unity c mod p of _prime_index: the image
+    -a/b of w for the primary a + b*w of norm p when ell = 3, and that of z
+    for pi = gcd(p, z - c) when ell is 5 or 7."""
+    if ell == 3:
+        a, b = _eisenstein_prime(p)
+        return -a * pow(b, -1, p) % p
+    return _cyclotomic_prime(ell, p)[0]
 
 
 def _smallest_prime_factors(x: int) -> np.ndarray:
@@ -622,15 +811,17 @@ def _shared_prime_flags(n: np.ndarray, k: int, p: int, budget: float) -> np.ndar
     from the distinct primes of the entries, which a table of smallest prime
     factors splits, _WIDE_CHUNK entries at a time.
 
-    For k in (3, 6), once the primes from 5 on reach the reciprocity work
-    threshold, each prime takes its cubic index (_cubic_index; 2 and 3 pay
-    one pow each, which is 1, c or c**2), n[i] is a cube iff its primes'
-    indices sum to 0 mod 3, and for k = 6 its own Jacobi symbol must be 1 as
-    well.  Otherwise each prime pays pow(r, (p-1)/k, p), and the witness of
-    n[i] is the product of its primes' witnesses mod p.  None, before any
-    pow, unless the pows it pays, its table and its walks through the
-    entries' primes (_ENTRY_UNITS table units each, 1/_TABLE_UNITS_PER_POW of
-    a pow per unit) cost fewer than budget pows."""
+    For k = ell or 2*ell with ell in {3, 5, 7}, once the primes the index
+    leaf of degree ell takes (_prime_index: those from 5 on for ell = 3, all
+    but ell for 5 and 7) reach its work threshold, each takes its index
+    there; the others pay one pow(r, (p-1)/ell, p), which is a power of c
+    (_index_root).  n[i] is an ell-th power iff its primes' indices sum to 0
+    mod ell, and for k = 2*ell its own Jacobi symbol must be 1 as well.
+    Otherwise each prime pays pow(r, (p-1)/k, p), and the witness of n[i] is
+    the product of its primes' witnesses mod p.  None, before any pow,
+    unless the pows it pays, its table and its walks through the entries'
+    primes (_ENTRY_UNITS table units each, 1/_TABLE_UNITS_PER_POW of a pow
+    per unit) cost fewer than budget pows."""
     top = int(n.max(initial=0))
     units = top + len(n) * _ENTRY_UNITS
     if units >= budget * _TABLE_UNITS_PER_POW:
@@ -644,17 +835,20 @@ def _shared_prime_flags(n: np.ndarray, k: int, p: int, budget: float) -> np.ndar
         m = m // r
         m = m[m > 1]
     primes = np.flatnonzero(used)
-    cubic = k in (3, 6) and np.count_nonzero(primes >= 5) * p.bit_length() >= _RECIPROCITY_MIN_WORK
-    paid = primes[primes < 5] if cubic else primes
+    ell = next((ell for ell in (3, 5, 7) if k in (ell, 2 * ell)), 0)
+    taken = primes >= 5 if ell == 3 else primes != ell
+    threshold = _RECIPROCITY_MIN_WORK if ell == 3 else _EISENSTEIN_MIN_WORK
+    index = ell > 0 and np.count_nonzero(taken) * p.bit_length() >= threshold
+    paid = primes[~taken] if index else primes
     if len(paid) * _TABLE_UNITS_PER_POW + units >= budget * _TABLE_UNITS_PER_POW:
         return None
-    if cubic:
-        # the indices add in Z/3; a + b*c = 0 mod p picks out c = -a/b
-        a, b = _eisenstein_prime(p)
-        roots = [pow(r, (p - 1) // 3, p) for r in paid.tolist()]
-        witness = np.array([0 if w == 1 else 1 if (a + b * w) % p == 0 else 2 for w in roots]
-                           + _cubic_index(primes[len(paid):], p).tolist(), dtype=np.int64)
-        one, times = 0, lambda x, y: (x + y) % 3
+    if index:
+        # the indices add in Z/ell
+        roots = list(itertools.accumulate([_index_root(ell, p)] * (ell - 1), lambda x, c: x * c % p, initial=1))
+        witness = np.empty(len(primes), dtype=np.int64)
+        witness[~taken] = [roots.index(pow(r, (p - 1) // ell, p)) for r in paid.tolist()]
+        witness[taken] = _prime_index(primes[taken], ell, p)
+        one, times = 0, lambda x, y: (x + y) % ell
     else:
         witness = np.array([pow(r, (p - 1) // k, p) for r in primes.tolist()], dtype=object)
         one, times = 1, lambda x, y: x * y % p
@@ -670,7 +864,7 @@ def _shared_prime_flags(n: np.ndarray, k: int, p: int, budget: float) -> np.ndar
             m[live] //= r
             live = live[m[live] > 1]
         flags[chunk] = acc == one
-        if cubic and k == 6:
+        if index and k == 2 * ell:
             flags[chunk] &= _quadratic_flags(n[chunk], p)
     return flags
 
@@ -705,11 +899,15 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
     further:
     1. Shared primes, without bases and for k >= 3, on entries
        1 <= n <= 2**20: a table of smallest prime factors of their maximum
-       splits each into primes.  For k in {3, 6}, once (primes from 5 on) *
-       (bits of p) reaches 512 as in stage 2, each prime r >= 5 takes its
-       cubic character index by cubic reciprocity and 2 and 3 pay one
-       pow(r, (p-1)/3, p) each; an entry is a cube iff its primes' indices
-       sum to 0 mod 3, and for k = 6 its Jacobi symbol must be 1 too.
+       splits each into primes.  For k = ell or 2*ell with ell in {3, 5, 7},
+       once (primes its index leaf takes) * (bits of p) reaches that leaf's
+       threshold (512 for ell = 3, 1024 for 5 and 7, as in stage 2), each
+       such prime takes its character index mod ell by reciprocity (cubic
+       for 3, Eisenstein for 5 and 7), and the primes the leaf cannot take
+       (2 and 3 for ell = 3, ell itself for 5 and 7) pay one
+       pow(r, (p-1)/ell, p) each, read as a power of the leaf's root of
+       unity; an entry is an ell-th power iff its primes' indices sum to 0
+       mod ell, and for k = 2*ell its Jacobi symbol must be 1 too.
        Otherwise each distinct prime r pays one pow(r, (p-1)/k, p), and an
        entry's witness is the product of its primes' witnesses mod p.  It
        runs when the pows it pays, its table and its walks cost less than
@@ -718,13 +916,18 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
        260 + n * limbs / 18 pows; when the other entries run that pass
        anyway, the stage's entries are charged only n * limbs / 18 and the
        fixed part of any chunk they add); the table peaks under 6 MiB.
-    2. Reciprocity on its base, with bases, k >= 3 and d = gcd(k, 12) > 1,
-       for entries with 5 <= r < 2**31, once (entries taken) * (bits of p)
-       reaches 512 (below that one pow each is faster): Jacobi for the 2-part
-       of d when it is 2, quartic reciprocity when it is 4, cubic reciprocity
-       for its 3-part.  For k in {3, 4, 6, 12} that is the verdict; for any
-       other k only its survivors, about 1/d of the entries, go on with the
-       full exponent (p-1)/k.
+    2. Reciprocity on its base, with bases and k >= 3, for entries with
+       5 <= r < 2**31, once (entries taken) * (bits of p) reaches 512 (below
+       that one pow each is faster).  The degree d it decides is gcd(k, 12),
+       times ell in {5, 7} when ell | k and the entries with r < 2**30 and
+       r != ell (then the only ones it takes) reach 1024 * d in that product
+       (the pows the Eisenstein leaf saves are those of the survivors of the
+       test of degree d, about 1/d of the entries):
+       Jacobi for the 2-part of d when it is 2, quartic reciprocity when it
+       is 4, cubic reciprocity for its 3-part, and the Eisenstein index of r
+       for 5 and 7.  When d = k (k in {3, 4, 5, 6, 7, 12, 14, 28, ...}) that
+       is the verdict; for any other k only its survivors, about 1/d of the
+       entries, go on with the full exponent (p-1)/k.
     3. The wide path on what is left, once at least 512 entries remain: for
        k = 2 a binary Jacobi loop on int64 arrays (entries with residue mod p
        in (0, 2**31)), for k >= 3 Montgomery powers on 28-bit limbs while
@@ -764,9 +967,17 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
         if shared is not None:
             flags[small] = shared
             left = np.flatnonzero(~small)
-    if bases is not None and k >= 3 and (d := math.gcd(k, 12)) > 1:
-        take = np.flatnonzero((bases >= 5) & (bases < 2**31))
-        if len(take) * p.bit_length() >= _RECIPROCITY_MIN_WORK:
+    if bases is not None and k >= 3:
+        d, takes = math.gcd(k, 12), (bases >= 5) & (bases < 2**31)
+        for ell in (5, 7):
+            if k % ell == 0:
+                # the leaf saves the pows of the dth-power test's survivors,
+                # about 1/d of the entries
+                fits = takes & (bases < 2**30) & (bases != ell)
+                if np.count_nonzero(fits) * p.bit_length() >= _EISENSTEIN_MIN_WORK * d:
+                    d, takes = d * ell, fits
+        take = np.flatnonzero(takes)
+        if d > 1 and len(take) * p.bit_length() >= _RECIPROCITY_MIN_WORK:
             for start in range(0, len(take), _WIDE_CHUNK):
                 chunk = take[start : start + _WIDE_CHUNK]
                 r, n = bases[chunk], ns[chunk]
@@ -810,11 +1021,13 @@ def has_exact_order(ns, p: int, k: int, p_minus_1_factors, bases=None) -> np.nda
     n**((p-1)/(k*f)) == 1.  For f not dividing k it is euler_flags with f
     in place of k*f: F_p* is cyclic, so for gcd(k, f) = 1 its (k*f)th powers
     are its kth powers that are fth powers, and f = 2 is a Jacobi symbol and
-    f = 3 cubic reciprocity on entries with a base.  Without bases, every
-    stage of degree 3 or 6 (the first one for k in {3, 6}, or f = 3) sums
-    its entries' primes' cubic indices, so only the primes 2 and 3 pay a
-    power there.  bases, as in euler_flags, goes to every stage, which takes
-    the survivors' bases alone.  A flagged entry has order (p-1)/k, so a
+    f in {3, 5, 7} reciprocity on entries with a base.  Without bases, every
+    stage of degree ell or 2*ell with ell in {3, 5, 7} (the first one for
+    such k, or f = ell) sums its entries' primes' character indices mod ell,
+    so only the primes 2 and 3 (ell = 3) or ell itself pay a power there:
+    at 10^48+217 with k = 7 the first stage pays one, for the prime 7.
+    bases, as in euler_flags, goes to every stage, which takes the
+    survivors' bases alone.  A flagged entry has order (p-1)/k, so a
     caller that needs the order of one need not compute it again.
     """
     ns, bases = _entries(ns, bases)

@@ -166,7 +166,12 @@ class TestWeightedCount:
                  (OddPrimeContext.for_prime(P48), Target.RESIDUE, 4, ResidueClass(0, 1), 1500, None),
                  (OddPrimeContext.for_prime(P48), Target.NONRESIDUE, 8, ResidueClass(2, 3), 1500, None),
                  # the stage k*f = 4 of an order test, on squares of primitive roots
-                 (OddPrimeContext.for_prime(P48), Target.GENERATOR, 2, ResidueClass(0, 1), 1500, P48_FACTORS)]
+                 (OddPrimeContext.for_prime(P48), Target.GENERATOR, 2, ResidueClass(0, 1), 1500, P48_FACTORS),
+                 # the septic index leaf, alone and beside Jacobi and quartic reciprocity
+                 (ctx24, Target.RESIDUE, 7, ResidueClass(1, 3), 3000, None),
+                 (OddPrimeContext.for_prime(P48), Target.NONRESIDUE, 14, ResidueClass(0, 1), 1500, None),
+                 (OddPrimeContext.for_prime(P48), Target.RESIDUE, 28, ResidueClass(1, 4), 1500, None),
+                 (OddPrimeContext.for_prime(P48), Target.GENERATOR, 7, ResidueClass(1, 3), 1000, P48_FACTORS)]
         for ctx, target, k, cls, x, factors in cases:
             p = ctx.p
             report = weighted_count(target, k, cls, float(x), ctx, p_minus_1_factors=factors)
@@ -196,6 +201,30 @@ class TestWeightedCount:
             assert report.unweighted_count == unweighted
             assert report.skipped_multiples_of_p == skipped
             assert report.error_term == pytest.approx(report.weighted_count - report.main_term)
+
+    def test_nonresidue_main_term_covers_its_cosets(self):
+        """At p = 1009 with k = 3, q = 4, a = 1 and x = 5000, a literal loop
+        over n gives both weighted counts.  The nonresidue target's main term
+        is 2x/(3*phi(4)), twice the residue one, so the two error terms add
+        up to the class's own error psi(x; 4, 1) - x/phi(4) (p excluded) and
+        each is of that size; with the residue main term the nonresidue
+        error read about +x/6."""
+        ctx = OddPrimeContext.for_prime(1009)
+        x, cls = 5000, ResidueClass(1, 4)
+        res = weighted_count(Target.RESIDUE, 3, cls, float(x), ctx)
+        non = weighted_count(Target.NONRESIDUE, 3, cls, float(x), ctx)
+        terms = [(naive_von_mangoldt(n), pow(n, 336, 1009) == 1) for n in range(2, x + 1)
+                 if cls.contains(n) and n % 1009]
+        assert res.weighted_count == pytest.approx(math.fsum(lam for lam, cube in terms if cube), abs=1e-9)
+        assert non.weighted_count == pytest.approx(math.fsum(lam for lam, cube in terms if not cube), abs=1e-9)
+        assert (res.main_term, non.main_term) == (x / 6, 2 * x / 6)
+        class_error = math.fsum(lam for lam, _ in terms) - x / 2
+        assert res.error_term + non.error_term == pytest.approx(class_error, abs=1e-9)
+        scale = max(abs(res.error_term), abs(class_error))
+        assert abs(non.error_term) <= 2 * scale < x / 60
+        # k = 2 keeps x/(2*phi(q)) for both targets, bit for bit
+        half = weighted_count(Target.NONRESIDUE, 2, cls, float(x), ctx)
+        assert half.main_term == main_term_prediction(2, 4, float(x))
 
     def test_published_main_term(self, ctx24):
         x = bound_x(ctx24, 2)
@@ -263,6 +292,16 @@ class TestDensitySweep:
         for s in result.samples:
             sigma = math.sqrt(2.0 / 9.0 / s.total)
             assert abs(s.observed_fraction - 2 / 3) <= 3 * sigma
+
+    def test_nonresidue_correction_near_one(self):
+        # the k-1 nonresidue cosets hold (k-1)/k of the primes: the estimate
+        # divides by k-1 and reads about 1, not k-1
+        result = density_sweep(3, ResidueClass(0, 1), (10**4, 10**4 + 600), x_rule="prime")
+        assert len(result.samples) >= 1
+        for s in result.samples:
+            sigma = math.sqrt(2.0 / 9.0 / s.total)
+            assert s.correction_estimate == pytest.approx(s.observed_fraction * 3 / 2)
+            assert abs(s.correction_estimate - 1) <= 3 * sigma * 3 / 2
 
     def test_progression_correction_recorded(self):
         result = density_sweep(2, ResidueClass(1, 4), (10**5, 10**5 + 1500),

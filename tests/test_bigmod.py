@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apresidues import bigmod
+from apresidues.apsearch import Target, weighted_count
 from apresidues.bigmod import (
     OddPrimeContext,
     ResidueClass,
@@ -35,6 +37,7 @@ from conftest import (
     P128_FACTORS,
     divisors,
     loop_sieve,
+    naive_is_prime,
     naive_von_mangoldt,
 )
 
@@ -349,9 +352,10 @@ class TestWideEulerFlags:
         primes = primes_up_to(7919)  # the first 1000 primes
         euler_flags(ns, 2, P24)
         # for k >= 3 the shared-prime stage takes 1..1000 (168 powers), but
-        # not primes without a base, nor entries above its table budget
+        # not primes without a base when k has no index route (k = 8: one
+        # power each), nor entries above its table budget
         euler_flags(ns, 7, P48)
-        euler_flags(primes, 7, P48)
+        euler_flags(primes, 8, P48)
         euler_flags(ns + bigmod._FACTOR_LIMIT, 7, P48)
         assert sizes("quadratic", "montgomery") == [1000, 1000, 1000]
         assert sizes("shared") == [1000]
@@ -359,7 +363,7 @@ class TestWideEulerFlags:
         mixed = np.concatenate([ns, [0, 2**31, 2**40]])
         assert euler_flags(mixed, 2, P24).tolist() == scalar_flags(mixed, 2, P24)
         mixed = np.concatenate([primes, [0, 2**31, 2**40]])
-        assert euler_flags(mixed, 7, P24).tolist() == scalar_flags(mixed, 7, P24)
+        assert euler_flags(mixed, 29, P24).tolist() == scalar_flags(mixed, 29, P24)
         assert sizes("quadratic", "montgomery")[3:] == [1000, 1002]
         # short arrays, and moduli of more than 6 limbs for k >= 3, stay
         # scalar; k = 9 has no cubic index route, so its primes pay one pow each
@@ -406,11 +410,12 @@ def scalar_flags_by_k(ns, ks, p):
     return {k: [pow(t, m // k, p) == 1 for t in ts] for k in ks}
 
 
-def seeded_prime(digits, residue, seed):
-    """A random prime of the given number of digits with p = residue mod 24."""
+def seeded_prime(digits, residue, seed, modulus=24):
+    """A random prime of the given number of digits with p = residue mod
+    modulus."""
     rng = random.Random(seed)
     while True:
-        p = rng.randrange(10 ** (digits - 1), 10**digits) // 24 * 24 + residue
+        p = rng.randrange(10 ** (digits - 1), 10**digits) // modulus * modulus + residue
         if is_prime(p):
             return p
 
@@ -591,22 +596,28 @@ class TestReciprocityFlags:
         assert calls == [("scalar", r[:3].tolist())]
 
     @pytest.mark.parametrize("p,k,x", [(P128, 9, 5000), (P128, 9, 40000), (P48, 8, 5000), (P48, 8, 40000),
-                                       (P128, 3, 5000), (P48, 2, 40000), (P24, 7, 5000)],
+                                       (P128, 3, 5000), (P48, 2, 40000), (P24, 7, 5000), (P24, 29, 5000),
+                                       (P48, 14, 5000), (P48, 56, 40000)],
                              ids=["2^128+51-9-short", "2^128+51-9", "10^48+217-8-short", "10^48+217-8",
-                                  "2^128+51-3", "10^48+217-2", "10^24+7-7"])
+                                  "2^128+51-3", "10^48+217-2", "10^24+7-7", "10^24+7-29", "10^48+217-14",
+                                  "10^48+217-56"])
     def test_each_entry_reaches_one_leaf(self, p, k, x, monkeypatch):
         """Every entry reaches one leaf, or two (reciprocity, then the wide
         path or one pow) when it survives the dth-power test and d < k; the
         wide path takes what is left once that is at least _WIDE_MIN entries,
-        whatever the length of the whole array."""
+        whatever the length of the whole array.  d = gcd(k, 420) here, since
+        every array is past the Eisenstein leaf's threshold; when 5 or 7
+        divides d, that prime and the bases from 2**30 on keep the other
+        paths."""
         calls = leaf_calls(monkeypatch)
         big = next_prime(2**31)
         ns, bases = prime_powers_up_to(x)
         ns, bases = np.append(ns, big), np.append(bases, big)
-        d = math.gcd(k, 12)
+        d = math.gcd(k, 420)
         want = scalar_flags_by_k(ns, (d, k), p)
         assert euler_flags(ns, k, p, bases=bases).tolist() == want[k]
-        taken = (bases >= 5) & (bases < 2**31) & (k >= 3 and d > 1)
+        ells = [ell for ell in (5, 7) if d % ell == 0]
+        taken = (bases >= 5) & (bases < (2**30 if ells else 2**31)) & ~np.isin(bases, ells) & (k >= 3 and d > 1)
         left = ~taken | (taken & np.array(want[d]) & (d < k))
         wide = (left.sum() >= bigmod._WIDE_MIN) & ((ns < 2**31) | (k > 2))
         last = np.where(wide, "quadratic" if k == 2 else "montgomery", "scalar")
@@ -689,20 +700,22 @@ class TestSharedPrimes:
         others = [0, -1, -6, -(2**40), limit + 1, limit + 6, 2**40]
         body = np.arange(1, 2001 if wide else 301)
         ns = np.concatenate([others[:4], body, others[4:]])
-        for p, k in ((P128, 9), (P48, 7), (P24, 14), (P128, 3), (SEEDED[2], 6)):
+        for p, k in ((P128, 9), (P48, 7), (P24, 14), (P24, 58), (P128, 3), (SEEDED[2], 6)):
             calls.clear()
             assert euler_flags(ns, k, p).tolist() == scalar_flags(ns, k, p), (p, k)
             assert calls == [("shared", body.tolist()), ("scalar", others)]
             if wide:
                 # once the rest are _WIDE_MIN entries, those above 0 take the
-                # Montgomery power; at 10^24+7 (3 limbs) the body joins that
-                # pass, where its 2000 entries add about 333 pows, against 303
-                # for their primes plus the stage's table and walks
+                # Montgomery power; at 10^24+7 (3 limbs) with k = 58, which has
+                # no index route, the body joins that pass, where its 2000
+                # entries add about 333 pows, against 303 for their primes plus
+                # the stage's table and walks; with k = 14 the septic index
+                # leaves the stage one pow, for the prime 7
                 calls.clear()
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(bigmod, "_WIDE_MIN", len(others))
                     assert euler_flags(ns, k, p).tolist() == scalar_flags(ns, k, p), (p, k)
-                if p == P24:
+                if k == 58:
                     assert calls == [("montgomery", body.tolist() + others[4:]), ("scalar", others[:4])]
                 else:
                     assert calls == [("shared", body.tolist()), ("montgomery", others[4:]), ("scalar", others[:4])]
@@ -768,7 +781,7 @@ class TestSharedPrimes:
         calls = leaf_calls(monkeypatch)
         ns = np.arange(1, 3001)
         want = scalar_flags_by_k(ns, (3, 6), p)
-        bigmod._eisenstein_prime(p)  # memoised per p, before counting
+        bigmod._index_root(3, p)  # memoised per p, with pi, before counting
         counted = []
 
         def counting_pow(*args):
@@ -782,25 +795,29 @@ class TestSharedPrimes:
         assert [call for call in calls if call[1]] == [("shared", ns.tolist())] * 2
 
     def test_montgomery_cost_grows_with_the_chunk(self, monkeypatch):
-        """At 10^24+7 (3 limbs) 4096 consecutive entries with about 4.5 per
-        distinct prime go to Montgomery (measured 20 ms, the stage 29 ms),
-        while 512 with 2.5 and 1024 with 3.4 per prime take the stage (6.0
-        against 8.2 ms and 9.5 against 10.3 ms)."""
+        """At 10^24+7 (3 limbs), for a k with no index route (29; measured
+        with k = 7 before it had one), 4096 consecutive entries with about
+        4.5 per distinct prime go to Montgomery (measured 20 ms, the stage
+        29 ms), while 512 with 2.5 and 1024 with 3.4 per prime take the stage
+        (6.0 against 8.2 ms and 9.5 against 10.3 ms).  With k = 7 the stage
+        pays one pow, for the prime 7, so it takes all three."""
         calls = leaf_calls(monkeypatch)
         for start, count, ratio, taker in ((3000, 4096, 4.5, "montgomery"), (1000, 512, 2.5, "shared"),
                                            (1000, 1024, 3.35, "shared")):
             ns = np.arange(start, start + count)
             primes = set().union(*map(factorize, ns.tolist()))
             assert count / len(primes) == pytest.approx(ratio, abs=0.05)
-            calls.clear()
-            assert euler_flags(ns, 7, P24).tolist() == scalar_flags(ns, 7, P24)
-            assert [leaf for leaf, entries in calls if entries] == [taker], (start, count)
+            for k in (29, 7):
+                calls.clear()
+                assert euler_flags(ns, k, P24).tolist() == scalar_flags(ns, k, P24)
+                assert [leaf for leaf, entries in calls if entries] == [taker if k == 29 else "shared"], (k, count)
 
     def test_joins_a_montgomery_pass_the_other_entries_keep_running(self, monkeypatch):
-        """At 10^24+7 with k = 7, 100 entries from 1000 alone take the stage,
-        but next to 600 entries from 2**21, which run a Montgomery pass
-        anyway, they join that pass (measured 10.7 ms with the stage, 7.9 ms
-        in one pass); next to 300, too few for the pass, they keep the stage."""
+        """At 10^24+7 with k = 29 (no index route; measured with k = 7 before
+        it had one), 100 entries from 1000 alone take the stage, but next to
+        600 entries from 2**21, which run a Montgomery pass anyway, they join
+        that pass (measured 10.7 ms with the stage, 7.9 ms in one pass); next
+        to 300, too few for the pass, they keep the stage."""
         calls = leaf_calls(monkeypatch)
         small, big = np.arange(1000, 1100), np.arange(2**21, 2**21 + 600)
         for ns, route in ((small, [("shared", small.tolist()), ("scalar", [])]),
@@ -809,7 +826,7 @@ class TestSharedPrimes:
                           (np.concatenate((small, big[:300])), [("shared", small.tolist()),
                                                                ("scalar", big[:300].tolist())])):
             calls.clear()
-            assert euler_flags(ns, 7, P24).tolist() == scalar_flags(ns, 7, P24)
+            assert euler_flags(ns, 29, P24).tolist() == scalar_flags(ns, 29, P24)
             assert calls == route, len(ns)
 
     def test_smallest_prime_factors(self):
@@ -830,6 +847,162 @@ class TestSharedPrimes:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
+
+
+def pow_indices(rs, ell, p):
+    """The t with r**((p-1)/ell) = c**t mod p for each r, by one pow each,
+    where c is the least power g**((p-1)/ell) != 1 over g = 2, 3, ..."""
+    c = next(w for g in itertools.count(2) if (w := pow(g, (p - 1) // ell, p)) != 1)
+    index = {pow(c, t, p): t for t in range(ell)}
+    return [index[pow(int(r), (p - 1) // ell, p)] for r in rs]
+
+
+def weighted_count_by_pow(p, k, cls, x):
+    """(weighted, unweighted) count of the kth power residues n <= x in the
+    class, p not dividing n, by one pow per n."""
+    hits = [n for n in range(2, x + 1) if cls.contains(n) and n % p and naive_von_mangoldt(n)
+            and pow(n, (p - 1) // k, p) == 1]
+    return math.fsum(naive_von_mangoldt(n) for n in hits), sum(map(naive_is_prime, hits))
+
+
+def index_calls(monkeypatch):
+    """Record the primes of every call of the Eisenstein index leaf."""
+    calls, original = [], bigmod._eisenstein_index
+
+    def spy(r, ell, p):
+        calls.append((ell, r.tolist()))
+        return original(r, ell, p)
+
+    monkeypatch.setattr(bigmod, "_eisenstein_index", spy)
+    return calls
+
+
+class TestEisensteinIndex:
+    """The quintic and septic index leaf: pi = gcd(p, z - c) in Z[z], made
+    primary, and the index of r from one ladder mod r."""
+
+    # p = 1 mod 70 at 24 and 48 digits, so that 5 and 7 divide p - 1
+    SEEDED = [seeded_prime(digits, 1, 2100 + digits + i, modulus=70) for digits in (24, 48) for i in (0, 1)]
+    CASES = [(P24, 7), (P48, 7)] + [(p, ell) for p in SEEDED for ell in (5, 7)]
+    IDS = ["10^24+7-7", "10^48+217-7"] + [f"{d}d{i}-{ell}" for d in (24, 48) for i in (0, 1) for ell in (5, 7)]
+
+    def test_seeded_primes(self):
+        assert [len(str(p)) for p in self.SEEDED] == [24, 24, 48, 48]
+        assert all(p % 70 == 1 and is_prime(p) for p in self.SEEDED)
+
+    @pytest.mark.parametrize("p,ell", CASES, ids=IDS)
+    def test_pi_is_primary_of_norm_p_dividing_z_minus_c(self, p, ell):
+        sympy = pytest.importorskip("sympy")
+        c, pi = bigmod._cyclotomic_prime(ell, p)
+        x, y = sympy.symbols("x y")
+        poly = sum(a * x**i for i, a in enumerate(pi))
+        # N(pi), the resultant with the cyclotomic polynomial, is p
+        assert sympy.resultant(poly, sympy.cyclotomic_poly(ell, x), x) == p
+        # c is the least g**((p-1)/ell) != 1, and pi(c) = 0 mod p: the prime
+        # (pi) of degree 1 is (p, z - c)
+        assert c == next(w for g in itertools.count(2) if (w := pow(g, (p - 1) // ell, p)) != 1)
+        assert c != 1 and pow(c, ell, p) == 1
+        assert sum(a * pow(c, i, p) for i, a in enumerate(pi)) % p == 0
+        # primary: pi(1 - y) = A - B*y + O(y**2) with ell | B and ell not | A
+        series = sympy.Poly(sympy.expand(poly.subs(x, 1 - y)), y).all_coeffs()[::-1]
+        assert series[0] % ell != 0 and series[1] % ell == 0
+
+    @pytest.mark.parametrize("p,ell,limit", [(P24, 7, 5000), (P48, 7, 10**5)]
+                             + [(p, ell, 5000) for p in SEEDED for ell in (5, 7)], ids=IDS)
+    def test_index_matches_pow(self, p, ell, limit):
+        r = primes_up_to(limit)
+        r = np.concatenate([r[r != ell], [next_prime(2**30 - 200 * i) for i in range(1, 4)]])
+        assert r.max() < 2**30
+        got = bigmod._eisenstein_index(r, ell, p)
+        assert got.tolist() == pow_indices(r, ell, p)
+        # every index occurs at split primes r = 1 mod ell, which a lost sign
+        # or a wrong inverse exponent would misread
+        assert set(got[r % ell == 1].tolist()) == set(range(ell))
+
+    def test_chunks(self, monkeypatch):
+        monkeypatch.setattr(bigmod, "_WIDE_CHUNK", 64)
+        r = primes_up_to(1000)[4:]  # 11 .. 997, 164 primes
+        assert bigmod._eisenstein_index(r, 7, P48).tolist() == pow_indices(r, 7, P48)
+
+    @pytest.mark.parametrize("k", [7, 14, 28])
+    def test_counts_at_10_48_take_the_leaf(self, k, monkeypatch):
+        """A count's entries at 10^48+217 with k in {7, 14, 28}: every base
+        from 5 on other than 7 takes the septic leaf, beside Jacobi (k = 14)
+        or quartic reciprocity (k = 28), which decide the verdict; the bases
+        2, 3 and 7 keep one pow each, and no Montgomery power runs."""
+        calls = leaf_calls(monkeypatch)
+        leaf = index_calls(monkeypatch)
+        ns, bases = prime_powers_up_to(20000)
+        got = euler_flags(ns, k, P48, bases=bases)
+        assert got.tolist() == scalar_flags_by_k(ns, (k,), P48)[k]
+        other = np.isin(bases, [2, 3, 7])
+        assert calls == [("reciprocity", ns[~other].tolist()), ("scalar", ns[other].tolist())]
+        assert leaf == [(7, bases[~other & (ns != bases**7)].tolist())]
+
+    def test_weighted_count_takes_the_leaf(self, monkeypatch):
+        leaf = index_calls(monkeypatch)
+        calls = leaf_calls(monkeypatch)
+        for p, q in ((P48, 6), (P24, 3)):
+            ctx = OddPrimeContext.for_prime(p)
+            want = weighted_count_by_pow(p, 7, ResidueClass(1, q), 5000)
+            report = weighted_count(Target.RESIDUE, 7, ResidueClass(1, q), 5000.0, ctx)
+            assert (report.weighted_count, report.unweighted_count) == pytest.approx(want, abs=1e-9)
+        assert [ell for ell, _ in leaf] == [7, 7]
+        assert all(name != "montgomery" for name, _ in calls)
+
+    def test_short_arrays_keep_pow(self, monkeypatch):
+        """Below (entries taken) * (bits of p) = 1024 one pow each is faster:
+        6 entries at 160 bits (960) and 12 at 80 bits (960) keep it, 7 (1120)
+        and 13 (1040) take the leaf."""
+        leaf = index_calls(monkeypatch)
+        r = primes_up_to(100)[4:]  # 11, 13, ...
+        # with bases (stage 2), and without (the stage of shared primes
+        # counts the primes it takes)
+        for p, below in ((P48, 6), (P24, 12)):
+            for n, with_bases in itertools.product((below, below + 1), (True, False)):
+                leaf.clear()
+                got = euler_flags(r[:n], 7, p, bases=r[:n] if with_bases else None)
+                assert got.tolist() == scalar_flags(r[:n], 7, p)
+                assert leaf == ([] if n == below else [(7, r[:n].tolist())]), (p, n, with_bases)
+
+    @pytest.mark.parametrize("p,ks", [(P48, (7, 14)), (P24, (7, 14))] + [(p, (5, 10)) for p in SEEDED],
+                             ids=["10^48+217", "10^24+7", "24d0", "24d1", "48d0", "48d1"])
+    def test_index_route_pays_only_for_ell(self, p, ks, monkeypatch):
+        """Every n <= 3000 without a base: the stage of shared primes sums
+        its primes' indices mod ell, and its only power is that of ell."""
+        calls = leaf_calls(monkeypatch)
+        ns = np.arange(1, 3001)
+        want = scalar_flags_by_k(ns, ks, p)
+        ell = ks[0]
+        bigmod._index_root(ell, p)  # memoised per p, with pi, before counting
+        bigmod._stickelberger_tables(ell, p)
+        counted = []
+
+        def counting_pow(*args):
+            if args[2:] == (p,):
+                counted.append(args[0])
+            return pow(*args)
+
+        monkeypatch.setattr(bigmod, "pow", counting_pow, raising=False)
+        for k in ks:
+            assert euler_flags(ns, k, p).tolist() == want[k], k
+        assert counted == [ell, ell]
+        assert [call for call in calls if call[1]] == [("shared", ns.tolist())] * 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3_037_000_501, 2**200), st.sampled_from([5, 7, 10, 14, 15, 21, 28, 35]),
+           st.lists(st.tuples(st.integers(2, 2**30 + 2**20), st.integers(1, 8)), min_size=1, max_size=20))
+    def test_hypothesis_pairs(self, start, k, pairs):
+        p = next_prime(start)
+        while (p - 1) % k:
+            p = next_prime(p)
+        bases = [next_prime(x) for x, _ in pairs]
+        ns = [r**j if r**j < 2**63 else r for r, (_, j) in zip(bases, pairs)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bigmod, "_RECIPROCITY_MIN_WORK", 0)
+            mp.setattr(bigmod, "_EISENSTEIN_MIN_WORK", 0)
+            assert euler_flags(ns, k, p, bases=bases).tolist() == scalar_flags(ns, k, p)
+            assert euler_flags(ns, k, p).tolist() == scalar_flags(ns, k, p)
 
 
 class TestInputContract:

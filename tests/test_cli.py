@@ -151,6 +151,14 @@ class TestCount:
         assert "k must be >= 2, got 0" in err
         assert out == ""
 
+    def test_septic_count_stdout_is_pinned_byte_for_byte(self, capsys):
+        # a k = 7 count at 10^48+217, recorded before its verdicts moved from
+        # Montgomery powers to the septic index leaf; the stdout holds no timings
+        code, out, _ = run_cli(capsys, "count", "--target", "residue", "--k", "7", "--q", "4", "--a", "1",
+                               "--p", "10^48+217", "--x", "100000")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "fc1ba70f233519e7"
+
 
 @pytest.mark.parametrize("command", [
     ["search", "--target", "nonresidue", "--q", "4", "--epsilon", "nan"],
