@@ -336,13 +336,16 @@ _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # moduli keep the scalar pow.
 _MAX_LIMBS = 6
 _ODD_POWERS_OF_2 = 0x2AAAAAAAAAAAAAAA  # the bits 2**1, 2**3, 2**5, ...
-# The reciprocity path has a fixed cost of about 0.07-0.1 ms in numpy calls,
-# and one scalar pow grows with p: about 6 us at 34 bits, 16 at 81 and 35-60
-# at 129-160 bits.  So it takes an array once (entries it takes) * (bits of p)
-# reaches 512; measured with k = 3, it overtakes pow at about 24 entries at 34
-# bits, 12 at 49-65 bits, 8 at 81 bits and 2-3 at 129-201 bits.
+# The reciprocity path has a fixed cost of about 0.07-0.1 ms in numpy calls
+# for the quadratic and quartic tests and 0.22 ms with the Eisenstein leaf at
+# ell = 3 (then 1.3-1.7 us an entry), and one scalar pow grows with p: about
+# 7 us at 34 bits, 17 at 81, 35 at 129 and 76 at 201 bits.  So it takes an
+# array once (entries it takes) * (bits of p) reaches 512.  Measured with
+# k = 3, it overtakes pow at about 40-60 entries at 34 bits, 24 at 65, 16-20
+# at 81, 8-10 at 129 and 4-6 at 201 bits, so this threshold hands it some
+# arrays below its crossover.
 _RECIPROCITY_MIN_WORK = 512
-# The Eisenstein leaf (ell in {5, 7}) costs about 0.3 ms a call and then
+# The Eisenstein leaf for ell in {5, 7} costs about 0.3 ms a call and then
 # 3.5-6.5 us an entry whatever the size of p (its ladder takes about
 # 1.5 * log2(r/ell) steps), against one pow at about 8 us at 34 bits, 25 at
 # 80 and 65-100 at 160-201 bits.  So it takes an array once (entries it takes)
@@ -511,11 +514,11 @@ def _quadratic_flags(n: np.ndarray, p: int) -> np.ndarray:
     return flags
 
 
-# Cubic and quartic verdicts for a prime entry q by reciprocity (Ireland and
-# Rosen, A Classical Introduction to Modern Number Theory, ch. 9): with
-# p = N(pi) for a primary prime pi, whether q is a cube or a 4th power mod p
-# is read off a power of pi in Z[w]/(q) or Z[i]/(q), a ladder of about
-# log2(q) steps on int64 numbers below q, in place of a power mod p.
+# Quartic verdicts for a prime entry q by reciprocity (Ireland and Rosen, A
+# Classical Introduction to Modern Number Theory, ch. 9): with p = N(pi) for
+# a primary Gaussian prime pi, whether q is a 4th power mod p is read off a
+# power of pi in Z[i]/(q), a ladder of about log2(q) steps on int64 numbers
+# below q, in place of a power mod p.
 
 
 def _cornacchia(d: int, p: int, r: int) -> tuple[int, int]:
@@ -525,21 +528,6 @@ def _cornacchia(d: int, p: int, r: int) -> tuple[int, int]:
     while b * b > p:
         a, b = b, a % b
     return b, math.isqrt((p - b * b) // d)
-
-
-@lru_cache(maxsize=64)
-def _eisenstein_prime(p: int) -> tuple[int, int]:
-    """(a, b) with a + b*w primary (a = 2, b = 0 mod 3) and of norm
-    a**2 - a*b + b**2 = p, for a prime p = 1 mod 3: sqrt(-3) = 2z + 1 for a
-    cube root of unity z != 1 mod p, Cornacchia gives p = x**2 + 3y**2, and
-    x + y*sqrt(-3) = (x + y) + 2y*w; one of its six associates is primary."""
-    c = 2
-    while (zeta := pow(c, (p - 1) // 3, p)) == 1:
-        c += 1
-    x, y = _cornacchia(3, p, (2 * zeta + 1) % p)
-    a, b = x + y, 2 * y
-    associates = ((a, b), (-b, a - b), (b - a, -a))  # pi, w*pi, w**2*pi
-    return next((s * u, s * v) for u, v in associates for s in (1, -1) if s * u % 3 == 2 and s * v % 3 == 0)
 
 
 @lru_cache(maxsize=64)
@@ -555,34 +543,17 @@ def _gaussian_prime(p: int) -> tuple[int, int]:
     return (a, b) if (a + b) % 4 == 1 else (-a, -b)
 
 
-def _ring_power(x: np.ndarray, y: np.ndarray, e: np.ndarray, q: np.ndarray, s: int):
-    """(u, v) with u + v*t = (x + y*t)**e mod q elementwise, in Z[t] with
-    t**2 = s*t - 1 (s = 0: the Gaussian integers, s = -1: the Eisenstein
-    integers), for int64 0 <= x, y < q < 2**31 and e >= 0.  Every product of
+def _ring_power(x: np.ndarray, y: np.ndarray, e: np.ndarray, q: np.ndarray):
+    """(u, v) with u + v*i = (x + y*i)**e mod q elementwise, in the Gaussian
+    integers, for int64 0 <= x, y < q < 2**31 and e >= 0.  Every product of
     two residues is below 2**62, and no coordinate adds more than two."""
     u, v = np.ones_like(q), np.zeros_like(q)
     for bit in range(int(e.max(initial=0)).bit_length()):
         if bit:
-            x, y = (x * x - y * y) % q, y * (2 * x + s * y) % q
+            x, y = (x * x - y * y) % q, 2 * x * y % q
         on = (e >> bit) & 1 == 1
-        u, v = np.where(on, (u * x - v * y) % q, u), np.where(on, (u * y + v * (x + s * y)) % q, v)
+        u, v = np.where(on, (u * x - v * y) % q, u), np.where(on, (u * y + v * x) % q, v)
     return u, v
-
-
-def _cubic_index(q: np.ndarray, p: int) -> np.ndarray:
-    """t[i] in {0, 1, 2} with q[i]**((p-1)/3) = c**t[i] mod p, for primes
-    3 < q[i] < 2**31 and a prime p = 1 mod 3 other than q[i], where c is the
-    image of w mod p, -a/b for the primary pi = a + b*w of norm p; q[i] is a
-    cube iff t[i] = 0.  With eps = +-1 = q mod 3, y = pi**((q - eps)/3) mod q
-    is s*w**e with s in F_q*, that is (s, 0), (0, s) or (-s, -s) for e = 0, 1,
-    2.  For q = 2 mod 3, y**(q-1) is w**e, which is the index.  For q = 1 mod
-    3, q = rho * conj(rho), the characters mod rho and mod conj(rho) multiply
-    to w**(2e), and the index is -e."""
-    a, b = _eisenstein_prime(p)
-    split = q % 3 == 1
-    u, v = _ring_power(_residues(a, q), _residues(b, q), (q - np.where(split, 1, -1)) // 3, q, -1)
-    e = np.where(v == 0, 0, np.where(u == 0, 1, 2))
-    return np.where(split, -e % 3, e)
 
 
 def _quartic_flags(q: np.ndarray, p: int) -> np.ndarray:
@@ -593,18 +564,19 @@ def _quartic_flags(q: np.ndarray, p: int) -> np.ndarray:
     p = 5 mod 8 (-1 is a 4th power mod p only in the first case)."""
     a, b = _gaussian_prime(p)
     up = q % 4 == 1
-    u, v = _ring_power(_residues(a, q), _residues(b, q), (q - np.where(up, 1, -1)) // 4, q, 0)
+    u, v = _ring_power(_residues(a, q), _residues(b, q), (q - np.where(up, 1, -1)) // 4, q)
     return np.where(up | (p % 8 == 1), v == 0, u == 0)
 
 
-# Quintic and septic indices by Eisenstein reciprocity (Ireland and Rosen,
-# ch. 14): for ell in {5, 7}, with c a primitive ell-th root of unity mod p
-# and pi = gcd(p, z - c) primary in Z[z], z**ell = 1, a prime r other than
-# ell and p has r**((p-1)/ell) = c**E mod p exactly when (pi/r) = z**E, a
-# product of powers of pi's conjugates mod r.  Z[z] is norm-Euclidean for
-# these ell (Lenstra, "Euclid's algorithm in cyclotomic fields", 1975).  An
-# element of Z[z] is a tuple of ell - 1 integers, the coefficients of
-# 1, z, ..., z**(ell-2); in F_r[x]/(x**ell - 1) it is a row of ell residues.
+# Cubic, quintic and septic indices by Eisenstein reciprocity (Ireland and
+# Rosen, ch. 14): for ell in {3, 5, 7}, with c a primitive ell-th root of
+# unity mod p and pi = gcd(p, z - c) primary in Z[z], z**ell = 1, a prime r
+# other than ell and p has r**((p-1)/ell) = c**E mod p exactly when
+# (pi/r) = z**E, a product of powers of pi's conjugates mod r.  Z[z] is
+# norm-Euclidean for these ell (Lenstra, "Euclid's algorithm in cyclotomic
+# fields", 1975).  An element of Z[z] is a tuple of ell - 1 integers, the
+# coefficients of 1, z, ..., z**(ell-2); in F_r[x]/(x**ell - 1) it is a row
+# of ell residues.
 
 
 def _zeta_mul(a, b) -> list:
@@ -636,7 +608,7 @@ def _zeta_others(a) -> list:
 
 @lru_cache(maxsize=64)
 def _cyclotomic_prime(ell: int, p: int) -> tuple[int, tuple[int, ...]]:
-    """(c, pi) for ell in {5, 7} and a prime p = 1 mod ell: c is the least
+    """(c, pi) for ell in {3, 5, 7} and a prime p = 1 mod ell: c is the least
     power c = g**((p-1)/ell) != 1 over g = 2, 3, ..., and pi = gcd(p, z - c)
     in Z[z] by Euclid, of norm p, times the z**s that makes it primary
     (congruent to an integer mod (1 - z)**2): z**i = 1 - i*(1 - z) there, so
@@ -698,7 +670,8 @@ def _stickelberger_tables(ell: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return limbs([product(u)])[:, 0], limbs(lams)
 
 
-_CYCLIC = {ell: (np.arange(ell)[None, :] - np.arange(ell)[:, None]) % ell for ell in (5, 7)}
+_CYCLIC = {ell: (np.arange(ell)[None, :] - np.arange(ell)[:, None]) % ell for ell in (3, 5, 7)}
+_INVERSE = {ell: np.array([0] + [pow(a, -1, ell) for a in range(1, ell)]) for ell in _CYCLIC}
 
 
 def _cyclic_mul(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -710,7 +683,7 @@ def _cyclic_mul(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _eisenstein_index(r: np.ndarray, ell: int, p: int) -> np.ndarray:
     """t[i] in Z/ell with r[i]**((p-1)/ell) = c**t[i] mod p, c and pi as in
-    _cyclotomic_prime, for ell in {5, 7}, primes r[i] < 2**30 other than ell
+    _cyclotomic_prime, for ell in {3, 5, 7}, primes r[i] < 2**30 other than ell
     and a prime p = 1 mod ell other than r[i]; r[i] is an ell-th power iff
     t[i] = 0.
 
@@ -739,27 +712,30 @@ def _eisenstein_index(r: np.ndarray, ell: int, p: int) -> np.ndarray:
     for limbs in lam:
         y = ((y << 31) | limbs[rho].T) % r
     # theta**M by 2-bit windows, top digit first: every column reads the same
-    # digit of its own M, and a digit 0 multiplies by 1
+    # digit of its own M, and a digit 0 multiplies by 1; in the flat table,
+    # entry d of column i is at d * stride + i + (0, n, ..., (ell-1) * n)
     m = (r + ell // 2) // ell
     square = _cyclic_mul(x, x, r)
     table = np.stack([np.eye(ell, 1, dtype=np.int64).repeat(len(r), axis=1), x, square, _cyclic_mul(square, x, r)])
-    top, columns = max(int(m.max(initial=0)).bit_length() - 1, 0) // 2 * 2, np.arange(len(r))
-    acc = table[m >> top, :, columns].T
+    table, stride = table.reshape(-1), ell * len(r)
+    columns, rows = np.arange(len(r)), np.arange(ell)[:, None] * len(r)
+    top = max(int(m.max(initial=0)).bit_length() - 1, 0) // 2 * 2
+    acc = table.take((m >> top) * stride + columns + rows)
     for shift in range(top - 2, -1, -2):
         acc = _cyclic_mul(acc, acc, r)
-        acc = _cyclic_mul(_cyclic_mul(acc, acc, r), table[(m >> shift) & 3, :, columns].T, r)
+        acc = _cyclic_mul(_cyclic_mul(acc, acc, r), table.take(((m >> shift) & 3) * stride + columns + rows), r)
     acc = _cyclic_mul(acc, y, r)
     unlike = acc != np.where(acc[0] == acc[1], acc[0], acc[2])
-    inverse = np.array([0] + [pow(a, -1, ell) for a in range(1, ell)])
-    return np.argmax(unlike, axis=0) * inverse[rho] % ell
+    return np.argmax(unlike, axis=0) * _INVERSE[ell][rho] % ell
 
 
 def _reciprocity_flags(r: np.ndarray, j: np.ndarray, d: int, p: int) -> np.ndarray:
     """flags[i] = r[i]**j[i] is a dth power mod p, for d | 420 with d | p-1
-    and primes 3 < r[i] < 2**31 (below 2**30 and other than 5 or 7 when that
-    prime divides d).  r**j is a square iff 2 | j or r is one; a 4th power iff
-    4 | j, or j = 2 mod 4 and r is a square, or j is odd and r is a 4th
-    power; an ell-th power, ell in {3, 5, 7}, iff ell | j or r is one."""
+    and primes 5 <= r[i] < 2**30 (other than 5 or 7 when that prime divides
+    d).  r**j is a square iff 2 | j or r is one; a 4th power iff 4 | j, or
+    j = 2 mod 4 and r is a square, or j is odd and r is a 4th power; an
+    ell-th power, ell in {3, 5, 7}, iff ell | j or the Eisenstein index of r
+    is 0."""
     flags = np.ones(len(r), dtype=bool)
     two = math.gcd(d, 4)
     if two > 1:
@@ -771,26 +747,8 @@ def _reciprocity_flags(r: np.ndarray, j: np.ndarray, d: int, p: int) -> np.ndarr
     for ell in (3, 5, 7):
         if d % ell == 0:
             part = np.flatnonzero(j % ell != 0)
-            flags[part] &= _prime_index(r[part], ell, p) == 0
+            flags[part] &= _eisenstein_index(r[part], ell, p) == 0
     return flags
-
-
-def _prime_index(r: np.ndarray, ell: int, p: int) -> np.ndarray:
-    """The character index leaf of degree ell in {3, 5, 7}: t[i] with
-    r[i]**((p-1)/ell) = c**t[i] mod p, for the primes r[i] that leaf takes,
-    c as in _index_root."""
-    return _cubic_index(r, p) if ell == 3 else _eisenstein_index(r, ell, p)
-
-
-@lru_cache(maxsize=64)
-def _index_root(ell: int, p: int) -> int:
-    """The primitive ell-th root of unity c mod p of _prime_index: the image
-    -a/b of w for the primary a + b*w of norm p when ell = 3, and that of z
-    for pi = gcd(p, z - c) when ell is 5 or 7."""
-    if ell == 3:
-        a, b = _eisenstein_prime(p)
-        return -a * pow(b, -1, p) % p
-    return _cyclotomic_prime(ell, p)[0]
 
 
 def _smallest_prime_factors(x: int) -> np.ndarray:
@@ -811,14 +769,14 @@ def _shared_prime_flags(n: np.ndarray, k: int, p: int, budget: float) -> np.ndar
     from the distinct primes of the entries, which a table of smallest prime
     factors splits, _WIDE_CHUNK entries at a time.
 
-    For k = ell or 2*ell with ell in {3, 5, 7}, once the primes the index
-    leaf of degree ell takes (_prime_index: those from 5 on for ell = 3, all
-    but ell for 5 and 7) reach its work threshold, each takes its index
-    there; the others pay one pow(r, (p-1)/ell, p), which is a power of c
-    (_index_root).  n[i] is an ell-th power iff its primes' indices sum to 0
-    mod ell, and for k = 2*ell its own Jacobi symbol must be 1 as well.
-    Otherwise each prime pays pow(r, (p-1)/k, p), and the witness of n[i] is
-    the product of its primes' witnesses mod p.  None, before any pow,
+    For k = ell or 2*ell with ell in {3, 5, 7}, once the primes other than
+    ell reach the work threshold of the Eisenstein index leaf (512 for
+    ell = 3, 1024 for 5 and 7), each takes its index there; ell pays one
+    pow(ell, (p-1)/ell, p), which is a power of the leaf's root of unity c
+    (_cyclotomic_prime).  n[i] is an ell-th power iff its primes' indices
+    sum to 0 mod ell, and for k = 2*ell its own Jacobi symbol must be 1 as
+    well.  Otherwise each prime pays pow(r, (p-1)/k, p), and the witness of
+    n[i] is the product of its primes' witnesses mod p.  None, before any pow,
     unless the pows it pays, its table and its walks through the entries'
     primes (_ENTRY_UNITS table units each, 1/_TABLE_UNITS_PER_POW of a pow
     per unit) cost fewer than budget pows."""
@@ -836,7 +794,7 @@ def _shared_prime_flags(n: np.ndarray, k: int, p: int, budget: float) -> np.ndar
         m = m[m > 1]
     primes = np.flatnonzero(used)
     ell = next((ell for ell in (3, 5, 7) if k in (ell, 2 * ell)), 0)
-    taken = primes >= 5 if ell == 3 else primes != ell
+    taken = primes != ell
     threshold = _RECIPROCITY_MIN_WORK if ell == 3 else _EISENSTEIN_MIN_WORK
     index = ell > 0 and np.count_nonzero(taken) * p.bit_length() >= threshold
     paid = primes[~taken] if index else primes
@@ -844,10 +802,10 @@ def _shared_prime_flags(n: np.ndarray, k: int, p: int, budget: float) -> np.ndar
         return None
     if index:
         # the indices add in Z/ell
-        roots = list(itertools.accumulate([_index_root(ell, p)] * (ell - 1), lambda x, c: x * c % p, initial=1))
+        roots = list(itertools.accumulate([_cyclotomic_prime(ell, p)[0]] * (ell - 1), lambda x, c: x * c % p, initial=1))
         witness = np.empty(len(primes), dtype=np.int64)
         witness[~taken] = [roots.index(pow(r, (p - 1) // ell, p)) for r in paid.tolist()]
-        witness[taken] = _prime_index(primes[taken], ell, p)
+        witness[taken] = _eisenstein_index(primes[taken], ell, p)
         one, times = 0, lambda x, y: (x + y) % ell
     else:
         witness = np.array([pow(r, (p - 1) // k, p) for r in primes.tolist()], dtype=object)
@@ -900,14 +858,13 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
     1. Shared primes, without bases and for k >= 3, on entries
        1 <= n <= 2**20: a table of smallest prime factors of their maximum
        splits each into primes.  For k = ell or 2*ell with ell in {3, 5, 7},
-       once (primes its index leaf takes) * (bits of p) reaches that leaf's
-       threshold (512 for ell = 3, 1024 for 5 and 7, as in stage 2), each
-       such prime takes its character index mod ell by reciprocity (cubic
-       for 3, Eisenstein for 5 and 7), and the primes the leaf cannot take
-       (2 and 3 for ell = 3, ell itself for 5 and 7) pay one
-       pow(r, (p-1)/ell, p) each, read as a power of the leaf's root of
-       unity; an entry is an ell-th power iff its primes' indices sum to 0
-       mod ell, and for k = 2*ell its Jacobi symbol must be 1 too.
+       once (primes other than ell) * (bits of p) reaches the threshold of
+       the Eisenstein index leaf (512 for ell = 3, 1024 for 5 and 7, as in
+       stage 2), each such prime takes its character index mod ell there,
+       and ell itself pays one pow(ell, (p-1)/ell, p), read as a power of the
+       leaf's root of unity; an entry is an ell-th power iff its primes'
+       indices sum to 0 mod ell, and for k = 2*ell its Jacobi symbol must
+       be 1 too.
        Otherwise each distinct prime r pays one pow(r, (p-1)/k, p), and an
        entry's witness is the product of its primes' witnesses mod p.  It
        runs when the pows it pays, its table and its walks cost less than
@@ -917,16 +874,16 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
        anyway, the stage's entries are charged only n * limbs / 18 and the
        fixed part of any chunk they add); the table peaks under 6 MiB.
     2. Reciprocity on its base, with bases and k >= 3, for entries with
-       5 <= r < 2**31, once (entries taken) * (bits of p) reaches 512 (below
-       that one pow each is faster).  The degree d it decides is gcd(k, 12),
-       times ell in {5, 7} when ell | k and the entries with r < 2**30 and
-       r != ell (then the only ones it takes) reach 1024 * d in that product
-       (the pows the Eisenstein leaf saves are those of the survivors of the
-       test of degree d, about 1/d of the entries):
-       Jacobi for the 2-part of d when it is 2, quartic reciprocity when it
-       is 4, cubic reciprocity for its 3-part, and the Eisenstein index of r
-       for 5 and 7.  When d = k (k in {3, 4, 5, 6, 7, 12, 14, 28, ...}) that
-       is the verdict; for any other k only its survivors, about 1/d of the
+       5 <= r < 2**30 (the index ladder overflows int64 from 2**30 on),
+       once (entries taken) * (bits of p) reaches 512 (below that one pow
+       each is faster).  The degree d it decides is gcd(k, 12), times ell
+       in {5, 7} when ell | k and the entries with r != ell (then the only
+       ones it takes) reach 1024 * d in that product (the pows the leaf
+       saves are those of the survivors of the test of degree d, about 1/d
+       of the entries): Jacobi for the 2-part of d when it is 2, quartic
+       reciprocity when it is 4, and the Eisenstein index of r for 3, 5
+       and 7.  When d = k (k in {3, 4, 5, 6, 7, 12, 14, 28, ...}) that is
+       the verdict; for any other k only its survivors, about 1/d of the
        entries, go on with the full exponent (p-1)/k.
     3. The wide path on what is left, once at least 512 entries remain: for
        k = 2 a binary Jacobi loop on int64 arrays (entries with residue mod p
@@ -968,12 +925,13 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
             flags[small] = shared
             left = np.flatnonzero(~small)
     if bases is not None and k >= 3:
-        d, takes = math.gcd(k, 12), (bases >= 5) & (bases < 2**31)
+        # the index ladder's products overflow int64 from r = 2**30 on
+        d, takes = math.gcd(k, 12), (bases >= 5) & (bases < 2**30)
         for ell in (5, 7):
             if k % ell == 0:
                 # the leaf saves the pows of the dth-power test's survivors,
                 # about 1/d of the entries
-                fits = takes & (bases < 2**30) & (bases != ell)
+                fits = takes & (bases != ell)
                 if np.count_nonzero(fits) * p.bit_length() >= _EISENSTEIN_MIN_WORK * d:
                     d, takes = d * ell, fits
         take = np.flatnonzero(takes)
@@ -1024,8 +982,8 @@ def has_exact_order(ns, p: int, k: int, p_minus_1_factors, bases=None) -> np.nda
     f in {3, 5, 7} reciprocity on entries with a base.  Without bases, every
     stage of degree ell or 2*ell with ell in {3, 5, 7} (the first one for
     such k, or f = ell) sums its entries' primes' character indices mod ell,
-    so only the primes 2 and 3 (ell = 3) or ell itself pay a power there:
-    at 10^48+217 with k = 7 the first stage pays one, for the prime 7.
+    so only the prime ell pays a power there: at 10^48+217 with k = 7 the
+    first stage pays one, for the prime 7.
     bases, as in euler_flags, goes to every stage, which takes the
     survivors' bases alone.  A flagged entry has order (p-1)/k, so a
     caller that needs the order of one need not compute it again.

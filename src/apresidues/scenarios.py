@@ -194,10 +194,13 @@ def _run_exact_order(name, fix) -> ScenarioResult:
     for lst in fix["lists"]:
         a = lst["a"]
         for n in lst["elements"]:
-            verdict = kth_power_verdict(n, k, ctx).verdict
-            # a flagged element has order (p-1)/k; any other one is ordered
-            # here, so a FAIL row shows the order it has
-            ordv = order if n in flagged else multiplicative_order(n, p, factors)
+            # a flagged element has order (p-1)/k, so it is a kth power; any
+            # other one is tested and ordered here, so a FAIL row shows the
+            # order it has
+            if n in flagged:
+                verdict, ordv = Verdict.RESIDUE, order
+            else:
+                verdict, ordv = kth_power_verdict(n, k, ctx).verdict, multiplicative_order(n, p, factors)
             if verdict is Verdict.NONRESIDUE:
                 result.add(f"{lst['name']}:{n}", verdict.value, "Nonresidue", FAIL,
                            note="published label would be mathematically correct here")

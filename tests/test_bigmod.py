@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apresidues import bigmod
@@ -554,9 +554,6 @@ class TestReciprocityFlags:
         # the sign of pi changes no verdict, so only this test sees it
         more = [seeded_prime(digits, 13, digits) for digits in range(12, 52, 2)]
         for p in [P128, P48] + SEEDED + more:
-            if p % 3 == 1:
-                a, b = bigmod._eisenstein_prime(p)
-                assert a * a - a * b + b * b == p and a % 3 == 2 and b % 3 == 0, p
             if p % 4 == 1:
                 a, b = bigmod._gaussian_prime(p)
                 assert a * a + b * b == p and b % 2 == 0 and (a + b) % 4 == 1, p
@@ -572,7 +569,7 @@ class TestReciprocityFlags:
             calls.clear()
             got = euler_flags(ns, k, p, bases=bases)
             assert got.tolist() == scalar_flags(ns, k, p)
-            # bases 2 and 3 and those of 2**31 or more keep the other paths
+            # bases 2 and 3 and those of 2**30 or more keep the other paths
             assert calls == [("reciprocity", ns[7:].tolist()), ("scalar", other)]
             # without bases no reciprocity runs: the entries below 2**20 share
             # their 46 primes' powers, and the prime 2**31 + 11 takes one pow
@@ -584,7 +581,7 @@ class TestReciprocityFlags:
         calls.clear()
         got = euler_flags(ns, 9, P128, bases=bases)
         assert got.tolist() == scalar_flags(ns, 9, P128)
-        cubes = ns[7:][bigmod._cubic_index(bases[7:], P128) == 0].tolist()
+        cubes = ns[7:][bigmod._eisenstein_index(bases[7:], 3, P128) == 0].tolist()
         assert calls == [("reciprocity", ns[7:].tolist()), ("scalar", other + cubes)]
         # k = 2 is the Jacobi path with or without bases
         calls.clear()
@@ -606,9 +603,9 @@ class TestReciprocityFlags:
         path or one pow) when it survives the dth-power test and d < k; the
         wide path takes what is left once that is at least _WIDE_MIN entries,
         whatever the length of the whole array.  d = gcd(k, 420) here, since
-        every array is past the Eisenstein leaf's threshold; when 5 or 7
-        divides d, that prime and the bases from 2**30 on keep the other
-        paths."""
+        every array is past the Eisenstein leaf's threshold; the bases from
+        2**30 on keep the other paths, and so does 5 or 7 when it divides
+        d."""
         calls = leaf_calls(monkeypatch)
         big = next_prime(2**31)
         ns, bases = prime_powers_up_to(x)
@@ -617,7 +614,7 @@ class TestReciprocityFlags:
         want = scalar_flags_by_k(ns, (d, k), p)
         assert euler_flags(ns, k, p, bases=bases).tolist() == want[k]
         ells = [ell for ell in (5, 7) if d % ell == 0]
-        taken = (bases >= 5) & (bases < (2**30 if ells else 2**31)) & ~np.isin(bases, ells) & (k >= 3 and d > 1)
+        taken = (bases >= 5) & (bases < 2**30) & ~np.isin(bases, ells) & (k >= 3 and d > 1)
         left = ~taken | (taken & np.array(want[d]) & (d < k))
         wide = (left.sum() >= bigmod._WIDE_MIN) & ((ns < 2**31) | (k > 2))
         last = np.where(wide, "quadratic" if k == 2 else "montgomery", "scalar")
@@ -665,6 +662,8 @@ class TestReciprocityFlags:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3_037_000_501, 2**200), st.sampled_from([3, 4, 6, 8, 9, 12]),
            st.lists(st.tuples(st.integers(4, 2**31 - 2**20), st.integers(1, 12)), min_size=1, max_size=20))
+    # a base in [2**30, 2**31) at k = 3, which overflows the index ladder
+    @example(start=264_046_743_061, k=3, pairs=[(2_104_655_057, 1)])
     def test_hypothesis_pairs(self, start, k, pairs):
         p = next_prime(start)
         while (p - 1) % k:
@@ -736,8 +735,8 @@ class TestSharedPrimes:
         calls.clear()
         euler_flags([4, 8, 2**20], 9, P128)
         assert calls == [("scalar", [4, 8, 2**20])]
-        # for k = 3 the primes from 5 on take their cubic indices, so the
-        # stage pays no power for them
+        # for k = 3 every prime but 3 takes its cubic index, so the stage
+        # pays no power for them
         calls.clear()
         euler_flags([5, 7, 11, 13], 3, P128)
         assert calls == [("shared", [5, 7, 11, 13]), ("scalar", [])]
@@ -750,48 +749,26 @@ class TestSharedPrimes:
     CUBIC = [P128] + SEEDED
     CUBIC_IDS = ["2^128+51", "24d-1mod8", "24d-5mod8", "48d-1mod8", "48d-5mod8"]
 
-    @staticmethod
-    def cubic_indices(rs, p):
-        """The t with r**((p-1)/3) = c**t mod p for each r, by one pow each,
-        where c = -a/b is the image of w for pi = a + b*w."""
-        a, b = bigmod._eisenstein_prime(p)
-        c = -a * pow(b, -1, p) % p
-        index = {1: 0, c: 1, c * c % p: 2}
-        return [index[pow(r, (p - 1) // 3, p)] for r in rs]
-
     @pytest.mark.parametrize("p", CUBIC, ids=CUBIC_IDS)
-    def test_cubic_index_matches_pow(self, p):
-        r = primes_up_to(5000)[2:]
-        got = bigmod._cubic_index(r, p)
-        assert got.tolist() == self.cubic_indices(r.tolist(), p)
-        # both nonzero indices occur at primes r = 1 mod 3, which read -e, so a
-        # lost sign shows at every p
-        assert {1, 2} <= set(got[r % 3 == 1].tolist())
-
-    def test_cubic_indices_of_2_and_3(self):
-        # 2 and 3 pay one pow each: index 1 and 2 both occur over these p, so
-        # c and c**2 taken the wrong way round show
-        assert {t for p in self.CUBIC for t in self.cubic_indices((2, 3), p)} == {0, 1, 2}
-
-    @pytest.mark.parametrize("p", CUBIC, ids=CUBIC_IDS)
-    def test_cubic_route_pays_only_for_2_and_3(self, p, monkeypatch):
+    def test_cubic_route_pays_only_for_3(self, p, monkeypatch):
         """k = 3 and 6 on every n <= 3000, among them every 2**i * 3**j * r,
-        match one pow per entry, and the stage's only powers are those of the
-        primes 2 and 3."""
+        match one pow per entry, and the stage's only powers with exponent
+        (p-1)/3 are those of the prime 3."""
         calls = leaf_calls(monkeypatch)
         ns = np.arange(1, 3001)
         want = scalar_flags_by_k(ns, (3, 6), p)
-        bigmod._index_root(3, p)  # memoised per p, with pi, before counting
+        bigmod._cyclotomic_prime(3, p)  # memoised per p, with pi, before counting
         counted = []
 
         def counting_pow(*args):
-            counted.append(args[0])
+            if args[1:] == ((p - 1) // 3, p):
+                counted.append(args[0])
             return pow(*args)
 
         monkeypatch.setattr(bigmod, "pow", counting_pow, raising=False)
         for k in (3, 6):
             assert euler_flags(ns, k, p).tolist() == want[k], k
-        assert counted == [2, 3, 2, 3]
+        assert counted == [3, 3]
         assert [call for call in calls if call[1]] == [("shared", ns.tolist())] * 2
 
     def test_montgomery_cost_grows_with_the_chunk(self, monkeypatch):
@@ -878,13 +855,14 @@ def index_calls(monkeypatch):
 
 
 class TestEisensteinIndex:
-    """The quintic and septic index leaf: pi = gcd(p, z - c) in Z[z], made
-    primary, and the index of r from one ladder mod r."""
+    """The cubic, quintic and septic index leaf: pi = gcd(p, z - c) in Z[z],
+    made primary, and the index of r from one ladder mod r."""
 
     # p = 1 mod 70 at 24 and 48 digits, so that 5 and 7 divide p - 1
     SEEDED = [seeded_prime(digits, 1, 2100 + digits + i, modulus=70) for digits in (24, 48) for i in (0, 1)]
-    CASES = [(P24, 7), (P48, 7)] + [(p, ell) for p in SEEDED for ell in (5, 7)]
-    IDS = ["10^24+7-7", "10^48+217-7"] + [f"{d}d{i}-{ell}" for d in (24, 48) for i in (0, 1) for ell in (5, 7)]
+    CASES = [(P24, 7), (P48, 7)] + [(p, ell) for p in SEEDED for ell in (5, 7)] + [(p, 3) for p in TestSharedPrimes.CUBIC]
+    IDS = (["10^24+7-7", "10^48+217-7"] + [f"{d}d{i}-{ell}" for d in (24, 48) for i in (0, 1) for ell in (5, 7)]
+           + [f"{name}-3" for name in TestSharedPrimes.CUBIC_IDS])
 
     def test_seeded_primes(self):
         assert [len(str(p)) for p in self.SEEDED] == [24, 24, 48, 48]
@@ -908,7 +886,7 @@ class TestEisensteinIndex:
         assert series[0] % ell != 0 and series[1] % ell == 0
 
     @pytest.mark.parametrize("p,ell,limit", [(P24, 7, 5000), (P48, 7, 10**5)]
-                             + [(p, ell, 5000) for p in SEEDED for ell in (5, 7)], ids=IDS)
+                             + [(p, ell, 5000) for p, ell in CASES[2:]], ids=IDS)
     def test_index_matches_pow(self, p, ell, limit):
         r = primes_up_to(limit)
         r = np.concatenate([r[r != ell], [next_prime(2**30 - 200 * i) for i in range(1, 4)]])
@@ -923,6 +901,7 @@ class TestEisensteinIndex:
         monkeypatch.setattr(bigmod, "_WIDE_CHUNK", 64)
         r = primes_up_to(1000)[4:]  # 11 .. 997, 164 primes
         assert bigmod._eisenstein_index(r, 7, P48).tolist() == pow_indices(r, 7, P48)
+        assert bigmod._eisenstein_index(r[:0], 3, P128).tolist() == []
 
     @pytest.mark.parametrize("k", [7, 14, 28])
     def test_counts_at_10_48_take_the_leaf(self, k, monkeypatch):
@@ -974,7 +953,7 @@ class TestEisensteinIndex:
         ns = np.arange(1, 3001)
         want = scalar_flags_by_k(ns, ks, p)
         ell = ks[0]
-        bigmod._index_root(ell, p)  # memoised per p, with pi, before counting
+        bigmod._cyclotomic_prime(ell, p)  # memoised per p, with pi, before counting
         bigmod._stickelberger_tables(ell, p)
         counted = []
 
@@ -1059,7 +1038,7 @@ class TestInputContract:
             has_exact_order(ns, P128, 3, P128_FACTORS, bases=sevens)
         # a power of another prime, j = 0, n <= 0, and r**j past 2**63 (it
         # wraps to a negative int64 at r = 2228243, j = 3)
-        for n, r in ((25, 7), (7**3, 5), (1, 5), (0, 5), (-25, 5), (2**63 - 1, 2**31 - 1), (2**63 - 1, 2228243)):
+        for n, r in ((25, 7), (7**3, 5), (1, 5), (0, 5), (-25, 5), (2**63 - 1, 2**30 - 35), (2**63 - 1, 2228243)):
             with pytest.raises(DomainError, match=rf"bases\[296\] = {r} is not the prime of ns\[296\] = {n}$"):
                 euler_flags(np.append(ns, n), 3, P128, bases=np.append(ns, r))
         # right bases of high powers pass

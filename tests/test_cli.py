@@ -159,6 +159,14 @@ class TestCount:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == "fc1ba70f233519e7"
 
+    def test_cubic_count_stdout_is_pinned_byte_for_byte(self, capsys):
+        # a k = 3 count at 2^128+51, recorded while its verdicts came from the
+        # Z[w] cubic leaf, before they moved to the Eisenstein index leaf
+        code, out, _ = run_cli(capsys, "count", "--target", "residue", "--k", "3", "--q", "4", "--a", "1",
+                               "--p", "2^128+51", "--x", "100000")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "5beafc072b3e15ff"
+
 
 @pytest.mark.parametrize("command", [
     ["search", "--target", "nonresidue", "--q", "4", "--epsilon", "nan"],
