@@ -303,6 +303,12 @@ def density_sweep(
     if max_primes is not None and max_primes < 1:
         raise DomainError(f"max_primes must be >= 1, got {max_primes}")
     rule, fixed_x = parse_x_rule(x_rule)
+    if rule == "fixed" and not fixed_x >= 2:
+        raise DomainError(f"x must be >= 2, got {fixed_x:g}")
+    # the sieves reach prime_max and every x, which is at most prime_max or
+    # the fixed value
+    if max(hi, fixed_x or 0) > _COUNT_CAP:
+        raise ResourceError(f"count budget is {_COUNT_CAP}, got x up to {max(hi, fixed_x or 0):g}")
     chosen = []
     skipped = 0
     candidates = primes_up_to(hi)

@@ -336,42 +336,16 @@ _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # moduli keep the scalar pow.
 _MAX_LIMBS = 6
 _ODD_POWERS_OF_2 = 0x2AAAAAAAAAAAAAAA  # the bits 2**1, 2**3, 2**5, ...
-# The reciprocity path has a fixed cost of about 0.07-0.1 ms in numpy calls
-# for the quadratic and quartic tests and 0.22 ms with the Eisenstein leaf at
-# ell = 3 (then 1.3-1.7 us an entry), and one scalar pow grows with p: about
-# 7 us at 34 bits, 17 at 81, 35 at 129 and 76 at 201 bits.  So it takes an
-# array once (entries it takes) * (bits of p) reaches 512.  Measured with
-# k = 3, it overtakes pow at about 40-60 entries at 34 bits, 24 at 65, 16-20
-# at 81, 8-10 at 129 and 4-6 at 201 bits, so this threshold hands it some
-# arrays below its crossover.
-_RECIPROCITY_MIN_WORK = 512
-# The Eisenstein leaf for ell in {5, 7} costs about 0.3 ms a call and then
-# 3.5-6.5 us an entry whatever the size of p (its ladder takes about
-# 1.5 * log2(r/ell) steps), against one pow at about 8 us at 34 bits, 25 at
-# 80 and 65-100 at 160-201 bits.  So it takes an array once (entries it takes)
-# * (bits of p) reaches 1024 (times d beside a test of degree d whose
-# survivors alone would pay a pow): measured with k = 7, it overtakes pow at about
-# 40 entries at 34 bits, 30 at 49, 12-16 at 65-80 bits and 5-8 at 129-201
-# bits.  On 4096 entries a Montgomery power costs 5.3 us each at 80 bits, 15.8
-# at 129 and 24.5 at 160, so past the threshold the leaf is the faster at
-# every size measured except 80 bits with r near 10^7 (5.7 against 5.3 us).
-_EISENSTEIN_MIN_WORK = 1024
-# The shared-prime stage of euler_flags takes entries 1 <= n <= _FACTOR_LIMIT
-# without a base.  Its table of smallest prime factors of max(n), int32, the
-# mask of the primes in use and their temporaries peak at 5.6 MiB at the limit.
-# It pays at most one pow per distinct prime where the other paths pay one
-# power per entry, so it runs when it costs fewer pows of p than they would.
-# A table unit (about 14 ns) weighs 1/_TABLE_UNITS_PER_POW of a pow (18-50 us
-# from 80 to 160 bits), and an entry's walk through its primes (0.6-1.1 us)
-# _ENTRY_UNITS table units.  One Montgomery call on a chunk of n entries costs
-# about _MONTGOMERY_FIXED_POWS + n * limbs / _MONTGOMERY_LIMBS_PER_POW pows:
-# timed against pow at 40 to 160 bits (2 to 6 limbs), the fixed part read
-# 244-290 pows and the part per entry limbs/17 to limbs/20 of a pow.
+# The prime stage of euler_flags has a fixed cost in numpy calls for each
+# index leaf it runs, and one scalar pow grows with p, so it takes its
+# entries once (entries taken) * (bits of p) reaches _INDEX_MIN_WORK.
+_INDEX_MIN_WORK = 1024
+# The stage splits entries 1 <= n <= _FACTOR_LIMIT without a base by a table
+# of smallest prime factors of max(n), int32, which with the mask of the
+# primes in use and their temporaries peaks at 5.6 MiB at the limit.  The
+# table costs about 20 ns an entry, about 1/16 of a pow per bit of p, so it is
+# built only while max(n) <= 16 * (entries taken) * (bits of p).
 _FACTOR_LIMIT = 2**20
-_TABLE_UNITS_PER_POW = 2048
-_ENTRY_UNITS = 64
-_MONTGOMERY_FIXED_POWS = 260
-_MONTGOMERY_LIMBS_PER_POW = 18
 
 
 def _limb_count(p: int) -> int:
@@ -514,11 +488,11 @@ def _quadratic_flags(n: np.ndarray, p: int) -> np.ndarray:
     return flags
 
 
-# Quartic verdicts for a prime entry q by reciprocity (Ireland and Rosen, A
-# Classical Introduction to Modern Number Theory, ch. 9): with p = N(pi) for
-# a primary Gaussian prime pi, whether q is a 4th power mod p is read off a
-# power of pi in Z[i]/(q), a ladder of about log2(q) steps on int64 numbers
-# below q, in place of a power mod p.
+# Quartic indices of a prime q by reciprocity (Ireland and Rosen, A Classical
+# Introduction to Modern Number Theory, ch. 9): with p = N(pi) for a primary
+# Gaussian prime pi, q**((p-1)/4) mod p is read off a power of pi in
+# Z[i]/(q), a ladder of about log2(q) steps on int64 numbers below q, in
+# place of a power mod p.
 
 
 def _cornacchia(d: int, p: int, r: int) -> tuple[int, int]:
@@ -556,16 +530,26 @@ def _ring_power(x: np.ndarray, y: np.ndarray, e: np.ndarray, q: np.ndarray):
     return u, v
 
 
-def _quartic_flags(q: np.ndarray, p: int) -> np.ndarray:
-    """flags[i] = q[i] is a 4th power mod p, for primes 3 < q[i] < 2**31 and a
-    prime p = 1 mod 4 other than q[i].  With pi primary of norm p: for
-    q = 1 mod 4, Im pi**((q-1)/4) mod q = 0; for q = 3 mod 4, with
-    y = pi**((q+1)/4) mod q, Im y = 0 when p = 1 mod 8 and Re y = 0 when
-    p = 5 mod 8 (-1 is a 4th power mod p only in the first case)."""
+def _quartic_index(q: np.ndarray, p: int) -> np.ndarray:
+    """t[i] in Z/4 with q[i]**((p-1)/4) = c**t[i] mod p, for odd primes
+    q[i] < 2**31 and a prime p = 1 mod 4 other than q[i], where pi = a + b*i
+    is _gaussian_prime(p) and c = -a/b mod p (so c = i mod pi).
+
+    By reciprocity c**t = (q/pi) = (pi/q).  For q = 1 mod 4, q splits into
+    two primes and u + v*i = pi**((q-1)/4) mod q is i**s mod one and i**s'
+    mod the other, t = s + s': with N = u**2 + v**2 and M = u**2 - v**2,
+    t = 0 or 2 as N*M = 1 or not when M != 0, and 1 or 3 as 2*u*v*N = -1 or
+    not when M = 0.  For q = 3 mod 4, u + v*i = pi**((q+1)/4) mod q, and
+    (pi/q) = (u - v*i)/(u + v*i): t = 0, 2, 1 or 3 as v = 0, u = 0, u = -v or
+    u = v, plus 2 when p = 5 mod 8 (-q is the primary one, and -1 is a 4th
+    power mod p only when p = 1 mod 8)."""
     a, b = _gaussian_prime(p)
     up = q % 4 == 1
     u, v = _ring_power(_residues(a, q), _residues(b, q), (q - np.where(up, 1, -1)) // 4, q)
-    return np.where(up | (p % 8 == 1), v == 0, u == 0)
+    n, m = (u * u + v * v) % q, (u * u - v * v) % q
+    split = np.where(m != 0, np.where(n * m % q == 1, 0, 2), np.where(2 * u * v % q * n % q == q - 1, 1, 3))
+    inert = np.select([v == 0, u == 0, (u + v) % q == 0], [0, 2, 1], 3) + 2 * (p % 8 == 5)
+    return np.where(up, split, inert) % 4
 
 
 # Cubic, quintic and septic indices by Eisenstein reciprocity (Ireland and
@@ -698,11 +682,8 @@ def _eisenstein_index(r: np.ndarray, ell: int, p: int) -> np.ndarray:
     and lam_e as in _stickelberger_tables): one ladder of about log2(r/ell)
     steps in F_r[x]/(x**ell - 1) in place of a power mod p.  A value
     s*x**t' + u*(1 + x + ... + x**(ell-1)) with s != 0 is z**t' there, so t'
-    is the coordinate unlike the others, and t = t'/rho mod ell.  Arrays
-    go _WIDE_CHUNK entries at a time (about 4 MB of scratch).
+    is the coordinate unlike the others, and t = t'/rho mod ell.
     """
-    if len(r) > _WIDE_CHUNK:
-        return np.concatenate([_eisenstein_index(r[i : i + _WIDE_CHUNK], ell, p) for i in range(0, len(r), _WIDE_CHUNK)])
     theta, lam = _stickelberger_tables(ell, p)
     rho = r % ell
     # theta and lam_e mod r by int64 Horner passes over their limbs
@@ -729,26 +710,51 @@ def _eisenstein_index(r: np.ndarray, ell: int, p: int) -> np.ndarray:
     return np.argmax(unlike, axis=0) * _INVERSE[ell][rho] % ell
 
 
-def _reciprocity_flags(r: np.ndarray, j: np.ndarray, d: int, p: int) -> np.ndarray:
-    """flags[i] = r[i]**j[i] is a dth power mod p, for d | 420 with d | p-1
-    and primes 5 <= r[i] < 2**30 (other than 5 or 7 when that prime divides
-    d).  r**j is a square iff 2 | j or r is one; a 4th power iff 4 | j, or
-    j = 2 mod 4 and r is a square, or j is odd and r is a 4th power; an
-    ell-th power, ell in {3, 5, 7}, iff ell | j or the Eisenstein index of r
-    is 0."""
-    flags = np.ones(len(r), dtype=bool)
-    two = math.gcd(d, 4)
-    if two > 1:
-        part = j % two == two // 2  # j odd for squares, j = 2 mod 4 for 4th powers
-        flags[part] = _quadratic_flags(r[part], p)
-        if two == 4:
-            part = j % 2 == 1
-            flags[part] = _quartic_flags(r[part], p)
-    for ell in (3, 5, 7):
-        if d % ell == 0:
-            part = np.flatnonzero(j % ell != 0)
-            flags[part] &= _eisenstein_index(r[part], ell, p) == 0
-    return flags
+@lru_cache(maxsize=64)
+def _paid_index(r: int, m: int, p: int) -> int:
+    """t in Z/m with r**((p-1)/m) = c**t mod p, for the one prime r that no
+    index leaf of part m in {4, 3, 5, 7} takes (2 at m = 4, ell at m = ell),
+    by one pow memoised per p.  c is part m's root of unity: -a/b mod p for
+    the Gaussian prime a + b*i of _gaussian_prime at m = 4 (c = i mod
+    a + b*i), and c of _cyclotomic_prime at m = ell."""
+    if m == 4:
+        a, b = _gaussian_prime(p)
+        c = -a * pow(b, -1, p) % p
+    else:
+        c = _cyclotomic_prime(m, p)[0]
+    roots = list(itertools.accumulate([c] * (m - 1), lambda x, y: x * y % p, initial=1))
+    return roots.index(pow(r, (p - 1) // m, p))
+
+
+def _part_index(r: np.ndarray, m: int, p: int) -> np.ndarray:
+    """t[i] in Z/m with r[i]**((p-1)/m) = c**t[i] mod p, for a part m in
+    {2, 4, 3, 5, 7} with m | p-1 and primes r[i] < 2**30 other than p, c
+    the part's root of unity (-1 for m = 2, as in _paid_index otherwise):
+    the Jacobi symbol takes every r at m = 2, the quartic index every odd r
+    at 4 and the Eisenstein index every r other than ell at ell."""
+    if m == 2:
+        return np.where(_quadratic_flags(r, p), 0, 1)
+    paid = 2 if m == 4 else m
+    leaf = r != paid
+    t = np.empty(len(r), dtype=np.int64)
+    t[leaf] = _quartic_index(r[leaf], p) if m == 4 else _eisenstein_index(r[leaf], m, p)
+    if not leaf.all():
+        t[~leaf] = _paid_index(paid, m, p)
+    return t
+
+
+def _prime_indices(r: np.ndarray, d: int, p: int) -> np.ndarray:
+    """t[i] in Z/d for d | 420 with d | p-1 and primes r[i] < 2**30 other than
+    p: t[i] = _part_index(r, m, p)[i] mod m for each part m of d (its 2-part,
+    3, 5 and 7), joined by the Chinese remainder theorem.  Arrays go
+    _WIDE_CHUNK entries at a time (about 4 MB of scratch)."""
+    if len(r) > _WIDE_CHUNK:
+        return np.concatenate([_prime_indices(r[i : i + _WIDE_CHUNK], d, p) for i in range(0, len(r), _WIDE_CHUNK)])
+    t = np.zeros(len(r), dtype=np.int64)
+    for m in (math.gcd(d, 4), 3, 5, 7):
+        if m > 1 and d % m == 0:
+            t += _part_index(r, m, p) * (d // m * pow(d // m, -1, m))
+    return t % d
 
 
 def _smallest_prime_factors(x: int) -> np.ndarray:
@@ -764,67 +770,93 @@ def _smallest_prime_factors(x: int) -> np.ndarray:
     return spf
 
 
-def _shared_prime_flags(n: np.ndarray, k: int, p: int, budget: float) -> np.ndarray | None:
-    """flags[i] = n[i]**((p-1)/k) == 1 mod p for 1 <= n[i] <= _FACTOR_LIMIT,
-    from the distinct primes of the entries, which a table of smallest prime
-    factors splits, _WIDE_CHUNK entries at a time.
+def _walk(n: np.ndarray, spf: np.ndarray):
+    """(live, r) for each step of the walk that divides the entries
+    n[live] > 1 by their least prime factors r = spf[n[live]] until every
+    entry is 1, for 1 <= n[i] < len(spf)."""
+    m, live = n.copy(), np.flatnonzero(n > 1)
+    while len(live):
+        r = spf[m[live]]
+        yield live, r
+        m[live] //= r
+        live = live[m[live] > 1]
 
-    For k = ell or 2*ell with ell in {3, 5, 7}, once the primes other than
-    ell reach the work threshold of the Eisenstein index leaf (512 for
-    ell = 3, 1024 for 5 and 7), each takes its index there; ell pays one
-    pow(ell, (p-1)/ell, p), which is a power of the leaf's root of unity c
-    (_cyclotomic_prime).  n[i] is an ell-th power iff its primes' indices
-    sum to 0 mod ell, and for k = 2*ell its own Jacobi symbol must be 1 as
-    well.  Otherwise each prime pays pow(r, (p-1)/k, p), and the witness of
-    n[i] is the product of its primes' witnesses mod p.  None, before any pow,
-    unless the pows it pays, its table and its walks through the entries'
-    primes (_ENTRY_UNITS table units each, 1/_TABLE_UNITS_PER_POW of a pow
-    per unit) cost fewer than budget pows."""
-    top = int(n.max(initial=0))
-    units = top + len(n) * _ENTRY_UNITS
-    if units >= budget * _TABLE_UNITS_PER_POW:
-        return None
-    spf = _smallest_prime_factors(top)
-    used = np.zeros(top + 1, dtype=bool)
-    m = n[n > 1]
-    while len(m):
-        r = spf[m]
+
+def _distinct_primes(n: np.ndarray, spf: np.ndarray) -> np.ndarray:
+    """The primes that divide some n[i], ascending, for 1 <= n[i] < len(spf)."""
+    used = np.zeros(len(spf), dtype=bool)
+    for _, r in _walk(n, spf):
         used[r] = True
-        m = m // r
-        m = m[m > 1]
-    primes = np.flatnonzero(used)
-    ell = next((ell for ell in (3, 5, 7) if k in (ell, 2 * ell)), 0)
-    taken = primes != ell
-    threshold = _RECIPROCITY_MIN_WORK if ell == 3 else _EISENSTEIN_MIN_WORK
-    index = ell > 0 and np.count_nonzero(taken) * p.bit_length() >= threshold
-    paid = primes[~taken] if index else primes
-    if len(paid) * _TABLE_UNITS_PER_POW + units >= budget * _TABLE_UNITS_PER_POW:
-        return None
-    if index:
-        # the indices add in Z/ell
-        roots = list(itertools.accumulate([_cyclotomic_prime(ell, p)[0]] * (ell - 1), lambda x, c: x * c % p, initial=1))
-        witness = np.empty(len(primes), dtype=np.int64)
-        witness[~taken] = [roots.index(pow(r, (p - 1) // ell, p)) for r in paid.tolist()]
-        witness[taken] = _eisenstein_index(primes[taken], ell, p)
-        one, times = 0, lambda x, y: (x + y) % ell
-    else:
-        witness = np.array([pow(r, (p - 1) // k, p) for r in primes.tolist()], dtype=object)
-        one, times = 1, lambda x, y: x * y % p
-    flags = np.empty(len(n), dtype=bool)
-    for start in range(0, len(n), _WIDE_CHUNK):
-        chunk = slice(start, start + _WIDE_CHUNK)
-        m = n[chunk].copy()
-        acc = np.full(len(m), one, dtype=witness.dtype)
-        live = np.flatnonzero(m > 1)
-        while len(live):
-            r = spf[m[live]]
-            acc[live] = times(acc[live], witness[np.searchsorted(primes, r)])
-            m[live] //= r
-            live = live[m[live] > 1]
-        flags[chunk] = acc == one
-        if index and k == 2 * ell:
-            flags[chunk] &= _quadratic_flags(n[chunk], p)
-    return flags
+    return np.flatnonzero(used)
+
+
+def _exponents(ns: np.ndarray, bases: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """j[i] >= 1 with bases[t]**j[i] == ns[t] for t = take[i], _WIDE_CHUNK
+    entries at a time; a DomainError for the first t with no such j."""
+    j = np.empty(len(take), dtype=np.int64)
+    for start in range(0, len(take), _WIDE_CHUNK):
+        chunk = take[start : start + _WIDE_CHUNK]
+        r, n = bases[chunk], ns[chunk]
+        e = np.rint(np.log(np.maximum(n, 1)) / np.log(r)).astype(np.int64)
+        # a power r**e below 2**64 fits int64 or wraps to a negative number
+        fits = (e >= 1) & (e * np.log2(r) < 63.5)
+        wrong = np.flatnonzero(~fits | (r ** np.where(fits, e, 0) != n))
+        if len(wrong):
+            i = chunk[wrong[0]]
+            raise DomainError(f"bases[{i}] = {bases[i]} is not the prime of ns[{i}] = {ns[i]}")
+        j[start : start + len(chunk)] = e
+    return j
+
+
+def _entry_indices(n: np.ndarray, bases: np.ndarray | None, j: np.ndarray | None, spf: np.ndarray | None,
+                   d: int, p: int) -> np.ndarray:
+    """t[i] in Z/d for d | 420 with d | p-1: the sum of e * _prime_indices(r)
+    over the (entry, prime, exponent) triples (i, r, e) of n[i], so that
+    t[i] mod m is the index of n[i] in each part m of d.  The triple is
+    (i, bases[i], j[i]) for n[i] = bases[i]**j[i] with primes
+    bases[i] < 2**30 other than p; without bases, 1 <= n[i] < len(spf), and
+    each step of its walk through the table spf of smallest prime factors
+    gives one triple (i, r, 1)."""
+    if bases is not None:
+        primes, inverse = np.unique(bases, return_inverse=True)
+        return j * _prime_indices(primes, d, p)[inverse] % d
+    primes = _distinct_primes(n, spf)
+    index, t = _prime_indices(primes, d, p), np.zeros(len(n), dtype=np.int64)
+    for live, r in _walk(n, spf):
+        t[live] += index[np.searchsorted(primes, r)]
+    return t % d
+
+
+def _prime_stage(n: np.ndarray, bases: np.ndarray | None, j: np.ndarray | None, k: int,
+                 p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flags, done) for the entries n: done[i] when the stage decides n[i],
+    and then flags[i] = n[i]**((p-1)/k) == 1 mod p.  n[i] = bases[i]**j[i]
+    for primes bases[i] < 2**30 other than p, or without bases
+    1 <= n[i] <= _FACTOR_LIMIT, split into primes by a table of smallest
+    prime factors.
+
+    An entry is a dth power, d = gcd(k, 420), iff its index from
+    _entry_indices is 0, which for d = k is the verdict.  For d < k the
+    factored survivors take n**((p-1)/k) as the product of one witness
+    pow(r, (p-1)/k, p) per distinct prime among them, when they have fewer
+    such primes than entries; other survivors stay undecided."""
+    d = math.gcd(k, 420)
+    spf = None if bases is not None else _smallest_prime_factors(int(n.max(initial=1)))
+    flags = _entry_indices(n, bases, j, spf, d, p) == 0 if d > 1 else np.ones(len(n), dtype=bool)
+    done = np.ones(len(n), dtype=bool) if d == k else ~flags
+    if d < k and spf is not None:
+        alive = np.flatnonzero(flags)
+        primes = _distinct_primes(n[alive], spf)
+        if len(primes) < len(alive):
+            witness = np.array([pow(r, (p - 1) // k, p) for r in primes.tolist()], dtype=object)
+            for start in range(0, len(alive), _WIDE_CHUNK):
+                chunk = alive[start : start + _WIDE_CHUNK]
+                acc = np.ones(len(chunk), dtype=object)
+                for live, r in _walk(n[chunk], spf):
+                    acc[live] = acc[live] * witness[np.searchsorted(primes, r)] % p
+                flags[chunk] = acc == 1
+            done[alive] = True
+    return flags, done
 
 
 def _entries(ns, bases) -> tuple[np.ndarray, np.ndarray | None]:
@@ -847,49 +879,41 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
     Contract: p is a prime with k | p-1; ns is a 1-D array of int64
     integers; bases, when given, has the shape of ns and bases[i] is the
     prime r with ns[i] = r**j, j >= 1.  The shapes and the int64 range are
-    checked before any work, and r**j == ns[i] on every entry the
-    reciprocity stage takes (DomainError otherwise); that r is prime is
-    trusted.
+    checked before any work, and r**j == ns[i] on every entry the prime
+    stage takes (DomainError otherwise); that r is prime is trusted.
 
     Square-and-multiply runs over the whole int64 array while (p-1)**2 < 2**63,
     i.e. for p <= 3_037_000_500.  Above that one pass takes the entries
-    through four stages in this order, and an entry a stage decides goes no
+    through three stages in this order, and an entry a stage decides goes no
     further:
-    1. Shared primes, without bases and for k >= 3, on entries
-       1 <= n <= 2**20: a table of smallest prime factors of their maximum
-       splits each into primes.  For k = ell or 2*ell with ell in {3, 5, 7},
-       once (primes other than ell) * (bits of p) reaches the threshold of
-       the Eisenstein index leaf (512 for ell = 3, 1024 for 5 and 7, as in
-       stage 2), each such prime takes its character index mod ell there,
-       and ell itself pays one pow(ell, (p-1)/ell, p), read as a power of the
-       leaf's root of unity; an entry is an ell-th power iff its primes'
-       indices sum to 0 mod ell, and for k = 2*ell its Jacobi symbol must
-       be 1 too.
-       Otherwise each distinct prime r pays one pow(r, (p-1)/k, p), and an
-       entry's witness is the product of its primes' witnesses mod p.  It
-       runs when the pows it pays, its table and its walks cost less than
-       stages 3 and 4 would (2048 table units weigh one pow, an entry's walk
-       64 units, and a Montgomery chunk of n entries about
-       260 + n * limbs / 18 pows; when the other entries run that pass
-       anyway, the stage's entries are charged only n * limbs / 18 and the
-       fixed part of any chunk they add); the table peaks under 6 MiB.
-    2. Reciprocity on its base, with bases and k >= 3, for entries with
-       5 <= r < 2**30 (the index ladder overflows int64 from 2**30 on),
-       once (entries taken) * (bits of p) reaches 512 (below that one pow
-       each is faster).  The degree d it decides is gcd(k, 12), times ell
-       in {5, 7} when ell | k and the entries with r != ell (then the only
-       ones it takes) reach 1024 * d in that product (the pows the leaf
-       saves are those of the survivors of the test of degree d, about 1/d
-       of the entries): Jacobi for the 2-part of d when it is 2, quartic
-       reciprocity when it is 4, and the Eisenstein index of r for 3, 5
-       and 7.  When d = k (k in {3, 4, 5, 6, 7, 12, 14, 28, ...}) that is
-       the verdict; for any other k only its survivors, about 1/d of the
-       entries, go on with the full exponent (p-1)/k.
-    3. The wide path on what is left, once at least 512 entries remain: for
+    1. The prime stage, for k >= 3, on (entry, prime, exponent) triples:
+       with bases, (i, r, j) for the entries with 2 <= r < 2**30 (the index
+       ladders overflow int64 from 2**30 on); without bases, for entries
+       1 <= n <= 2**20, a triple (i, r, 1) for each step of a walk through a
+       table of smallest prime factors of their maximum.  Each distinct
+       prime r takes its index t in Z/m for each part m of d = gcd(k, 420)
+       (the 2-part of k, 3, 5 and 7 as they divide k), with
+       r**((p-1)/m) = c**t for the part's root of unity c (_paid_index): the
+       Jacobi symbol gives it for m = 2, quartic reciprocity for 4 (odd r),
+       the Eisenstein index for ell (r != ell), and a prime no leaf takes (2
+       at 4, ell at ell) pays one pow(r, (p-1)/m, p) per p, read as a power
+       of c.
+       An entry's part index is the sum of e*t over its triples mod m, and
+       the entry is a dth power iff every part index is 0.  When d = k that
+       is the verdict.  Otherwise the survivors (every entry for d = 1) need
+       the full exponent (p-1)/k: the factored ones take the product of one
+       witness pow(r, (p-1)/k, p) per distinct prime among them, when they
+       have fewer such primes than entries, and the rest go on to stage 2.
+       The stage runs once (entries taken) * (bits of p) reaches 1024
+       (below that one pow each is faster) and, without bases, 16 times
+       that reaches the largest entry (the table costs about 20 ns an
+       entry); the table peaks under 6 MiB.  Its indices stay inside it:
+       stages 2 and 3 give flags only.
+    2. The wide path on what is left, once at least 512 entries remain: for
        k = 2 a binary Jacobi loop on int64 arrays (entries with residue mod p
        in (0, 2**31)), for k >= 3 Montgomery powers on 28-bit limbs while
        p < 2**166, 4096 entries at a time (about 4 MB of scratch).
-    4. One scalar jacobi (k = 2) or pow per entry still left.
+    3. One scalar jacobi (k = 2) or pow per entry still left.
     """
     ns, bases = _entries(ns, bases)
     if k < 1 or (p - 1) % k != 0:
@@ -909,46 +933,14 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
         return result == 1
     flags = np.zeros(len(ns), dtype=bool)
     left = np.arange(len(ns))
-    if bases is None and k >= 3:
-        small = (ns >= 1) & (ns <= _FACTOR_LIMIT)
-        budget = m = int(np.count_nonzero(small))  # one pow each
-        if len(ns) >= _WIDE_MIN and _limb_count(p) <= _MAX_LIMBS:
-            # the Montgomery pass they would join: when the other entries keep it
-            # running alone, the small ones add their part per entry and the fixed
-            # part only of the chunks they add
-            rest = len(ns) - m
-            chunks = (-(-len(ns) // _WIDE_CHUNK) - -(-rest // _WIDE_CHUNK) if rest >= _WIDE_MIN
-                      else -(-m // _WIDE_CHUNK))
-            budget = chunks * _MONTGOMERY_FIXED_POWS + m * _limb_count(p) / _MONTGOMERY_LIMBS_PER_POW
-        shared = _shared_prime_flags(ns[small], k, p, budget)
-        if shared is not None:
-            flags[small] = shared
-            left = np.flatnonzero(~small)
-    if bases is not None and k >= 3:
-        # the index ladder's products overflow int64 from r = 2**30 on
-        d, takes = math.gcd(k, 12), (bases >= 5) & (bases < 2**30)
-        for ell in (5, 7):
-            if k % ell == 0:
-                # the leaf saves the pows of the dth-power test's survivors,
-                # about 1/d of the entries
-                fits = takes & (bases != ell)
-                if np.count_nonzero(fits) * p.bit_length() >= _EISENSTEIN_MIN_WORK * d:
-                    d, takes = d * ell, fits
-        take = np.flatnonzero(takes)
-        if d > 1 and len(take) * p.bit_length() >= _RECIPROCITY_MIN_WORK:
-            for start in range(0, len(take), _WIDE_CHUNK):
-                chunk = take[start : start + _WIDE_CHUNK]
-                r, n = bases[chunk], ns[chunk]
-                j = np.rint(np.log(np.maximum(n, 1)) / np.log(r)).astype(np.int64)
-                # a power r**j below 2**64 fits int64 or wraps to a negative number
-                fits = (j >= 1) & (j * np.log2(r) < 63.5)
-                wrong = np.flatnonzero(~fits | (r ** np.where(fits, j, 0) != n))
-                if len(wrong):
-                    i = chunk[wrong[0]]
-                    raise DomainError(f"bases[{i}] = {bases[i]} is not the prime of ns[{i}] = {ns[i]}")
-                flags[chunk] = _reciprocity_flags(r, j, d, p)
+    if k >= 3 and (bases is None or math.gcd(k, 420) > 1):
+        take = np.flatnonzero((ns >= 1) & (ns <= _FACTOR_LIMIT) if bases is None else (bases >= 2) & (bases < 2**30))
+        work = len(take) * p.bit_length()
+        if work >= _INDEX_MIN_WORK and (bases is not None or ns[take].max(initial=0) <= 16 * work):
+            j = None if bases is None else _exponents(ns, bases, take)
+            flags[take], done = _prime_stage(ns[take], None if bases is None else bases[take], j, k, p)
             rest = np.ones(len(ns), dtype=bool)
-            rest[take] = flags[take] if d < k else False
+            rest[take[done]] = False
             left = np.flatnonzero(rest)
     if len(left) >= _WIDE_MIN and (k == 2 or _limb_count(p) <= _MAX_LIMBS):
         r = ns[left] % p if p < 2**63 else ns[left]  # every int64 in [0, 2**63) is below p
@@ -978,15 +970,14 @@ def has_exact_order(ns, p: int, k: int, p_minus_1_factors, bases=None) -> np.nda
     dividing (p-1)/k.  For f dividing k that stage tests
     n**((p-1)/(k*f)) == 1.  For f not dividing k it is euler_flags with f
     in place of k*f: F_p* is cyclic, so for gcd(k, f) = 1 its (k*f)th powers
-    are its kth powers that are fth powers, and f = 2 is a Jacobi symbol and
-    f in {3, 5, 7} reciprocity on entries with a base.  Without bases, every
-    stage of degree ell or 2*ell with ell in {3, 5, 7} (the first one for
-    such k, or f = ell) sums its entries' primes' character indices mod ell,
-    so only the prime ell pays a power there: at 10^48+217 with k = 7 the
-    first stage pays one, for the prime 7.
-    bases, as in euler_flags, goes to every stage, which takes the
-    survivors' bases alone.  A flagged entry has order (p-1)/k, so a
-    caller that needs the order of one need not compute it again.
+    are its kth powers that are fth powers.  Every stage goes through
+    euler_flags' prime stage, which decides the part gcd(degree, 420) of its
+    degree by character indices, so only the primes no index leaf takes pay
+    a power there (at 10^48+217 with k = 7, the first stage pays one, for
+    the prime 7); f = 2 is a Jacobi symbol.  bases, as in euler_flags, goes
+    to every stage, which takes the survivors' bases alone.  A flagged entry
+    has order (p-1)/k, so a caller that needs the order of one need not
+    compute it again.
     """
     ns, bases = _entries(ns, bases)
     flags = euler_flags(ns, k, p, bases)

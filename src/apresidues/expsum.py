@@ -120,7 +120,7 @@ def max_ratio_table(table: SmallFieldTable) -> np.ndarray:
     return maxima / theoretical_bound(p)
 
 
-def halfsums(table: SmallFieldTable) -> np.ndarray:
+def _halfsums(table: SmallFieldTable) -> np.ndarray:
     """S[b] = sum over the quadratic nonresidue enumeration tau**(2n+1) of
     e(2*pi*i * b * u / p), for every b in [0, p)."""
     p = table.p
@@ -145,7 +145,7 @@ def fourier_U_hat(a: int, table: SmallFieldTable) -> UHatSample:
     if p > _UHAT_LIMIT:
         raise ResourceError(f"the U-hat double sum is limited to p <= {_UHAT_LIMIT}")
     a = _require_residue(a, table)
-    s = halfsums(table)
+    s = _halfsums(table)
     n = int(np.flatnonzero(table.powers == a)[0]) // 2  # a = tau**(2n)
     value = complex(kernels.uhat_rows(s, n, 1, table.powers, p, table.roots)[0])
     half = complex(s[1])

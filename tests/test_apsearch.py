@@ -14,7 +14,7 @@ from apresidues.apsearch import (
     weighted_count,
 )
 from apresidues.bigmod import OddPrimeContext, ResidueClass, factorize, multiplicative_order, primes_up_to
-from apresidues.errors import DomainError
+from apresidues.errors import DomainError, ResourceError
 
 from conftest import P24, P48, P128, P48_FACTORS, P128_FACTORS, euler_sign, naive_is_prime, naive_von_mangoldt
 
@@ -361,6 +361,27 @@ class TestDensitySweep:
         monkeypatch.setattr(apsearch, "primes_up_to", refuse)
         with pytest.raises(DomainError, match="max_primes must be >= 1"):
             density_sweep(2, ResidueClass(1, 4), (100000, 110000), max_primes=max_primes)
+
+    @pytest.mark.parametrize("x_rule", ["fixed:-5", "fixed:0", "fixed:1.5"])
+    def test_fixed_x_below_2_rejected_before_sieving(self, monkeypatch, x_rule):
+        # fixed:-5 wrote rows with x = -5 and NaN fractions
+        def refuse(*args):
+            raise AssertionError("sieved before validating the sweep")
+
+        monkeypatch.setattr(apsearch, "primes_up_to", refuse)
+        with pytest.raises(DomainError, match="x must be >= 2"):
+            density_sweep(2, ResidueClass(1, 4), (1000, 1100), x_rule=x_rule)
+
+    @pytest.mark.parametrize("prime_range,x_rule", [((1000, 10**9), "prime"), ((1000, 10**8 + 1), "bound"),
+                                                    ((1000, 1100), "fixed:100000001")])
+    def test_sieve_past_the_count_budget_rejected_before_sieving(self, monkeypatch, prime_range, x_rule):
+        # prime_max = 10**9 sieved 50.8M primes (about 400 MB) first
+        def refuse(*args):
+            raise AssertionError("sieved before validating the sweep")
+
+        monkeypatch.setattr(apsearch, "primes_up_to", refuse)
+        with pytest.raises(ResourceError, match="count budget is 100000000"):
+            density_sweep(2, ResidueClass(1, 4), prime_range, x_rule=x_rule)
 
     def test_one_point_range_is_not_inverted(self):
         result = density_sweep(2, ResidueClass(0, 1), (10007, 10007), max_primes=1)

@@ -351,32 +351,39 @@ class TestWideEulerFlags:
         ns = np.arange(1, 1001)
         primes = primes_up_to(7919)  # the first 1000 primes
         euler_flags(ns, 2, P24)
-        # for k >= 3 the shared-prime stage takes 1..1000 (168 powers), but
-        # not primes without a base when k has no index route (k = 8: one
-        # power each), nor entries above its table budget
+        # for k >= 3 the prime stage takes 1..1000, and primes without a base
+        # (k = 8: the quartic index decides the 4th powers, and the survivors,
+        # with as many primes as entries, take one pow each), but not entries
+        # above its table limit
         euler_flags(ns, 7, P48)
         euler_flags(primes, 8, P48)
+        survivors = [n for n, flag in zip(primes.tolist(), scalar_flags(primes, 4, P48)) if flag]
+        assert calls[-1] == ("scalar", survivors)
         euler_flags(ns + bigmod._FACTOR_LIMIT, 7, P48)
-        assert sizes("quadratic", "montgomery") == [1000, 1000, 1000]
-        assert sizes("shared") == [1000]
-        # 2**31 and above stay scalar for k = 2, 0 everywhere
+        assert sizes("quadratic", "montgomery") == [1000, 1000]
+        assert sizes("prime") == [1000, 1000]
+        # 2**31 and above stay scalar for k = 2, 0 everywhere; for k = 29
+        # (d = 1) the stage passes on primes, whose witnesses save no pow
         mixed = np.concatenate([ns, [0, 2**31, 2**40]])
         assert euler_flags(mixed, 2, P24).tolist() == scalar_flags(mixed, 2, P24)
         mixed = np.concatenate([primes, [0, 2**31, 2**40]])
         assert euler_flags(mixed, 29, P24).tolist() == scalar_flags(mixed, 29, P24)
-        assert sizes("quadratic", "montgomery")[3:] == [1000, 1002]
+        assert sizes("quadratic", "montgomery")[2:] == [1000, 1002]
+        assert sizes("prime")[2:] == [1000]
         # short arrays, and moduli of more than 6 limbs for k >= 3, stay
-        # scalar; k = 9 has no cubic index route, so its primes pay one pow each
+        # scalar; for k = 9 the cubic index leaves its survivors one pow each
         p170 = next(q for q in range(2**170 + 1, 2**170 + 10**5, 2) if q % 9 == 1 and is_prime(q))
         euler_flags(ns[: bigmod._WIDE_MIN - 1], 2, P24)
         euler_flags(primes, 9, p170)
-        assert len(sizes("quadratic", "montgomery")) == 5 and len(sizes("shared")) == 1
-        assert calls[-1] == ("scalar", primes.tolist())
+        assert len(sizes("quadratic", "montgomery")) == 4 and len(sizes("prime")) == 4
+        cubes = [n for n, flag in zip(primes.tolist(), scalar_flags(primes, 3, p170)) if flag]
+        assert calls[-2:] == [("prime", primes.tolist()), ("scalar", cubes)]
         euler_flags(ns, 2, p170)
-        assert sizes("quadratic", "montgomery")[5:] == [1000]
+        assert sizes("quadratic", "montgomery")[4:] == [1000]
         # for k = 3 the same primes take their cubic indices, at any size of p
         euler_flags(primes, 3, p170)
-        assert sizes("shared")[1:] == [1000] and len(sizes("quadratic", "montgomery")) == 6
+        assert sizes("prime")[4:] == [1000] and len(sizes("quadratic", "montgomery")) == 5
+        assert calls[-2:] == [("prime", primes.tolist()), ("scalar", [])]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3_037_000_501, 2**180), st.sampled_from([2, 3, 4, 5, 6, 7, 8, 12]),
@@ -439,47 +446,36 @@ def smooth_prime(size, cofactor, seed):
             return p, factors
 
 
-def reciprocity_calls(monkeypatch):
-    """Record the bases of every chunk the reciprocity path evaluates."""
-    chunks = []
-    original = bigmod._reciprocity_flags
+def stage_calls(monkeypatch):
+    """Record the entries of every call of the prime stage with bases."""
+    calls = []
+    original = bigmod._prime_stage
 
-    def spy(r, j, d, p):
-        chunks.append(r.tolist())
-        return original(r, j, d, p)
+    def spy(n, bases, j, k, p):
+        if bases is not None:
+            calls.append(n.tolist())
+        return original(n, bases, j, k, p)
 
-    monkeypatch.setattr(bigmod, "_reciprocity_flags", spy)
-    return chunks
+    monkeypatch.setattr(bigmod, "_prime_stage", spy)
+    return calls
 
 
 def leaf_calls(monkeypatch):
     """Record (leaf, entries) for every call of a verdict leaf from
-    euler_flags: the shared-prime stage (when it takes its entries), the
-    reciprocity test (its entries are r**j), the binary Jacobi loop, the
-    Montgomery power and the scalar jacobi/pow.  The Jacobi loops inside the
-    reciprocity test and the shared-prime stage (k = 6) are part of those
-    leaves, so they are not recorded.  The wide
-    leaves see residues mod p, which are the entries themselves for
-    0 < n < p."""
+    euler_flags: the prime stage (all the entries it takes, with or without
+    bases), the binary Jacobi loop, the Montgomery power and the scalar
+    jacobi/pow.  The Jacobi loop inside the prime stage is part of that
+    stage, so it is not recorded.  The wide leaves see residues mod p, which
+    are the entries themselves for 0 < n < p."""
     calls, inside = [], []
-    reciprocity, quadratic = bigmod._reciprocity_flags, bigmod._quadratic_flags
-    power, scalar, shared = bigmod._Montgomery.power_is_one, bigmod._scalar_flags, bigmod._shared_prime_flags
+    stage, quadratic = bigmod._prime_stage, bigmod._quadratic_flags
+    power, scalar = bigmod._Montgomery.power_is_one, bigmod._scalar_flags
 
-    def shared_spy(n, k, p, budget):
+    def stage_spy(n, bases, j, k, p):
+        calls.append(("prime", n.tolist()))
         inside.append(True)
         try:
-            flags = shared(n, k, p, budget)
-        finally:
-            inside.pop()
-        if flags is not None:
-            calls.append(("shared", n.tolist()))
-        return flags
-
-    def reciprocity_spy(r, j, d, p):
-        calls.append(("reciprocity", (r**j).tolist()))
-        inside.append(True)
-        try:
-            return reciprocity(r, j, d, p)
+            return stage(n, bases, j, k, p)
         finally:
             inside.pop()
 
@@ -496,8 +492,7 @@ def leaf_calls(monkeypatch):
         calls.append(("scalar", ns.tolist()))
         return scalar(ns, k, e, p)
 
-    monkeypatch.setattr(bigmod, "_shared_prime_flags", shared_spy)
-    monkeypatch.setattr(bigmod, "_reciprocity_flags", reciprocity_spy)
+    monkeypatch.setattr(bigmod, "_prime_stage", stage_spy)
     monkeypatch.setattr(bigmod, "_quadratic_flags", quadratic_spy)
     monkeypatch.setattr(bigmod._Montgomery, "power_is_one", power_spy)
     monkeypatch.setattr(bigmod, "_scalar_flags", scalar_spy)
@@ -527,17 +522,24 @@ class TestReciprocityFlags:
                                                     "48d-1mod8", "48d-5mod8"])
     def test_matches_scalar_pow(self, p, entries, monkeypatch):
         ns, bases = entries
-        chunks = reciprocity_calls(monkeypatch)
+        chunks = stage_calls(monkeypatch)
         want = scalar_flags_by_k(ns, self.MODULI[p], p)
         assert want[self.MODULI[p][0]][:300] == scalar_flags(ns[:300], self.MODULI[p][0], p)
         for k in self.MODULI[p]:
             assert euler_flags(ns, k, p, bases=bases).tolist() == want[k], k
-        assert len(chunks) >= len(self.MODULI[p]), "the reciprocity path never ran"
+        assert len(chunks) >= len(self.MODULI[p]), "the prime stage never ran"
 
     @pytest.mark.parametrize("p,k", [(P128, 3), (P128, 9), (P48, 4), (P48, 8), (SEEDED[1], 12), (SEEDED[2], 24)])
     def test_chunk_edges(self, p, k, entries, monkeypatch):
+        """The leaves take the stage's distinct primes _WIDE_CHUNK at a time."""
         monkeypatch.setattr(bigmod, "_WIDE_CHUNK", 64)
-        chunks = reciprocity_calls(monkeypatch)
+        chunks, part_index = [], bigmod._part_index
+
+        def spy(r, m, p):
+            chunks.append(r.tolist())
+            return part_index(r, m, p)
+
+        monkeypatch.setattr(bigmod, "_part_index", spy)
         ns, bases = entries
         # a spread of primes and powers whose last three are kth power
         # residues, so an entry a chunk misses shows
@@ -569,28 +571,29 @@ class TestReciprocityFlags:
             calls.clear()
             got = euler_flags(ns, k, p, bases=bases)
             assert got.tolist() == scalar_flags(ns, k, p)
-            # bases 2 and 3 and those of 2**30 or more keep the other paths
-            assert calls == [("reciprocity", ns[7:].tolist()), ("scalar", other)]
-            # without bases no reciprocity runs: the entries below 2**20 share
-            # their 46 primes' powers, and the prime 2**31 + 11 takes one pow
+            # the bases 2 and 3 take the stage too; those of 2**30 or more keep
+            # the other paths
+            below = ns[ns != big].tolist()
+            assert calls == [("prime", below), ("scalar", [big])]
+            # without bases the entries below 2**20 are split into their 46
+            # primes, and the prime 2**31 + 11 takes one pow
             calls.clear()
             assert euler_flags(ns, k, p).tolist() == got.tolist()
-            below = ns[ns != big].tolist()
-            assert calls == [("shared", below), ("scalar", [big])]
-        # for k > gcd(k, 12) only the survivors go on, with the full exponent
+            assert calls == [("prime", below), ("scalar", [big])]
+        # for k > gcd(k, 420) only the survivors go on, with the full exponent
         calls.clear()
         got = euler_flags(ns, 9, P128, bases=bases)
         assert got.tolist() == scalar_flags(ns, 9, P128)
-        cubes = ns[7:][bigmod._eisenstein_index(bases[7:], 3, P128) == 0].tolist()
-        assert calls == [("reciprocity", ns[7:].tolist()), ("scalar", other + cubes)]
+        cubes = [n for n, cube in zip(ns.tolist(), scalar_flags(ns, 3, P128)) if cube or n == big]
+        assert calls == [("prime", below), ("scalar", cubes)]
         # k = 2 is the Jacobi path with or without bases
         calls.clear()
         euler_flags(ns, 2, P128, bases=bases)
         assert calls == [("scalar", ns.tolist())]
         # short arrays: (entries taken) * (bits of p) below the work threshold
         calls.clear()
-        euler_flags(r[:3], 3, P128, bases=r[:3])
-        assert calls == [("scalar", r[:3].tolist())]
+        euler_flags(r[:7], 3, P128, bases=r[:7])
+        assert calls == [("scalar", r[:7].tolist())]
 
     @pytest.mark.parametrize("p,k,x", [(P128, 9, 5000), (P128, 9, 40000), (P48, 8, 5000), (P48, 8, 40000),
                                        (P128, 3, 5000), (P48, 2, 40000), (P24, 7, 5000), (P24, 29, 5000),
@@ -599,13 +602,13 @@ class TestReciprocityFlags:
                                   "2^128+51-3", "10^48+217-2", "10^24+7-7", "10^24+7-29", "10^48+217-14",
                                   "10^48+217-56"])
     def test_each_entry_reaches_one_leaf(self, p, k, x, monkeypatch):
-        """Every entry reaches one leaf, or two (reciprocity, then the wide
-        path or one pow) when it survives the dth-power test and d < k; the
-        wide path takes what is left once that is at least _WIDE_MIN entries,
-        whatever the length of the whole array.  d = gcd(k, 420) here, since
-        every array is past the Eisenstein leaf's threshold; the bases from
-        2**30 on keep the other paths, and so does 5 or 7 when it divides
-        d."""
+        """Every entry reaches one leaf, or two (the prime stage, then the
+        wide path or one pow) when it survives the dth-power test and d < k,
+        d = gcd(k, 420); the wide path takes what is left once that is at
+        least _WIDE_MIN entries, whatever the length of the whole array.
+        Every array is past the stage's work threshold, which takes every
+        base below 2**30 (2, 3, 5 and 7 included) for k >= 3 and d > 1; the
+        bases from 2**30 on keep the other paths."""
         calls = leaf_calls(monkeypatch)
         big = next_prime(2**31)
         ns, bases = prime_powers_up_to(x)
@@ -613,8 +616,7 @@ class TestReciprocityFlags:
         d = math.gcd(k, 420)
         want = scalar_flags_by_k(ns, (d, k), p)
         assert euler_flags(ns, k, p, bases=bases).tolist() == want[k]
-        ells = [ell for ell in (5, 7) if d % ell == 0]
-        taken = (bases >= 5) & (bases < 2**30) & ~np.isin(bases, ells) & (k >= 3 and d > 1)
+        taken = (bases >= 2) & (bases < 2**30) & (k >= 3 and d > 1)
         left = ~taken | (taken & np.array(want[d]) & (d < k))
         wide = (left.sum() >= bigmod._WIDE_MIN) & ((ns < 2**31) | (k > 2))
         last = np.where(wide, "quadratic" if k == 2 else "montgomery", "scalar")
@@ -622,17 +624,18 @@ class TestReciprocityFlags:
         for leaf, entries in calls:
             for n in entries:
                 reached.setdefault(n, []).append(leaf)
-        assert reached == {n: ["reciprocity"] * t + [leaf] * g
+        assert reached == {n: ["prime"] * t + [leaf] * g
                            for n, t, g, leaf in zip(ns.tolist(), taken.tolist(), left.tolist(), last.tolist())}
 
     def test_short_arrays_keep_scalar_pow(self, monkeypatch):
-        chunks = reciprocity_calls(monkeypatch)
-        r = np.array([5, 7, 11, 13, 17], dtype=np.int64)
-        # 3 entries times 129 bits is below the work threshold; 4 reach it
-        euler_flags(r[:3], 3, P128, bases=r[:3])
+        chunks = stage_calls(monkeypatch)
+        r = np.array([5, 7, 11, 13, 17, 19, 23, 29, 31], dtype=np.int64)
+        # 7 entries times 129 bits (903) is below the work threshold; 8 (1032)
+        # reach it
+        euler_flags(r[:7], 3, P128, bases=r[:7])
         assert chunks == []
-        euler_flags(r[:4], 3, P128, bases=r[:4])
-        assert chunks == [r[:4].tolist()]
+        euler_flags(r[:8], 3, P128, bases=r[:8])
+        assert chunks == [r[:8].tolist()]
 
     # p = 1 mod 12 with p - 1 factored, in both classes mod 8
     SMOOTH = [smooth_prime(8, 24, 1401), smooth_prime(8, 12, 1402)]
@@ -646,14 +649,14 @@ class TestReciprocityFlags:
     @pytest.mark.parametrize("case", ["P128-3", "P128-6", "P48-2", "P48-4", "smooth1-2", "smooth1-6",
                                       "smooth5-2", "smooth5-6"])
     def test_has_exact_order_with_bases(self, case, monkeypatch):
-        chunks = reciprocity_calls(monkeypatch)
+        chunks = stage_calls(monkeypatch)
         name, k = case.rsplit("-", 1)
         p, factors = {"P128": (P128, P128_FACTORS), "P48": (P48, P48_FACTORS),
                       "smooth1": self.SMOOTH[0], "smooth5": self.SMOOTH[1]}[name]
         ns, bases = prime_powers_up_to(3000)
         got = has_exact_order(ns, p, int(k), factors, bases=bases)
         assert got.tolist() == has_exact_order(ns, p, int(k), factors).tolist()
-        assert chunks, "the reciprocity path never ran"
+        assert chunks, "the prime stage never ran"
         # with k = 2 the stage k*f = 4 needs a Jacobi test on r for r**j with
         # j = 2 mod 4: r**2 has order (p-1)/2 exactly when r is a primitive root
         squares = (ns == bases**2) & (bases >= 5)
@@ -671,13 +674,14 @@ class TestReciprocityFlags:
         bases = [next_prime(x) for x, _ in pairs]
         ns = [r**j if r**j < 2**63 else r for r, (_, j) in zip(bases, pairs)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bigmod, "_RECIPROCITY_MIN_WORK", 0)
+            mp.setattr(bigmod, "_INDEX_MIN_WORK", 0)
             assert euler_flags(ns, k, p, bases=bases).tolist() == scalar_flags(ns, k, p)
 
 
 class TestSharedPrimes:
-    """The shared-prime stage: entries without a base split into primes by a
-    table of smallest prime factors, and one pow per distinct prime."""
+    """The prime stage without bases: entries split into primes by a table
+    of smallest prime factors, each distinct prime takes its index, and the
+    survivors of a partial degree pay one witness pow per distinct prime."""
 
     # the published moduli with the k of the exact-order tables and their
     # k*f stages
@@ -690,7 +694,7 @@ class TestSharedPrimes:
         want = scalar_flags_by_k(ns, self.MODULI[p], p)
         for k in self.MODULI[p]:
             assert euler_flags(ns, k, p).tolist() == want[k], k
-        assert [call for call in calls if call[1]] == [("shared", ns.tolist())] * len(self.MODULI[p])
+        assert [call for call in calls if call[1]] == [("prime", ns.tolist())] * len(self.MODULI[p])
 
     @pytest.mark.parametrize("wide", [False, True])
     def test_other_entries_fall_through(self, wide, monkeypatch):
@@ -702,49 +706,54 @@ class TestSharedPrimes:
         for p, k in ((P128, 9), (P48, 7), (P24, 14), (P24, 58), (P128, 3), (SEEDED[2], 6)):
             calls.clear()
             assert euler_flags(ns, k, p).tolist() == scalar_flags(ns, k, p), (p, k)
-            assert calls == [("shared", body.tolist()), ("scalar", others)]
+            assert calls == [("prime", body.tolist()), ("scalar", others)]
             if wide:
                 # once the rest are _WIDE_MIN entries, those above 0 take the
-                # Montgomery power; at 10^24+7 (3 limbs) with k = 58, which has
-                # no index route, the body joins that pass, where its 2000
-                # entries add about 333 pows, against 303 for their primes plus
-                # the stage's table and walks; with k = 14 the septic index
-                # leaves the stage one pow, for the prime 7
+                # Montgomery power, and the body keeps the stage at every k
+                # (at 10^24+7 with k = 58 it joined that pass while a
+                # Montgomery-weighted budget chose the route)
                 calls.clear()
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(bigmod, "_WIDE_MIN", len(others))
                     assert euler_flags(ns, k, p).tolist() == scalar_flags(ns, k, p), (p, k)
-                if k == 58:
-                    assert calls == [("montgomery", body.tolist() + others[4:]), ("scalar", others[:4])]
-                else:
-                    assert calls == [("shared", body.tolist()), ("montgomery", others[4:]), ("scalar", others[:4])]
+                assert calls == [("prime", body.tolist()), ("montgomery", others[4:]), ("scalar", others[:4])]
 
     def test_declines_when_it_saves_no_power(self, monkeypatch):
         calls = leaf_calls(monkeypatch)
-        # k = 9 has no cubic index route: primes, and one entry per prime, take
-        # one power each however routed
-        for ns in ([5, 7, 11, 13], [4, 9, 25, 49], [2**20]):
-            calls.clear()
-            euler_flags(ns, 9, P128)
-            assert calls == [("scalar", ns)], ns
-        # two entries that share a prime pay one power, unless the table of
-        # 2**20 units costs more than the powers it saves
+        tables, build = [], bigmod._smallest_prime_factors
+        monkeypatch.setattr(bigmod, "_smallest_prime_factors", lambda x: tables.append(x) or build(x))
+        # below (entries) * (bits of p) = 1024 one pow each is faster: up to
+        # 7 entries at 129 bits keep it, whether or not they share a prime
+        for ns in ([5, 7, 11, 13], [4, 9, 25, 49], [2**20], [4, 8], [4, 8, 2**20]):
+            for k in (9, 3):
+                calls.clear()
+                euler_flags(ns, k, P128)
+                assert calls == [("scalar", ns)], (ns, k)
+        # past it the table is built only while max(n) <= 16 * (entries) *
+        # (bits of p): 16 * 8 * 129 = 16512
+        ns = [2, 4, 8, 16, 32, 64, 128]
         calls.clear()
-        euler_flags([4, 8], 9, P128)
-        assert calls == [("shared", [4, 8]), ("scalar", [])]
+        euler_flags(ns + [16512], 9, P128)
+        assert calls[0] == ("prime", ns + [16512]) and tables == [16512]
         calls.clear()
-        euler_flags([4, 8, 2**20], 9, P128)
-        assert calls == [("scalar", [4, 8, 2**20])]
-        # for k = 3 every prime but 3 takes its cubic index, so the stage
-        # pays no power for them
+        euler_flags(ns + [16513], 9, P128)
+        assert calls == [("scalar", ns + [16513])] and tables == [16512]
+        # survivors with as many primes as entries (primes at k = 17, whose
+        # degree has no part) take no witnesses and go on; powers of one
+        # prime share its witness
+        primes = primes_up_to(100)
         calls.clear()
-        euler_flags([5, 7, 11, 13], 3, P128)
-        assert calls == [("shared", [5, 7, 11, 13]), ("scalar", [])]
-        # k = 2 keeps the Jacobi symbol, and entries with bases reciprocity
+        euler_flags(primes, 17, P128)
+        assert calls == [("prime", primes.tolist()), ("scalar", primes.tolist())]
         calls.clear()
+        euler_flags(ns + [256, 512, 1024], 17, P128)
+        assert calls == [("prime", ns + [256, 512, 1024]), ("scalar", [])]
+        # k = 2 keeps the Jacobi symbol, and entries with bases build no table
+        calls.clear()
+        tables.clear()
         euler_flags(np.arange(1, 101), 2, P128)
         euler_flags(np.arange(5, 101, 2) ** 2, 3, P128, bases=np.arange(5, 101, 2))
-        assert all(leaf != "shared" for leaf, _ in calls)
+        assert tables == [] and [leaf for leaf, _ in calls] == ["scalar", "prime", "scalar"]
 
     CUBIC = [P128] + SEEDED
     CUBIC_IDS = ["2^128+51", "24d-1mod8", "24d-5mod8", "48d-1mod8", "48d-5mod8"]
@@ -752,12 +761,13 @@ class TestSharedPrimes:
     @pytest.mark.parametrize("p", CUBIC, ids=CUBIC_IDS)
     def test_cubic_route_pays_only_for_3(self, p, monkeypatch):
         """k = 3 and 6 on every n <= 3000, among them every 2**i * 3**j * r,
-        match one pow per entry, and the stage's only powers with exponent
-        (p-1)/3 are those of the prime 3."""
+        match one pow per entry, and the stage's only power with exponent
+        (p-1)/3 is that of the prime 3, paid once per p."""
         calls = leaf_calls(monkeypatch)
         ns = np.arange(1, 3001)
         want = scalar_flags_by_k(ns, (3, 6), p)
         bigmod._cyclotomic_prime(3, p)  # memoised per p, with pi, before counting
+        bigmod._paid_index.cache_clear()
         counted = []
 
         def counting_pow(*args):
@@ -768,39 +778,37 @@ class TestSharedPrimes:
         monkeypatch.setattr(bigmod, "pow", counting_pow, raising=False)
         for k in (3, 6):
             assert euler_flags(ns, k, p).tolist() == want[k], k
-        assert counted == [3, 3]
-        assert [call for call in calls if call[1]] == [("shared", ns.tolist())] * 2
+        assert counted == [3]
+        assert [call for call in calls if call[1]] == [("prime", ns.tolist())] * 2
 
-    def test_montgomery_cost_grows_with_the_chunk(self, monkeypatch):
-        """At 10^24+7 (3 limbs), for a k with no index route (29; measured
-        with k = 7 before it had one), 4096 consecutive entries with about
-        4.5 per distinct prime go to Montgomery (measured 20 ms, the stage
-        29 ms), while 512 with 2.5 and 1024 with 3.4 per prime take the stage
-        (6.0 against 8.2 ms and 9.5 against 10.3 ms).  With k = 7 the stage
-        pays one pow, for the prime 7, so it takes all three."""
+    def test_witnesses_take_entries_that_share_primes(self, monkeypatch):
+        """At 10^24+7 with k = 29, whose degree has no part, entries with
+        fewer distinct primes than entries take one witness pow per prime,
+        however many they are: 4096 consecutive entries with about 4.5 per
+        distinct prime (which went to Montgomery while a Montgomery-weighted
+        budget chose the route), 512 with 2.5 and 1024 with 3.4.  With k = 7
+        the septic index decides them."""
         calls = leaf_calls(monkeypatch)
-        for start, count, ratio, taker in ((3000, 4096, 4.5, "montgomery"), (1000, 512, 2.5, "shared"),
-                                           (1000, 1024, 3.35, "shared")):
+        for start, count, ratio in ((3000, 4096, 4.5), (1000, 512, 2.5), (1000, 1024, 3.35)):
             ns = np.arange(start, start + count)
             primes = set().union(*map(factorize, ns.tolist()))
             assert count / len(primes) == pytest.approx(ratio, abs=0.05)
             for k in (29, 7):
                 calls.clear()
                 assert euler_flags(ns, k, P24).tolist() == scalar_flags(ns, k, P24)
-                assert [leaf for leaf, entries in calls if entries] == [taker if k == 29 else "shared"], (k, count)
+                assert [leaf for leaf, entries in calls if entries] == ["prime"], (k, count)
 
-    def test_joins_a_montgomery_pass_the_other_entries_keep_running(self, monkeypatch):
-        """At 10^24+7 with k = 29 (no index route; measured with k = 7 before
-        it had one), 100 entries from 1000 alone take the stage, but next to
-        600 entries from 2**21, which run a Montgomery pass anyway, they join
-        that pass (measured 10.7 ms with the stage, 7.9 ms in one pass); next
-        to 300, too few for the pass, they keep the stage."""
+    def test_keeps_its_entries_beside_a_montgomery_pass(self, monkeypatch):
+        """At 10^24+7 with k = 29, 100 entries from 1000 take the stage,
+        alone, next to 600 entries from 2**21 that run a Montgomery pass, and
+        next to 300 that are too few for the pass (the first two joined that
+        pass while a Montgomery-weighted budget chose the route)."""
         calls = leaf_calls(monkeypatch)
         small, big = np.arange(1000, 1100), np.arange(2**21, 2**21 + 600)
-        for ns, route in ((small, [("shared", small.tolist()), ("scalar", [])]),
-                          (np.concatenate((small, big)), [("montgomery", small.tolist() + big.tolist()),
-                                                          ("scalar", [])]),
-                          (np.concatenate((small, big[:300])), [("shared", small.tolist()),
+        for ns, route in ((small, [("prime", small.tolist()), ("scalar", [])]),
+                          (np.concatenate((small, big)), [("prime", small.tolist()),
+                                                          ("montgomery", big.tolist()), ("scalar", [])]),
+                          (np.concatenate((small, big[:300])), [("prime", small.tolist()),
                                                                ("scalar", big[:300].tolist())])):
             calls.clear()
             assert euler_flags(ns, 29, P24).tolist() == scalar_flags(ns, 29, P24)
@@ -900,23 +908,25 @@ class TestEisensteinIndex:
     def test_chunks(self, monkeypatch):
         monkeypatch.setattr(bigmod, "_WIDE_CHUNK", 64)
         r = primes_up_to(1000)[4:]  # 11 .. 997, 164 primes
-        assert bigmod._eisenstein_index(r, 7, P48).tolist() == pow_indices(r, 7, P48)
+        assert bigmod._prime_indices(r, 7, P48).tolist() == pow_indices(r, 7, P48)
+        assert bigmod._prime_indices(r[:0], 3, P128).tolist() == []
         assert bigmod._eisenstein_index(r[:0], 3, P128).tolist() == []
 
     @pytest.mark.parametrize("k", [7, 14, 28])
     def test_counts_at_10_48_take_the_leaf(self, k, monkeypatch):
-        """A count's entries at 10^48+217 with k in {7, 14, 28}: every base
-        from 5 on other than 7 takes the septic leaf, beside Jacobi (k = 14)
-        or quartic reciprocity (k = 28), which decide the verdict; the bases
-        2, 3 and 7 keep one pow each, and no Montgomery power runs."""
+        """A count's entries at 10^48+217 with k in {7, 14, 28}: every
+        distinct base other than 7 takes the septic leaf, beside Jacobi
+        (k = 14) or quartic reciprocity (k = 28), which decide the verdict;
+        the base 7 pays one pow for its septic index, and no Montgomery power
+        runs."""
         calls = leaf_calls(monkeypatch)
         leaf = index_calls(monkeypatch)
         ns, bases = prime_powers_up_to(20000)
         got = euler_flags(ns, k, P48, bases=bases)
         assert got.tolist() == scalar_flags_by_k(ns, (k,), P48)[k]
-        other = np.isin(bases, [2, 3, 7])
-        assert calls == [("reciprocity", ns[~other].tolist()), ("scalar", ns[other].tolist())]
-        assert leaf == [(7, bases[~other & (ns != bases**7)].tolist())]
+        assert calls == [("prime", ns.tolist()), ("scalar", [])]
+        distinct = np.unique(bases)
+        assert leaf == [(7, distinct[distinct != 7].tolist())]
 
     def test_weighted_count_takes_the_leaf(self, monkeypatch):
         leaf = index_calls(monkeypatch)
@@ -935,8 +945,7 @@ class TestEisensteinIndex:
         and 13 (1040) take the leaf."""
         leaf = index_calls(monkeypatch)
         r = primes_up_to(100)[4:]  # 11, 13, ...
-        # with bases (stage 2), and without (the stage of shared primes
-        # counts the primes it takes)
+        # with bases, and without (the stage counts the entries it takes)
         for p, below in ((P48, 6), (P24, 12)):
             for n, with_bases in itertools.product((below, below + 1), (True, False)):
                 leaf.clear()
@@ -947,14 +956,16 @@ class TestEisensteinIndex:
     @pytest.mark.parametrize("p,ks", [(P48, (7, 14)), (P24, (7, 14))] + [(p, (5, 10)) for p in SEEDED],
                              ids=["10^48+217", "10^24+7", "24d0", "24d1", "48d0", "48d1"])
     def test_index_route_pays_only_for_ell(self, p, ks, monkeypatch):
-        """Every n <= 3000 without a base: the stage of shared primes sums
-        its primes' indices mod ell, and its only power is that of ell."""
+        """Every n <= 3000 without a base: the prime stage sums its primes'
+        indices mod ell, and its only power is that of ell, paid once per
+        p."""
         calls = leaf_calls(monkeypatch)
         ns = np.arange(1, 3001)
         want = scalar_flags_by_k(ns, ks, p)
         ell = ks[0]
         bigmod._cyclotomic_prime(ell, p)  # memoised per p, with pi, before counting
         bigmod._stickelberger_tables(ell, p)
+        bigmod._paid_index.cache_clear()
         counted = []
 
         def counting_pow(*args):
@@ -965,8 +976,8 @@ class TestEisensteinIndex:
         monkeypatch.setattr(bigmod, "pow", counting_pow, raising=False)
         for k in ks:
             assert euler_flags(ns, k, p).tolist() == want[k], k
-        assert counted == [ell, ell]
-        assert [call for call in calls if call[1]] == [("shared", ns.tolist())] * 2
+        assert counted == [ell]
+        assert [call for call in calls if call[1]] == [("prime", ns.tolist())] * 2
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3_037_000_501, 2**200), st.sampled_from([5, 7, 10, 14, 15, 21, 28, 35]),
@@ -978,10 +989,95 @@ class TestEisensteinIndex:
         bases = [next_prime(x) for x, _ in pairs]
         ns = [r**j if r**j < 2**63 else r for r, (_, j) in zip(bases, pairs)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bigmod, "_RECIPROCITY_MIN_WORK", 0)
-            mp.setattr(bigmod, "_EISENSTEIN_MIN_WORK", 0)
+            mp.setattr(bigmod, "_INDEX_MIN_WORK", 0)
             assert euler_flags(ns, k, p, bases=bases).tolist() == scalar_flags(ns, k, p)
             assert euler_flags(ns, k, p).tolist() == scalar_flags(ns, k, p)
+
+
+def smooth_digits_prime(digits, cofactor, seed):
+    """A random prime of the given number of digits with p - 1 = cofactor * m,
+    m a product of primes in [5, 10**4]: (p, factorisation of p - 1)."""
+    rng = random.Random(seed)
+    small = primes_up_to(10**4)[2:].tolist()
+    while True:
+        m = [rng.choice(small)]
+        while cofactor * math.prod(m) < 10 ** (digits - 1):
+            m.append(rng.choice(small))
+        p = cofactor * math.prod(m) + 1
+        if p < 10**digits and is_prime(p):
+            factors = dict(factorize(cofactor))
+            for q in m:
+                factors[q] = factors.get(q, 0) + 1
+            return p, factors
+
+
+def exact_order_by_pow(ns, p, k, factors, witnesses):
+    """has_exact_order by pow: witnesses[i] = ns[i]**((p-1)/k) mod p is 1, and
+    ns[i]**((p-1)/(k*f)) is not for any prime f dividing (p-1)/k."""
+    e = (p - 1) // k
+    return [w == 1 and all(pow(n, e // f, p) != 1 for f in factors if e % f == 0)
+            for n, w in zip(ns.tolist(), witnesses)]
+
+
+class TestPrimeStage:
+    """The prime stage's index contract: an entry's index t in Z/d,
+    d = gcd(k, 420), read mod each part m of d (the 2-part of k, 3, 5, 7),
+    against a scalar oracle: one pow, then a lookup among the powers of the
+    part's root of unity."""
+
+    # p = 1 mod 420 of 24 and 48 digits in both classes mod 8, p - 1 factored
+    SMOOTH = [smooth_digits_prime(digits, cofactor, 2300 + digits) for digits in (24, 48) for cofactor in (840, 420)]
+    MODULI = ([(P24, P24_FACTORS, (7,)), (P128, P128_FACTORS, (3, 6, 9)), (P48, P48_FACTORS, (4, 7, 8))]
+              + [(p, factors, (12, 420)) for p, factors in SMOOTH])
+    IDS = ["10^24+7", "2^128+51", "10^48+217", "24d-1mod8", "24d-5mod8", "48d-1mod8", "48d-5mod8"]
+
+    def test_smooth_primes(self):
+        assert [len(str(p)) for p, _ in self.SMOOTH] == [24, 24, 48, 48]
+        assert [p % 840 for p, _ in self.SMOOTH] == [1, 421, 1, 421]
+        for p, factors in self.SMOOTH:
+            assert math.prod(q**e for q, e in factors.items()) == p - 1
+
+    @staticmethod
+    def root(m, p):
+        """The part's root of unity: -1, i = -a/b mod a + b*i for the Gaussian
+        prime of p, or the c of pi = gcd(p, z - c) in Z[z], z**ell = 1."""
+        if m == 2:
+            return p - 1
+        if m == 4:
+            a, b = bigmod._gaussian_prime(p)
+            return -a * pow(b, -1, p) % p
+        return bigmod._cyclotomic_prime(m, p)[0]
+
+    @pytest.mark.parametrize("p,factors,ks", MODULI, ids=IDS)
+    def test_part_indices_match_pow(self, p, factors, ks):
+        """Every n <= 10**4 without a base, and every prime power below it with
+        its base; then euler_flags and has_exact_order on the same entries."""
+        ns = np.arange(1, 10**4 + 1)
+        powers, bases = prime_powers_up_to(10**4)
+        # one pow per entry: x = n**((p-1)/top), and n**((p-1)/m) = x**(top/m)
+        top = math.lcm(420, *ks) if (p - 1) % math.lcm(420, *ks) == 0 else math.lcm(*ks)
+        x = [pow(n, (p - 1) // top, p) for n in ns.tolist()]
+        spf = bigmod._smallest_prime_factors(10**4)
+        j = bigmod._exponents(powers, bases, np.arange(len(powers)))
+        for d in sorted({math.gcd(k, 420) for k in ks}):
+            got = bigmod._entry_indices(ns, None, None, spf, d, p)
+            assert bigmod._entry_indices(powers, bases, j, None, d, p).tolist() == got[powers - 1].tolist()
+            for m in [m for m in (math.gcd(d, 4), 3, 5, 7) if m > 1 and d % m == 0]:
+                c = self.root(m, p)
+                roots = {pow(c, t, p): t for t in range(m)}
+                assert len(roots) == m and pow(c, m, p) == 1, (d, m)
+                want = [roots[pow(w, top // m, p)] for w in x]
+                assert (got % m).tolist() == want, (d, m)
+                # every index occurs, so a lost sign or a swapped root shows
+                assert set(want) == set(range(m))
+        for k in ks:
+            witnesses = [pow(w, top // k, p) for w in x]
+            want = [w == 1 for w in witnesses]
+            assert euler_flags(ns, k, p).tolist() == want, k
+            assert euler_flags(powers, k, p, bases=bases).tolist() == [want[n - 1] for n in powers.tolist()], k
+            order = exact_order_by_pow(ns, p, k, factors, witnesses)
+            assert has_exact_order(ns, p, k, factors).tolist() == order, k
+            assert has_exact_order(powers, p, k, factors, bases=bases).tolist() == [order[n - 1] for n in powers.tolist()]
 
 
 class TestInputContract:

@@ -167,6 +167,17 @@ class TestCount:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == "5beafc072b3e15ff"
 
+    @pytest.mark.parametrize("k,p,digest", [(4, "10^48+217", "383c37ffa3c741fd"), (8, "10^48+217", "00fc0b9c024d583b"),
+                                            (6, "2^128+51", "bbd2c03207e52952"), (9, "2^128+51", "26dcd64f30b96580")])
+    def test_index_counts_stdout_is_pinned_byte_for_byte(self, capsys, k, p, digest):
+        # counts whose verdicts take the quartic, Jacobi and cubic indices of
+        # the prime stage, recorded while separate reciprocity rules combined
+        # their flags
+        code, out, _ = run_cli(capsys, "count", "--target", "residue", "--k", str(k), "--q", "4", "--a", "1",
+                               "--p", p, "--x", "100000")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
 
 @pytest.mark.parametrize("command", [
     ["search", "--target", "nonresidue", "--q", "4", "--epsilon", "nan"],
@@ -525,6 +536,8 @@ _BAD_INPUTS = [
     ("sweep", "campaign = density\nprime_min = 1000\nprime_max = 1100\nx_rule = fixed:inf"),
     ("sweep", "campaign = density\nprime_min = 1000\nprime_max = 1000000001"),
     ("sweep", "campaign = density\nprime_min = 1000\nprime_max = 1100\nx_rule = fixed:1000000001"),
+    ("sweep", "campaign = density\nprime_min = 1000\nprime_max = 1100\nx_rule = fixed:-5"),
+    ("sweep", "campaign = density\nprime_min = 1000\nprime_max = 1000000000"),
     ("sweep", "campaign = least_nonresidue\nprime_min = 2000\nprime_max = 1000"),
     ("sweep", "campaign = least_nonresidue\nprime_min = 100000\nprime_max = 100100\n"
               "prime_count = 1\nepsilon = nan"),

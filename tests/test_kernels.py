@@ -271,7 +271,7 @@ def test_window_kernels_match_the_gather_forms(p):
     inner = kernels.inner_complete_sums(p, powers, roots)
     assert np.abs(inner - gather_inner_sums(p, roots)).max() < 1e-9
 
-    s = expsum.halfsums(table)
+    s = expsum._halfsums(table)
     assert np.abs(s - gather_halfsums(table.nonresidue_coset(2), p, roots)).max() < 1e-9
 
     a_vals, mags = expsum.uhat_all_residues(table)
@@ -296,7 +296,7 @@ def test_uhat_all_residues_matches_every_window_row(p):
     # complex at p = 3 (mod 4), where the Gauss sum is sqrt(p) and i*sqrt(p)
     table = build_small_field_table(p)
     roots, powers = table.roots, table.powers
-    s = expsum.halfsums(table)
+    s = expsum._halfsums(table)
     a_vals, mags = expsum.uhat_all_residues(table)
     assert np.array_equal(a_vals, np.sort(table.residue_coset(2)))
 
