@@ -292,7 +292,8 @@ def density_sweep(
     """Observed fraction of progression primes up to x with the target
     verdict, for every conforming prime p in the range (k | p-1); skipped
     nonconforming primes are counted, never silently dropped.  The "bound"
-    x rule takes bound_x at epsilon 0."""
+    x rule takes bound_x at epsilon 0; a rule that gives x < 2 at a chosen
+    prime (the bound at p <= 11) is a domain error, as the fixed rule is."""
     lo, hi = prime_range
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
@@ -325,6 +326,8 @@ def density_sweep(
             x = bound_x(OddPrimeContext.for_prime(p, allow_small=True), k)
         else:
             x = fixed_x
+        if not x >= 2:
+            raise DomainError(f"x rule {x_rule!r} gives x = {x:.4g} < 2 at p={p}")
         chosen.append((p, x))
         if max_primes is not None and len(chosen) >= max_primes:
             break

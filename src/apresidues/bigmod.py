@@ -488,11 +488,45 @@ def _quadratic_flags(n: np.ndarray, p: int) -> np.ndarray:
     return flags
 
 
+# The reciprocity rings F_r[x]/(x**m - s) of the quartic (m = 2, s = -1) and
+# Eisenstein (m = ell, s = 1) leaves.  Coordinate k of a product sums a[i]
+# times row k - i mod m of b at s = 1, or mod 2m of (b, -b) at s = -1.
+_GATHER = {(m, s): (np.arange(m) - np.arange(m)[:, None]) % (m if s == 1 else 2 * m)
+           for m, s in ((2, -1), (3, 1), (5, 1), (7, 1))}
+
+
+def _ring_mul(a: np.ndarray, b: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
+    """a*b in F_r[x]/(x**m - s) column by column, for (m, n) int64 rows of
+    residues mod r[i] < 2**31 at m = 2 and < 2**30 at m <= 7: each coordinate
+    sums m products below 2**62 or 2**60 in size, so below 2**63."""
+    if s == -1:
+        b = np.concatenate([b, -b])
+    return np.einsum("in,ikn->kn", a, b.take(_GATHER[len(a), s], axis=0)) % r
+
+
+def _ring_power(x: np.ndarray, e: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
+    """x**e[i] in F_r[x]/(x**m - s) column by column, for (m, n) int64 rows
+    within _ring_mul's bounds and e[i] >= 0, by 2-bit windows, top digit
+    first, each column its own.  Entry d of column i in the flat table of 1,
+    x, x**2 and x**3 is at d*m*n + i + (0, n, ..., (m-1)*n)."""
+    m, n = x.shape
+    square = _ring_mul(x, x, r, s)
+    table = np.stack([np.eye(m, 1, dtype=np.int64).repeat(n, axis=1), x, square, _ring_mul(square, x, r, s)])
+    top = max(int(e.max(initial=0)).bit_length() - 1, 0)
+    digits = ((e >> np.arange(top - top % 2, -1, -2)[:, None]) & 3) * (m * n) + np.arange(n)
+    entries = np.arange(m)[:, None] * n
+    acc = table.take(digits[0] + entries)
+    for digit in digits[1:]:
+        acc = _ring_mul(acc, acc, r, s)
+        acc = _ring_mul(_ring_mul(acc, acc, r, s), table.take(digit + entries), r, s)
+    return acc
+
+
 # Quartic indices of a prime q by reciprocity (Ireland and Rosen, A Classical
 # Introduction to Modern Number Theory, ch. 9): with p = N(pi) for a primary
 # Gaussian prime pi, q**((p-1)/4) mod p is read off a power of pi in
-# Z[i]/(q), a ladder of about log2(q) steps on int64 numbers below q, in
-# place of a power mod p.
+# Z[i]/(q) = F_q[x]/(x**2 + 1), by _ring_power: a ladder of about log2(q)
+# steps on int64 numbers below q, in place of a power mod p.
 
 
 def _cornacchia(d: int, p: int, r: int) -> tuple[int, int]:
@@ -517,35 +551,23 @@ def _gaussian_prime(p: int) -> tuple[int, int]:
     return (a, b) if (a + b) % 4 == 1 else (-a, -b)
 
 
-def _ring_power(x: np.ndarray, y: np.ndarray, e: np.ndarray, q: np.ndarray):
-    """(u, v) with u + v*i = (x + y*i)**e mod q elementwise, in the Gaussian
-    integers, for int64 0 <= x, y < q < 2**31 and e >= 0.  Every product of
-    two residues is below 2**62, and no coordinate adds more than two."""
-    u, v = np.ones_like(q), np.zeros_like(q)
-    for bit in range(int(e.max(initial=0)).bit_length()):
-        if bit:
-            x, y = (x * x - y * y) % q, 2 * x * y % q
-        on = (e >> bit) & 1 == 1
-        u, v = np.where(on, (u * x - v * y) % q, u), np.where(on, (u * y + v * x) % q, v)
-    return u, v
-
-
 def _quartic_index(q: np.ndarray, p: int) -> np.ndarray:
     """t[i] in Z/4 with q[i]**((p-1)/4) = c**t[i] mod p, for odd primes
     q[i] < 2**31 and a prime p = 1 mod 4 other than q[i], where pi = a + b*i
     is _gaussian_prime(p) and c = -a/b mod p (so c = i mod pi).
 
-    By reciprocity c**t = (q/pi) = (pi/q).  For q = 1 mod 4, q splits into
-    two primes and u + v*i = pi**((q-1)/4) mod q is i**s mod one and i**s'
-    mod the other, t = s + s': with N = u**2 + v**2 and M = u**2 - v**2,
-    t = 0 or 2 as N*M = 1 or not when M != 0, and 1 or 3 as 2*u*v*N = -1 or
-    not when M = 0.  For q = 3 mod 4, u + v*i = pi**((q+1)/4) mod q, and
-    (pi/q) = (u - v*i)/(u + v*i): t = 0, 2, 1 or 3 as v = 0, u = 0, u = -v or
-    u = v, plus 2 when p = 5 mod 8 (-q is the primary one, and -1 is a 4th
-    power mod p only when p = 1 mod 8)."""
+    By reciprocity c**t = (q/pi) = (pi/q), read off u + v*i, a power of pi
+    mod q by _ring_power in F_q[x]/(x**2 + 1).  For q = 1 mod 4, q splits
+    into two primes and u + v*i = pi**((q-1)/4) is i**s mod one and i**s' mod
+    the other, t = s + s': with N = u**2 + v**2 and M = u**2 - v**2, t = 0 or
+    2 as N*M = 1 or not when M != 0, and 1 or 3 as 2*u*v*N = -1 or not when
+    M = 0.  For q = 3 mod 4, u + v*i = pi**((q+1)/4) and (pi/q) =
+    (u - v*i)/(u + v*i): t = 0, 2, 1 or 3 as v = 0, u = 0, u = -v or u = v,
+    plus 2 when p = 5 mod 8 (-q is the primary one, and -1 is a 4th power mod
+    p only when p = 1 mod 8)."""
     a, b = _gaussian_prime(p)
     up = q % 4 == 1
-    u, v = _ring_power(_residues(a, q), _residues(b, q), (q - np.where(up, 1, -1)) // 4, q)
+    u, v = _ring_power(np.stack([_residues(a, q), _residues(b, q)]), (q - np.where(up, 1, -1)) // 4, q, -1)
     n, m = (u * u + v * v) % q, (u * u - v * v) % q
     split = np.where(m != 0, np.where(n * m % q == 1, 0, 2), np.where(2 * u * v % q * n % q == q - 1, 1, 3))
     inert = np.select([v == 0, u == 0, (u + v) % q == 0], [0, 2, 1], 3) + 2 * (p % 8 == 5)
@@ -559,8 +581,8 @@ def _quartic_index(q: np.ndarray, p: int) -> np.ndarray:
 # (pi/r) = z**E, a product of powers of pi's conjugates mod r.  Z[z] is
 # norm-Euclidean for these ell (Lenstra, "Euclid's algorithm in cyclotomic
 # fields", 1975).  An element of Z[z] is a tuple of ell - 1 integers, the
-# coefficients of 1, z, ..., z**(ell-2); in F_r[x]/(x**ell - 1) it is a row
-# of ell residues.
+# coefficients of 1, z, ..., z**(ell-2), and (pi/r) comes from _ring_power
+# and _ring_mul in F_r[x]/(x**ell - 1), a column of ell residues there.
 
 
 def _zeta_mul(a, b) -> list:
@@ -654,17 +676,6 @@ def _stickelberger_tables(ell: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return limbs([product(u)])[:, 0], limbs(lams)
 
 
-_CYCLIC = {ell: (np.arange(ell)[None, :] - np.arange(ell)[:, None]) % ell for ell in (3, 5, 7)}
-_INVERSE = {ell: np.array([0] + [pow(a, -1, ell) for a in range(1, ell)]) for ell in _CYCLIC}
-
-
-def _cyclic_mul(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """a*b in F_r[x]/(x**ell - 1) column by column, for (ell, n) int64 rows
-    of residues mod r[i] < 2**30: each coordinate sums ell products below
-    2**60, so below 2**63."""
-    return np.einsum("in,ikn->kn", a, b[_CYCLIC[len(a)]]) % r
-
-
 def _eisenstein_index(r: np.ndarray, ell: int, p: int) -> np.ndarray:
     """t[i] in Z/ell with r[i]**((p-1)/ell) = c**t[i] mod p, c and pi as in
     _cyclotomic_prime, for ell in {3, 5, 7}, primes r[i] < 2**30 other than ell
@@ -679,10 +690,11 @@ def _eisenstein_index(r: np.ndarray, ell: int, p: int) -> np.ndarray:
     sigma_b(pi)**floor(v*r/ell), v = (b*r)^-1 mod ell.  So, with M = r/ell
     rounded, e = r - ell*M and rho = r mod ell, it is
     sigma_rho^-1(theta**M * lam_e) times a power of p, a unit mod r (theta
-    and lam_e as in _stickelberger_tables): one ladder of about log2(r/ell)
-    steps in F_r[x]/(x**ell - 1) in place of a power mod p.  A value
-    s*x**t' + u*(1 + x + ... + x**(ell-1)) with s != 0 is z**t' there, so t'
-    is the coordinate unlike the others, and t = t'/rho mod ell.
+    and lam_e as in _stickelberger_tables): theta**M by _ring_power, about
+    log2(r/ell) steps in F_r[x]/(x**ell - 1), times lam_e by _ring_mul, in
+    place of a power mod p.  A value s*x**t' + u*(1 + x + ... + x**(ell-1))
+    with s != 0 is z**t' there, so t' is the coordinate unlike the others,
+    and t = t'/rho = t'*rho**(ell-2) mod ell.
     """
     theta, lam = _stickelberger_tables(ell, p)
     rho = r % ell
@@ -692,22 +704,9 @@ def _eisenstein_index(r: np.ndarray, ell: int, p: int) -> np.ndarray:
         x = ((x << 31) | limbs[:, None]) % r
     for limbs in lam:
         y = ((y << 31) | limbs[rho].T) % r
-    # theta**M by 2-bit windows, top digit first: every column reads the same
-    # digit of its own M, and a digit 0 multiplies by 1; in the flat table,
-    # entry d of column i is at d * stride + i + (0, n, ..., (ell-1) * n)
-    m = (r + ell // 2) // ell
-    square = _cyclic_mul(x, x, r)
-    table = np.stack([np.eye(ell, 1, dtype=np.int64).repeat(len(r), axis=1), x, square, _cyclic_mul(square, x, r)])
-    table, stride = table.reshape(-1), ell * len(r)
-    columns, rows = np.arange(len(r)), np.arange(ell)[:, None] * len(r)
-    top = max(int(m.max(initial=0)).bit_length() - 1, 0) // 2 * 2
-    acc = table.take((m >> top) * stride + columns + rows)
-    for shift in range(top - 2, -1, -2):
-        acc = _cyclic_mul(acc, acc, r)
-        acc = _cyclic_mul(_cyclic_mul(acc, acc, r), table.take(((m >> shift) & 3) * stride + columns + rows), r)
-    acc = _cyclic_mul(acc, y, r)
+    acc = _ring_mul(_ring_power(x, (r + ell // 2) // ell, r, 1), y, r, 1)
     unlike = acc != np.where(acc[0] == acc[1], acc[0], acc[2])
-    return np.argmax(unlike, axis=0) * _INVERSE[ell][rho] % ell
+    return np.argmax(unlike, axis=0) * rho ** (ell - 2) % ell
 
 
 @lru_cache(maxsize=64)

@@ -282,8 +282,9 @@ def _conf_value(conf: dict, key: str, default: str, kind=int):
     raw = conf.get(key, default)
     try:
         return kind(raw)
-    except ValueError:
-        raise DomainError(f"config key {key!r}: cannot read {raw!r} as {kind.__name__}") from None
+    except (ValueError, DomainError):
+        what = "an integer" if kind in (int, parse_integer_expr) else kind.__name__
+        raise DomainError(f"config key {key!r}: cannot read {raw!r} as {what}") from None
 
 
 def _conf_ints(conf: dict, key: str, default: str) -> list[int]:
@@ -295,8 +296,8 @@ def _conf_ints(conf: dict, key: str, default: str) -> list[int]:
 
 
 def _sweep_primes(conf: dict) -> list[int]:
-    lo = _conf_value(conf, "prime_min", "100000")
-    hi = _conf_value(conf, "prime_max", "1000000")
+    lo = _conf_value(conf, "prime_min", "100000", parse_integer_expr)
+    hi = _conf_value(conf, "prime_max", "1000000", parse_integer_expr)
     count = _conf_value(conf, "prime_count", "500")
     if count <= 0 or hi <= lo:
         raise DomainError("prime_count must be > 0 and prime_max > prime_min")
@@ -382,8 +383,8 @@ def _campaign_density(conf: dict, envelope: ReportEnvelope):
     k = _conf_value(conf, "k", "2")
     q = _conf_value(conf, "q", "1")
     a = _conf_value(conf, "a", "0" if q == 1 else "1")
-    lo = _conf_value(conf, "prime_min", "100000")
-    hi = _conf_value(conf, "prime_max", "110000")
+    lo = _conf_value(conf, "prime_min", "100000", parse_integer_expr)
+    hi = _conf_value(conf, "prime_max", "110000", parse_integer_expr)
     max_primes = _conf_value(conf, "prime_count", "25")
     if max_primes <= 0:
         raise DomainError(f"config key 'prime_count' must be > 0, got {max_primes}")

@@ -372,6 +372,25 @@ class TestDensitySweep:
         with pytest.raises(DomainError, match="x must be >= 2"):
             density_sweep(2, ResidueClass(1, 4), (1000, 1100), x_rule=x_rule)
 
+    def test_bound_x_below_2_at_a_chosen_prime_rejected_before_the_count_sieve(self, monkeypatch):
+        # the bound is 0.0009, 0.17, 0.57 and 1.60 at p = 3, 5, 7 and 11, which
+        # wrote rows with NaN fractions; from p = 13 on it is at least 2.14
+        sieved, original = [], apsearch.primes_up_to
+
+        def spy(x):
+            sieved.append(x)
+            return original(x)
+
+        monkeypatch.setattr(apsearch, "primes_up_to", spy)
+        with pytest.raises(DomainError, match=r"x rule 'bound' gives x = 0.0009139 < 2 at p=3"):
+            density_sweep(2, ResidueClass(0, 1), (3, 20), x_rule="bound")
+        with pytest.raises(DomainError, match=r"gives x = 1.604 < 2 at p=11"):
+            density_sweep(2, ResidueClass(0, 1), (11, 20), x_rule="bound")
+        assert sieved == [20, 20]  # the candidate primes only
+        result = density_sweep(2, ResidueClass(0, 1), (12, 20), x_rule="bound")
+        assert [s.p for s in result.samples] == [13, 17, 19]
+        assert all(s.x >= 2 and s.total for s in result.samples)
+
     @pytest.mark.parametrize("prime_range,x_rule", [((1000, 10**9), "prime"), ((1000, 10**8 + 1), "bound"),
                                                     ((1000, 1100), "fixed:100000001")])
     def test_sieve_past_the_count_budget_rejected_before_sieving(self, monkeypatch, prime_range, x_rule):

@@ -994,6 +994,61 @@ class TestEisensteinIndex:
             assert euler_flags(ns, k, p).tolist() == scalar_flags(ns, k, p)
 
 
+def ring_power_by_python_ints(x, e, r, s):
+    """x**e in F_r[x]/(x**m - s) for one column x of m residues: binary
+    powering over literal polynomial products in Python ints, each product
+    reduced mod x**m - s (x**(m+j) = s*x**j) and then mod r."""
+    m = len(x)
+
+    def mul(a, b):
+        full = [0] * (2 * m - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                full[i + j] += u * v
+        for k in range(2 * m - 2, m - 1, -1):
+            full[k - m] += s * full.pop()
+        return [c % r for c in full]
+
+    acc, x = [1] + [0] * (m - 1), list(x)
+    while e:
+        if e & 1:
+            acc = mul(acc, x)
+        x, e = mul(x, x), e >> 1
+    return acc
+
+
+class TestRingPower:
+    """The one ladder of the quartic and Eisenstein leaves, in
+    F_r[x]/(x**m - s), against Python-int polynomial arithmetic.  numpy
+    int64 products wrap silently, so the moduli reach the docstring's
+    bounds with every residue r - 1: at m = 2 a coordinate then sums two
+    products near 2**62, and at m = 7 seven products near 2**60."""
+
+    @pytest.mark.parametrize("m,s", [(2, -1), (3, 1), (5, 1), (7, 1)])
+    def test_matches_python_ints(self, m, s):
+        rng = random.Random(100 * m + s)
+        top = 2**31 - 1 if m == 2 else 2**30 - 1
+        moduli = [3, 7, 65537, 1000003, next_prime(2**29), top - 2**20, top]
+        exponents = [0, 1, 2, 3, 4, 5, 2**24 - 1, 2**24] + [rng.randrange(2**24) for _ in range(6)]
+        columns = [(r, e, [rng.randrange(r) for _ in range(m)]) for r in moduli for e in exponents]
+        columns += [(top, e, [top - 1] * m) for e in exponents]
+        rng.shuffle(columns)  # every call mixes moduli and exponents
+        r, e, x = (np.array(v, dtype=np.int64) for v in zip(*columns))
+        got = bigmod._ring_power(x.T, e, r, s)
+        assert got.T.tolist() == [ring_power_by_python_ints(xs, ee, rr, s) for rr, ee, xs in columns]
+
+    @pytest.mark.parametrize("m,s", [(2, -1), (7, 1)])
+    def test_exponents_below_4_and_no_columns(self, m, s):
+        # below 4 the top digit is the whole exponent and no step runs
+        r = np.full(4, 2**31 - 1 if m == 2 else 2**30 - 1, dtype=np.int64)
+        x = r - 1 - np.arange(m)[:, None]
+        for small in ([0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 2, 3], [3, 2, 1, 0]):
+            got = bigmod._ring_power(x, np.array(small), r, s)
+            want = [ring_power_by_python_ints(x[:, i].tolist(), small[i], int(r[i]), s) for i in range(4)]
+            assert got.T.tolist() == want
+        assert bigmod._ring_power(x[:, :0], r[:0], r[:0], s).shape == (m, 0)
+
+
 def smooth_digits_prime(digits, cofactor, seed):
     """A random prime of the given number of digits with p - 1 = cofactor * m,
     m a product of primes in [5, 10**4]: (p, factorisation of p - 1)."""

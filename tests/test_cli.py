@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from apresidues import cli, residues
-from apresidues.bigmod import primes_up_to
+from apresidues.bigmod import is_prime, primes_up_to
 from apresidues.cli import (
     EXIT_ABSENT,
     EXIT_BEYOND_BOUND,
@@ -21,7 +21,7 @@ from apresidues.cli import (
     main,
 )
 
-from conftest import reference_sweep_primes
+from conftest import P24, reference_sweep_primes
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +175,17 @@ class TestCount:
         # their flags
         code, out, _ = run_cli(capsys, "count", "--target", "residue", "--k", str(k), "--q", "4", "--a", "1",
                                "--p", p, "--x", "100000")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("k,p,digest", [(7, "10^48+217", "e1c32afc34a6de61"), (4, "10^48+217", "3d0bf7fed3fc61c6"),
+                                            (3, "2^128+51", "b64ec6fd4fe141d8")])
+    def test_counts_at_x_10_7_stdout_is_pinned_byte_for_byte(self, capsys, k, p, digest):
+        # the longest ladders the septic, quartic and cubic index leaves run,
+        # over primes r up to 10^7; recorded while the quartic leaf had its
+        # own binary ladder over Z[i]
+        code, out, _ = run_cli(capsys, "count", "--target", "residue", "--k", str(k), "--q", "4", "--a", "1",
+                               "--p", p, "--x", "10000000")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
@@ -353,6 +364,25 @@ out_dir = {tmp_path}/reports
         qs = {int(line.split(",")[1]) for line in csv_rows[2:]}
         assert max(qs) >= 6  # ceil(loglog(1e5)^2) = 6
 
+    def test_least_nonresidue_campaign_at_24_digits(self, capsys, tmp_path):
+        # bounds in the base^exp+offset grammar of --p; with int() this
+        # config exited 2
+        cfg = self.write_config(tmp_path, f"""
+campaign = least_nonresidue
+prime_min = 10^24
+prime_max = 10^24+100000
+prime_count = 3
+q_rule = loglog2
+out_dir = {tmp_path}/reports
+""")
+        code, out, _ = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_OK
+        assert "285 progressions over 3 primes, 0 beyond-bound rows" in out
+        csv_rows = (tmp_path / "reports" / "least_nonresidue.least_nonresidue.csv").read_text().splitlines()[2:]
+        primes = sorted({int(row.split(",")[0]) for row in csv_rows})
+        assert len(primes) == 3 and primes[0] == P24
+        assert all(10**24 < p <= 10**24 + 100000 and is_prime(p) for p in primes)
+
     def test_density_campaign(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, f"""
 campaign = density
@@ -374,6 +404,8 @@ out_dir = {tmp_path}/reports
         ("k = 0\nprime_min = 1000\nprime_max = 1100", "k must be >= 2, got 0"),
         ("prime_min = 2000\nprime_max = 1000", "empty prime range"),
         ("prime_count = -1", "config key 'prime_count' must be > 0, got -1"),
+        ("prime_min = 1e4", "config key 'prime_min': cannot read '1e4' as an integer"),
+        ("prime_min = 3\nprime_max = 20\nx_rule = bound", "x rule 'bound' gives x = 0.0009139 < 2 at p=3"),
     ])
     def test_density_bad_k_or_inverted_range_is_domain_error(self, capsys, tmp_path, lines, message):
         cfg = self.write_config(tmp_path, f"campaign = density\n{lines}\nout_dir = {tmp_path}/r\n")
@@ -542,6 +574,8 @@ _BAD_INPUTS = [
     ("sweep", "campaign = least_nonresidue\nprime_min = 100000\nprime_max = 100100\n"
               "prime_count = 1\nepsilon = nan"),
     ("sweep", "campaign = density\nprime_count = -1"),
+    ("sweep", "campaign = density\nprime_min = 3\nprime_max = 20\nx_rule = bound"),
+    ("sweep", "campaign = least_nonresidue\nprime_min = 10^^24"),
     ("sweep", "campaign = least_nonresidue\nprime_count = 2\nq_rule = fixed:0"),
     ("sweep", "campaign = least_nonresidue\nprime_count = 2\nq_rule = fixed:1"),
     ("sweep", "campaign = least_nonresidue\nprime_min = 1000\nprime_max = 1100\nprime_count = 3"),
