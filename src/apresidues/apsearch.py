@@ -28,6 +28,7 @@ from .bigmod import (
     euler_flags,
     euler_totient,
     has_exact_order,
+    next_prime,
     prime_powers_up_to,
     primes_up_to,
 )
@@ -306,17 +307,15 @@ def density_sweep(
     rule, fixed_x = parse_x_rule(x_rule)
     if rule == "fixed" and not fixed_x >= 2:
         raise DomainError(f"x must be >= 2, got {fixed_x:g}")
-    # the sieves reach prime_max and every x, which is at most prime_max or
-    # the fixed value
+    # the walk reaches prime_max and the sieve every x, which is at most
+    # prime_max or the fixed value
     if max(hi, fixed_x or 0) > _COUNT_CAP:
         raise ResourceError(f"count budget is {_COUNT_CAP}, got x up to {max(hi, fixed_x or 0):g}")
     chosen = []
     skipped = 0
-    candidates = primes_up_to(hi)
-    for p in candidates:
-        p = int(p)
-        if p < max(lo, 3):
-            continue
+    # next_prime is deterministic below 3.3e14, far past the cap
+    p = max(lo, 3) - 1
+    while (p := next_prime(p)) <= hi and (max_primes is None or len(chosen) < max_primes):
         if (p - 1) % k != 0:
             skipped += 1
             continue
@@ -329,11 +328,8 @@ def density_sweep(
         if not x >= 2:
             raise DomainError(f"x rule {x_rule!r} gives x = {x:.4g} < 2 at p={p}")
         chosen.append((p, x))
-        if max_primes is not None and len(chosen) >= max_primes:
-            break
     # one sieve serves every p: each x takes a prefix of it
-    top = math.floor(max((x for _, x in chosen), default=0))
-    primes = candidates[candidates <= top] if top <= hi else primes_up_to(top)
+    primes = primes_up_to(math.floor(max((x for _, x in chosen), default=0)))
     in_class = primes[cls.contains(primes)]
     samples = []
     for p, x in chosen:

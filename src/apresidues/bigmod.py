@@ -847,13 +847,12 @@ def _prime_stage(n: np.ndarray, bases: np.ndarray | None, j: np.ndarray | None, 
         alive = np.flatnonzero(flags)
         primes = _distinct_primes(n[alive], spf)
         if len(primes) < len(alive):
-            witness = np.array([pow(r, (p - 1) // k, p) for r in primes.tolist()], dtype=object)
-            for start in range(0, len(alive), _WIDE_CHUNK):
-                chunk = alive[start : start + _WIDE_CHUNK]
-                acc = np.ones(len(chunk), dtype=object)
-                for live, r in _walk(n[chunk], spf):
-                    acc[live] = acc[live] * witness[np.searchsorted(primes, r)] % p
-                flags[chunk] = acc == 1
+            witness = {r: pow(r, (p - 1) // k, p) for r in primes.tolist()}
+            acc = [1] * len(alive)
+            for live, r in _walk(n[alive], spf):
+                for i, q in zip(live.tolist(), r.tolist()):
+                    acc[i] = acc[i] * witness[q] % p
+            flags[alive] = [a == 1 for a in acc]
             done[alive] = True
     return flags, done
 

@@ -386,7 +386,7 @@ class TestDensitySweep:
             density_sweep(2, ResidueClass(0, 1), (3, 20), x_rule="bound")
         with pytest.raises(DomainError, match=r"gives x = 1.604 < 2 at p=11"):
             density_sweep(2, ResidueClass(0, 1), (11, 20), x_rule="bound")
-        assert sieved == [20, 20]  # the candidate primes only
+        assert sieved == []  # the primes are walked, and nothing is sieved before the error
         result = density_sweep(2, ResidueClass(0, 1), (12, 20), x_rule="bound")
         assert [s.p for s in result.samples] == [13, 17, 19]
         assert all(s.x >= 2 and s.total for s in result.samples)

@@ -798,6 +798,19 @@ class TestSharedPrimes:
                 assert euler_flags(ns, k, P24).tolist() == scalar_flags(ns, k, P24)
                 assert [leaf for leaf, entries in calls if entries] == ["prime"], (k, count)
 
+    def test_witness_products_past_4096_survivors(self, monkeypatch):
+        """At 2^128+51 with k = 9 the cubes among 1..20000, more than 4096
+        of them, all take the witness product in the stage, in euler_flags
+        and in has_exact_order's first stage."""
+        calls = leaf_calls(monkeypatch)
+        ns = np.arange(1, 20001)
+        witnesses = [pow(n, (P128 - 1) // 9, P128) for n in ns.tolist()]
+        assert sum(pow(w, 3, P128) == 1 for w in witnesses) > 4096
+        assert euler_flags(ns, 9, P128).tolist() == [w == 1 for w in witnesses]
+        assert [call for call in calls if call[1]] == [("prime", ns.tolist())]
+        order = exact_order_by_pow(ns, P128, 9, P128_FACTORS, witnesses)
+        assert has_exact_order(ns, P128, 9, P128_FACTORS).tolist() == order
+
     def test_keeps_its_entries_beside_a_montgomery_pass(self, monkeypatch):
         """At 10^24+7 with k = 29, 100 entries from 1000 take the stage,
         alone, next to 600 entries from 2**21 that run a Montgomery pass, and

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import random
@@ -21,6 +20,7 @@ from apresidues.cli import (
     main,
 )
 
+import pins
 from conftest import P24, reference_sweep_primes
 
 
@@ -151,43 +151,12 @@ class TestCount:
         assert "k must be >= 2, got 0" in err
         assert out == ""
 
-    def test_septic_count_stdout_is_pinned_byte_for_byte(self, capsys):
-        # a k = 7 count at 10^48+217, recorded before its verdicts moved from
-        # Montgomery powers to the septic index leaf; the stdout holds no timings
-        code, out, _ = run_cli(capsys, "count", "--target", "residue", "--k", "7", "--q", "4", "--a", "1",
-                               "--p", "10^48+217", "--x", "100000")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "fc1ba70f233519e7"
 
-    def test_cubic_count_stdout_is_pinned_byte_for_byte(self, capsys):
-        # a k = 3 count at 2^128+51, recorded while its verdicts came from the
-        # Z[w] cubic leaf, before they moved to the Eisenstein index leaf
-        code, out, _ = run_cli(capsys, "count", "--target", "residue", "--k", "3", "--q", "4", "--a", "1",
-                               "--p", "2^128+51", "--x", "100000")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "5beafc072b3e15ff"
-
-    @pytest.mark.parametrize("k,p,digest", [(4, "10^48+217", "383c37ffa3c741fd"), (8, "10^48+217", "00fc0b9c024d583b"),
-                                            (6, "2^128+51", "bbd2c03207e52952"), (9, "2^128+51", "26dcd64f30b96580")])
-    def test_index_counts_stdout_is_pinned_byte_for_byte(self, capsys, k, p, digest):
-        # counts whose verdicts take the quartic, Jacobi and cubic indices of
-        # the prime stage, recorded while separate reciprocity rules combined
-        # their flags
-        code, out, _ = run_cli(capsys, "count", "--target", "residue", "--k", str(k), "--q", "4", "--a", "1",
-                               "--p", p, "--x", "100000")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
-
-    @pytest.mark.parametrize("k,p,digest", [(7, "10^48+217", "e1c32afc34a6de61"), (4, "10^48+217", "3d0bf7fed3fc61c6"),
-                                            (3, "2^128+51", "b64ec6fd4fe141d8")])
-    def test_counts_at_x_10_7_stdout_is_pinned_byte_for_byte(self, capsys, k, p, digest):
-        # the longest ladders the septic, quartic and cubic index leaves run,
-        # over primes r up to 10^7; recorded while the quartic leaf had its
-        # own binary ladder over Z[i]
-        code, out, _ = run_cli(capsys, "count", "--target", "residue", "--k", str(k), "--q", "4", "--a", "1",
-                               "--p", p, "--x", "10000000")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+@pytest.mark.parametrize("argv,digest,provenance", pins.PINS, ids=[" ".join(argv) for argv, _, _ in pins.PINS])
+def test_stdout_is_pinned_byte_for_byte(capsys, argv, digest, provenance):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert pins.digest(out.encode()) == digest, provenance
 
 
 @pytest.mark.parametrize("command", [
@@ -209,18 +178,6 @@ class TestReproduce:
             code, out, _ = run_cli(capsys, "reproduce", name)
             assert code == EXIT_OK, name
             assert "0 FAIL" in out
-
-    @pytest.mark.parametrize("name,digest", [
-        ("example-9.1", "246daa15b8c42046"),
-        ("example-9.2", "88afc867015db1be"),
-        ("example-11.1", "3815622ed6ec2372"),
-        ("example-11.2", "8f9154be5454837c"),
-        ("f41", "055ef56874069f7a"),
-    ])
-    def test_stdout_is_pinned_byte_for_byte(self, capsys, name, digest):
-        code, out, _ = run_cli(capsys, "reproduce", name)
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     def test_discrepancies_are_visible(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "example-9.1")
@@ -246,13 +203,6 @@ class TestExpsumAndPatterns:
         assert code == EXIT_OK
         assert (tmp_path / "expsum-p101.json").exists()
         assert (tmp_path / "expsum-p101.max_ratio.csv").exists()
-
-    def test_expsum_table_stdout_is_pinned_byte_for_byte(self, capsys):
-        # the line with the table's maximum ratio; tests/test_kernels.py pins
-        # the table's rows bit for bit
-        code, out, _ = run_cli(capsys, "expsum", "--p", "10007", "--max-ratio-table")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "439b3e2251a5535e"
 
     def test_expsum_table_without_out_dir_builds_no_report(self, capsys, monkeypatch):
         def refuse(*args):
@@ -441,6 +391,16 @@ out_dir = {tmp_path}/reports
             "d82fd997bc7ec8db3b4cd19fe7041f99a3a3f5f6ea2f45c7bf04a33513e8c28a")
         assert envelope["checksums"]["violations"] == (
             "a7b1591f62b104c1b1d45fcf63e3a74454324c53f8b1e7c06e95659efda4d1f8")
+
+    def test_reference_density_config_checksum(self, capsys, tmp_path):
+        keys = "campaign = density\nk = 2\nq = 4\na = 1\nprime_min = 100000\nprime_max = 110000\nprime_count = 25"
+        cfg = self.write_config(tmp_path, f"{keys}\nout_dir = {tmp_path}/reports\n")
+        code, out, _ = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_OK
+        assert "density: 25 primes, 0 skipped" in out
+        envelope = json.loads((tmp_path / "reports" / "density.json").read_text(encoding="utf-8"))
+        assert envelope["checksums"]["density"] == (
+            "b56c686f855f30e336606c496c56c3eae168be364646fc1ee4063ce5672d7e9c")
 
     def test_prime_picker_matches_the_walking_reference(self):
         rng = random.Random(18)
