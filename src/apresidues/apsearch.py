@@ -25,10 +25,10 @@ import numpy as np
 from .bigmod import (
     OddPrimeContext,
     ResidueClass,
+    _prime_segments,
     euler_flags,
     euler_totient,
     has_exact_order,
-    next_prime,
     prime_powers_up_to,
     primes_up_to,
 )
@@ -313,21 +313,29 @@ def density_sweep(
         raise ResourceError(f"count budget is {_COUNT_CAP}, got x up to {max(hi, fixed_x or 0):g}")
     chosen = []
     skipped = 0
-    # next_prime is deterministic below 3.3e14, far past the cap
-    p = max(lo, 3) - 1
-    while (p := next_prime(p)) <= hi and (max_primes is None or len(chosen) < max_primes):
-        if (p - 1) % k != 0:
-            skipped += 1
-            continue
-        if rule == "prime":
-            x = float(p)
-        elif rule == "bound":
-            x = bound_x(OddPrimeContext.for_prime(p, allow_small=True), k)
-        else:
-            x = fixed_x
-        if not x >= 2:
-            raise DomainError(f"x rule {x_rule!r} gives x = {x:.4g} < 2 at p={p}")
-        chosen.append((p, x))
+    # walk the odd primes of the range one sieve segment at a time and stop
+    # after the segment that holds the max_primes-th conforming prime; skipped
+    # counts the nonconforming primes before that one.  min(k, hi) keeps the
+    # modulus in int64: no p <= hi conforms to a k >= hi, nor to hi itself
+    for seg in _prime_segments(max(lo, 3), hi):
+        at = np.flatnonzero((seg - 1) % min(k, hi) == 0)
+        full = max_primes is not None and len(chosen) + len(at) >= max_primes
+        if full:
+            at = at[: max_primes - len(chosen)]
+            seg = seg[: at[-1] + 1]
+        skipped += len(seg) - len(at)
+        for p in seg[at].tolist():
+            if rule == "prime":
+                x = float(p)
+            elif rule == "bound":
+                x = bound_x(OddPrimeContext.for_prime(p, allow_small=True), k)
+            else:
+                x = fixed_x
+            if not x >= 2:
+                raise DomainError(f"x rule {x_rule!r} gives x = {x:.4g} < 2 at p={p}")
+            chosen.append((p, x))
+        if full:
+            break
     # one sieve serves every p: each x takes a prefix of it
     primes = primes_up_to(math.floor(max((x for _, x in chosen), default=0)))
     in_class = primes[cls.contains(primes)]

@@ -175,20 +175,25 @@ def primes_up_to(x: int) -> np.ndarray:
         return np.array([], dtype=np.int64)
     if x <= _SEGMENT:
         return np.flatnonzero(_simple_sieve(x)).astype(np.int64)
-    base = np.flatnonzero(_simple_sieve(math.isqrt(x) + 1)).astype(np.int64)
-    chunks = [base[base <= x]]
-    lo = int(base[-1]) + 1
-    while lo <= x:
-        hi = min(lo + _SEGMENT, x + 1)
-        mask = np.ones(hi - lo, dtype=bool)
-        for q in base:
-            q = int(q)
+    return np.concatenate(list(_prime_segments(2, x)))
+
+
+def _prime_segments(lo: int, hi: int):
+    """Yield the primes in [lo, hi] (hi >= 1) as ascending int64 arrays: the
+    sieving primes up to isqrt(hi) + 1 that lie in range, then one array per
+    segment of at most _SEGMENT numbers above them."""
+    base = np.flatnonzero(_simple_sieve(math.isqrt(hi) + 1)).astype(np.int64)
+    yield base[(base >= lo) & (base <= hi)]
+    lo = max(lo, int(base[-1]) + 1)
+    while lo <= hi:
+        top = min(lo + _SEGMENT, hi + 1)
+        mask = np.ones(top - lo, dtype=bool)
+        for q in base.tolist():
             start = max(q * q, (lo + q - 1) // q * q)
-            if start < hi:
+            if start < top:
                 mask[start - lo :: q] = False
-        chunks.append((np.flatnonzero(mask) + lo).astype(np.int64))
-        lo = hi
-    return np.concatenate(chunks)
+        yield (np.flatnonzero(mask) + lo).astype(np.int64)
+        lo = top
 
 
 def _iroot(n: int, k: int) -> int:

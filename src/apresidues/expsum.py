@@ -17,9 +17,7 @@ import numpy as np
 from . import kernels
 from .bigmod import jacobi
 from .errors import DomainError, ResourceError
-from .residues import SmallFieldTable
-
-_UHAT_LIMIT = 10**4  # the literal U-hat double sums and their half-sum table
+from .residues import _UHAT_LIMIT, SmallFieldTable
 
 
 def theoretical_bound(p: int) -> float:
@@ -120,15 +118,6 @@ def max_ratio_table(table: SmallFieldTable) -> np.ndarray:
     return maxima / theoretical_bound(p)
 
 
-def _halfsums(table: SmallFieldTable) -> np.ndarray:
-    """S[b] = sum over the quadratic nonresidue enumeration tau**(2n+1) of
-    e(2*pi*i * b * u / p), for every b in [0, p)."""
-    p = table.p
-    if p > _UHAT_LIMIT:
-        raise ResourceError(f"half-sum tables are limited to p <= {_UHAT_LIMIT}")
-    return kernels.halfsums(table.powers, p, table.roots)
-
-
 def _require_residue(a: int, table: SmallFieldTable) -> int:
     p = table.p
     a %= p
@@ -140,12 +129,13 @@ def _require_residue(a: int, table: SmallFieldTable) -> int:
 
 
 def fourier_U_hat(a: int, table: SmallFieldTable) -> UHatSample:
-    """Literal double-sum evaluation (outer b, inner nonresidue enumeration)."""
+    """Literal double-sum evaluation (outer b, inner nonresidue enumeration);
+    the inner sums S[b] are the table's half_sums, one pass per table."""
     p = table.p
     if p > _UHAT_LIMIT:
         raise ResourceError(f"the U-hat double sum is limited to p <= {_UHAT_LIMIT}")
     a = _require_residue(a, table)
-    s = _halfsums(table)
+    s = table.half_sums
     n = int(np.flatnonzero(table.powers == a)[0]) // 2  # a = tau**(2n)
     value = complex(kernels.uhat_rows(s, n, 1, table.powers, p, table.roots)[0])
     half = complex(s[1])

@@ -14,7 +14,9 @@ and U-hat (row a = tau**(2n) is one dot of R[2n+(p-1)/2 ..] with the half
 sums in exponent order) read such windows; each row is still summed over the
 same terms as its literal definition, only in exponent order.  The character
 combine reads row p-u of a sliding window over the reversed, doubled inner
-sums, adding one u at a time in a fixed order.
+sums, adding one u at a time in a fixed order.  The complete inner sums and
+the half sums depend on p alone: a SmallFieldTable makes each pass once, on
+first use, and keeps the result for every k, indicator and a.
 
 The single-a oracle char_sum_one and the swapped U-hat loop stay on the
 independent gather path: they gather table[op(r, s) % p] over an index grid

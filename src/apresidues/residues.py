@@ -25,6 +25,7 @@ exponent-1 element (tau**p = tau) and break the 0/1 property.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from .errors import DomainError, IntegrityError, ResourceError
 
 _TABLE_LIMIT = 10**6
 _ORACLE_LIMIT = 10**5
+_UHAT_LIMIT = 10**4  # the literal U-hat double sums and their half-sum table
 _INTEGRALITY_TOL = 1e-6
 
 RESIDUE_INDICATOR = "residue_indicator"
@@ -78,12 +80,35 @@ class SmallFieldTable:
     powers[j] = tau**j mod p for j in [0, p-1), and roots[t] = exp(2*pi*i*t/p)
     for t in [0, p).  The least primitive root is chosen so tables are
     reproducible across runs.
+
+    The literal double sums have k-independent parts, each an O(p**2) pass
+    that is made on first use and kept read-only with the table: inner_sums
+    for the character values (p <= _ORACLE_LIMIT) and half_sums for U-hat
+    (p <= _UHAT_LIMIT).  So every k | p-1, both indicators and every a share
+    one pass per table.  Each holds p complex entries, 16 bytes per unit of
+    p, at most 1.6 MB at the oracle limit.
     """
 
     p: int
     tau: int
     powers: np.ndarray
     roots: np.ndarray
+
+    @functools.cached_property
+    def inner_sums(self) -> np.ndarray:
+        """inner[c] = sum_{s=0}^{p-1} e(c*s/p) for every c in [0, p), each
+        summed term by term; ResourceError above _ORACLE_LIMIT."""
+        if self.p > _ORACLE_LIMIT:
+            raise ResourceError(f"double-sum oracle is limited to p <= {_ORACLE_LIMIT}")
+        return _frozen(kernels.inner_complete_sums(self.p, self.powers, self.roots))
+
+    @functools.cached_property
+    def half_sums(self) -> np.ndarray:
+        """S[b] = sum over the quadratic nonresidue enumeration tau**(2n+1) of
+        e(b*u/p), for every b in [0, p); ResourceError above _UHAT_LIMIT."""
+        if self.p > _UHAT_LIMIT:
+            raise ResourceError(f"half-sum tables are limited to p <= {_UHAT_LIMIT}")
+        return _frozen(kernels.halfsums(self.powers, self.p, self.roots))
 
     def residue_coset(self, k: int) -> np.ndarray:
         """[tau**(k*m) for 0 <= m < (p-1)/k] -- the kth power residues."""
@@ -110,6 +135,11 @@ class SmallFieldTable:
     def _check_k(self, k: int):
         if k < 1 or (self.p - 1) % k != 0:
             raise DomainError(f"k={k} does not divide p-1={self.p - 1}")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def least_primitive_root(p: int, p_minus_1_factors=None) -> int:
@@ -206,15 +236,14 @@ def char_function_values(k: int, table: SmallFieldTable, which: str) -> tuple[np
     """Indicator values for every a in [1, p-1] plus the worst integrality residue.
 
     Same literal double sum as char_function_oracle: the complete inner sums
-    over s are evaluated term by term, once per distinct difference, then
-    combined per a, adding one member u of the enumeration at a time.
+    over s are evaluated term by term, once per distinct difference and once
+    per table (table.inner_sums), then combined per a, adding one member u of
+    the enumeration at a time.  k and which are checked before that pass.
     Intended for exhaustive small-p verification sweeps.
     """
     p = table.p
-    if p > _ORACLE_LIMIT:
-        raise ResourceError(f"double-sum oracle is limited to p <= {_ORACLE_LIMIT}")
-    inner = kernels.inner_complete_sums(p, table.powers, table.roots)
-    values = kernels.difference_sums(inner, _oracle_enumeration(k, table, which), p) / p
+    members = _oracle_enumeration(k, table, which)
+    values = kernels.difference_sums(table.inner_sums, members, p) / p
     rounded = np.round(values.real)
     worst = float(np.abs(values - rounded).max())
     if worst > _INTEGRALITY_TOL:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from apresidues import apsearch
+from apresidues import apsearch, bigmod
 from apresidues.apsearch import (
     Target,
     bound_x,
@@ -350,6 +350,7 @@ class TestDensitySweep:
             raise AssertionError("sieved before validating the sweep")
 
         monkeypatch.setattr(apsearch, "primes_up_to", refuse)
+        monkeypatch.setattr(apsearch, "_prime_segments", refuse)
         with pytest.raises(DomainError, match=message):
             density_sweep(k, ResidueClass(0, 1), prime_range)
 
@@ -359,6 +360,7 @@ class TestDensitySweep:
             raise AssertionError("sieved before validating the sweep")
 
         monkeypatch.setattr(apsearch, "primes_up_to", refuse)
+        monkeypatch.setattr(apsearch, "_prime_segments", refuse)
         with pytest.raises(DomainError, match="max_primes must be >= 1"):
             density_sweep(2, ResidueClass(1, 4), (100000, 110000), max_primes=max_primes)
 
@@ -369,6 +371,7 @@ class TestDensitySweep:
             raise AssertionError("sieved before validating the sweep")
 
         monkeypatch.setattr(apsearch, "primes_up_to", refuse)
+        monkeypatch.setattr(apsearch, "_prime_segments", refuse)
         with pytest.raises(DomainError, match="x must be >= 2"):
             density_sweep(2, ResidueClass(1, 4), (1000, 1100), x_rule=x_rule)
 
@@ -399,8 +402,21 @@ class TestDensitySweep:
             raise AssertionError("sieved before validating the sweep")
 
         monkeypatch.setattr(apsearch, "primes_up_to", refuse)
+        monkeypatch.setattr(apsearch, "_prime_segments", refuse)
         with pytest.raises(ResourceError, match="count budget is 100000000"):
             density_sweep(2, ResidueClass(1, 4), prime_range, x_rule=x_rule)
+
+    def test_walks_sieve_segments_not_next_prime(self, monkeypatch):
+        # k = 100000 conforms at few primes: the walk passes 146,211 others
+        # on its way to the third
+        def refuse(n):
+            raise AssertionError("walked the primes one next_prime at a time")
+
+        monkeypatch.setattr(bigmod, "next_prime", refuse)
+        monkeypatch.setattr(apsearch, "next_prime", refuse, raising=False)
+        result = density_sweep(100000, ResidueClass(1, 4), (100000, 10**8), x_rule="bound", max_primes=3)
+        assert [s.p for s in result.samples] == [700001, 900001, 2100001]
+        assert result.skipped_primes == 146211
 
     def test_one_point_range_is_not_inverted(self):
         result = density_sweep(2, ResidueClass(0, 1), (10007, 10007), max_primes=1)

@@ -191,6 +191,16 @@ class TestPrimesUpTo:
         with pytest.raises(ResourceError):
             primes_up_to(10**9 + 1)
 
+    @pytest.mark.parametrize("lo,hi", [(2, 10**4), (3, 2), (50, 97), (97, 97), (101, 5000), (4000, 10**4)])
+    def test_prime_segments_list_the_range_in_order(self, monkeypatch, lo, hi):
+        # 1000-number segments: the range runs over many of them, from below
+        # the sieving primes (up to isqrt(hi) + 1) or from above them
+        monkeypatch.setattr(bigmod, "_SEGMENT", 1000)
+        segments = list(bigmod._prime_segments(lo, hi))
+        assert all(len(seg) <= 1000 and seg.dtype == np.int64 for seg in segments)
+        want = np.flatnonzero(loop_sieve(hi))
+        assert np.array_equal(np.concatenate(segments), want[want >= lo])
+
 
 class TestMultiplicativeOrder:
     def test_primitive_root_of_41(self):

@@ -9,7 +9,6 @@ from apresidues import expsum, kernels
 from apresidues.bigmod import primes_up_to
 from apresidues.errors import DomainError, ResourceError
 from apresidues.expsum import (
-    _halfsums,
     complete_exponential_sum,
     fiber_histograms,
     fourier_U_hat,
@@ -168,7 +167,7 @@ class TestFourierUHat:
     def test_parseval_energy(self, table101, table1009):
         for table in (table101, table1009, build_small_field_table(2003)):
             p = table.p
-            s = _halfsums(table)
+            s = table.half_sums
             energy = float((np.abs(s) ** 2).sum())
             assert energy == pytest.approx(p * (p - 1) // 2, rel=1e-4)
 

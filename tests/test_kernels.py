@@ -271,7 +271,7 @@ def test_window_kernels_match_the_gather_forms(p):
     inner = kernels.inner_complete_sums(p, powers, roots)
     assert np.abs(inner - gather_inner_sums(p, roots)).max() < 1e-9
 
-    s = expsum._halfsums(table)
+    s = table.half_sums
     assert np.abs(s - gather_halfsums(table.nonresidue_coset(2), p, roots)).max() < 1e-9
 
     a_vals, mags = expsum.uhat_all_residues(table)
@@ -286,8 +286,11 @@ def test_window_kernels_match_the_gather_forms(p):
             got = kernels.difference_sums(inner, members, p) / p
             ref = gather_char_values(inner, members, p)
             assert np.abs(got - ref).max() < 1e-9, (k, which)
-            rounded, _ = residues.char_function_values(k, table, which)
+            rounded, worst = residues.char_function_values(k, table, which)
             assert np.array_equal(rounded, np.round(ref.real).astype(np.int64)), (k, which)
+            # the table's kept inner sums give what a fresh table's first pass gives
+            fresh, fresh_worst = residues.char_function_values(k, build_small_field_table(p), which)
+            assert _bits(rounded) == _bits(fresh) and _bits(worst) == _bits(fresh_worst), (k, which)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 241, 1009, 4999, 9973])
@@ -296,7 +299,7 @@ def test_uhat_all_residues_matches_every_window_row(p):
     # complex at p = 3 (mod 4), where the Gauss sum is sqrt(p) and i*sqrt(p)
     table = build_small_field_table(p)
     roots, powers = table.roots, table.powers
-    s = expsum._halfsums(table)
+    s = table.half_sums
     a_vals, mags = expsum.uhat_all_residues(table)
     assert np.array_equal(a_vals, np.sort(table.residue_coset(2)))
 
@@ -329,11 +332,63 @@ def _traced_peak(fn) -> int:
 
 def test_window_kernels_stay_under_4_mib_at_9973():
     # an index grid, or a window numpy materialised, would take p**2 entries:
-    # about 1.5 GiB of complex terms at this p
-    table = build_small_field_table(9973)
+    # about 1.5 GiB of complex terms at this p; each indicator runs on a fresh
+    # table, so the inner-sum pass it makes on first use is measured too
     for which in (residues.RESIDUE_INDICATOR, residues.NONRESIDUE_INDICATOR):
+        table = build_small_field_table(9973)
         assert _traced_peak(lambda: residues.char_function_values(2, table, which)) < 4 * 2**20
     assert _traced_peak(lambda: expsum.uhat_all_residues(table)) < 4 * 2**20
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Patch kernels.<name> with a spy; the list it returns grows by one per call."""
+    calls, original = [], getattr(kernels, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernels, name, spy)
+    return calls
+
+
+def test_one_inner_pass_per_table_for_every_k_and_indicator(monkeypatch):
+    calls = _counting(monkeypatch, "inner_complete_sums")
+    table = build_small_field_table(1009)
+    for k in divisors(1008):
+        for which in (residues.RESIDUE_INDICATOR, residues.NONRESIDUE_INDICATOR):
+            residues.char_function_values(k, table, which)
+    assert len(calls) == 1
+    residues.char_function_values(2, build_small_field_table(1009), residues.RESIDUE_INDICATOR)
+    assert len(calls) == 2  # a new table makes its own pass
+
+
+def test_one_half_sum_pass_per_table_for_every_residue(monkeypatch):
+    calls = _counting(monkeypatch, "halfsums")
+    table = build_small_field_table(101)
+    samples = [expsum.fourier_U_hat(a, table) for a in table.residue_coset(2).tolist()]
+    assert len(calls) == 1 and len(samples) == 50
+    assert all(abs(u.value + 50) < 1e-9 for u in samples)
+
+
+@pytest.mark.parametrize("name,member,p", [("inner_complete_sums", "inner_sums", 100003),
+                                           ("halfsums", "half_sums", 10007)])
+def test_a_member_past_its_limit_refuses_before_its_pass(monkeypatch, name, member, p):
+    calls = _counting(monkeypatch, name)
+    table = build_small_field_table(p)
+    with pytest.raises(apresidues.ResourceError, match="limited to p <="):
+        getattr(table, member)
+    assert calls == []
+
+
+@pytest.mark.parametrize("k,which", [(5, residues.RESIDUE_INDICATOR), (7, residues.NONRESIDUE_INDICATOR),
+                                     (2, "bogus")])
+def test_char_values_check_k_and_the_indicator_before_the_inner_pass(monkeypatch, k, which):
+    # 5 and 7 do not divide 1012 = 2**2 * 11 * 23
+    calls = _counting(monkeypatch, "inner_complete_sums")
+    with pytest.raises(apresidues.DomainError):
+        residues.char_function_values(k, build_small_field_table(1013), which)
+    assert calls == []
 
 
 def test_index_blocks_cover_the_grid_in_row_order(monkeypatch):
