@@ -207,8 +207,9 @@ def least_prime_with_verdict(
 ) -> SearchOutcome:
     """First prime n = a + q*m (ascending, p not dividing n) with the target
     verdict, or an Absent outcome carrying the scan cap."""
-    if scan_limit < cls.q + cls.a:
-        raise DomainError(f"scan_limit {scan_limit} below first candidate {cls.q + cls.a}")
+    first = cls.a if cls.a >= 2 else cls.a + cls.q * -(-(2 - cls.a) // cls.q)  # the least n >= 2 in the class
+    if scan_limit < first:
+        raise DomainError(f"scan_limit {scan_limit} below first candidate {first}")
     bx = bound_x(ctx, k, epsilon)
     found = next(iter(first_primes_with_verdict(target, k, cls, ctx, 1, scan_limit, p_minus_1_factors)), None)
     return SearchOutcome(

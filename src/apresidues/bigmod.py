@@ -142,58 +142,51 @@ def next_prime(n: int) -> int:
     return m
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """mask[n] = n is prime, for n in [0, limit].  Only the odd numbers are
-    sieved: odd[i] stands for 2i+1, and q*q is the first odd multiple of an
-    odd prime q left to strike, at index q*q // 2, then every q-th index."""
-    odd = np.ones((limit + 1) // 2, dtype=bool)
-    odd[:1] = False
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if odd[i]:
-            q = 2 * i + 1
-            odd[q * q // 2 :: q] = False
-    mask = np.zeros(limit + 1, dtype=bool)
-    mask[1::2] = odd
-    mask[2:3] = True
-    return mask
+def _odd_segments(lo: int, hi: int):
+    """The one sieve.  Yield (start, odd) for each segment of at most _SEGMENT
+    numbers over the odd numbers in [max(lo, 3), hi]: start is odd, and odd[i]
+    says whether start + 2i is prime.  Each odd prime q <= sqrt(hi) strikes
+    its odd multiples from q*q on, every q-th entry; those sieving primes come
+    from this walk itself, which bottoms out in _SMALL_PRIMES below 48**2."""
+    if hi < 48 * 48:
+        base = [q for q in _SMALL_PRIMES[1:] if q * q <= hi]
+    else:
+        base = [q for s, odd in _odd_segments(3, math.isqrt(hi)) for q in (2 * np.flatnonzero(odd) + s).tolist()]
+    start = max(lo, 3) | 1
+    while start <= hi:
+        odd = np.ones(min(_SEGMENT // 2, (hi - start) // 2 + 1), dtype=bool)
+        for q in base:
+            m = max(q, -(-start // q)) | 1  # m*q: the first odd multiple to strike
+            odd[(m * q - start) // 2 :: q] = False
+        yield start, odd
+        start += 2 * len(odd)
 
 
 def prime_mask(x: int) -> np.ndarray:
-    """Boolean array of length x+1 with mask[n] = n is prime."""
+    """Boolean array of length max(x+1, 1) with mask[n] = n is prime; the odd
+    numbers are copied in one sieve segment at a time."""
     if x > _SIEVE_LIMIT:
         raise ResourceError(f"sieve budget is {_SIEVE_LIMIT}, got {x}")
-    if x < 1:
-        return np.zeros(max(x + 1, 1), dtype=bool)
-    return _simple_sieve(x)
+    mask = np.zeros(max(x + 1, 1), dtype=bool)
+    mask[2:3] = True
+    for start, odd in _odd_segments(3, x):
+        mask[start : start + 2 * len(odd) : 2] = odd
+    return mask
 
 
 def primes_up_to(x: int) -> np.ndarray:
     """All primes <= x, ascending (segmented sieve, budget 1e9)."""
     if x > _SIEVE_LIMIT:
         raise ResourceError(f"sieve budget is {_SIEVE_LIMIT}, got {x}")
-    if x < 2:
-        return np.array([], dtype=np.int64)
-    if x <= _SEGMENT:
-        return np.flatnonzero(_simple_sieve(x)).astype(np.int64)
     return np.concatenate(list(_prime_segments(2, x)))
 
 
 def _prime_segments(lo: int, hi: int):
-    """Yield the primes in [lo, hi] (hi >= 1) as ascending int64 arrays: the
-    sieving primes up to isqrt(hi) + 1 that lie in range, then one array per
-    segment of at most _SEGMENT numbers above them."""
-    base = np.flatnonzero(_simple_sieve(math.isqrt(hi) + 1)).astype(np.int64)
-    yield base[(base >= lo) & (base <= hi)]
-    lo = max(lo, int(base[-1]) + 1)
-    while lo <= hi:
-        top = min(lo + _SEGMENT, hi + 1)
-        mask = np.ones(top - lo, dtype=bool)
-        for q in base.tolist():
-            start = max(q * q, (lo + q - 1) // q * q)
-            if start < top:
-                mask[start - lo :: q] = False
-        yield (np.flatnonzero(mask) + lo).astype(np.int64)
-        lo = top
+    """Yield the primes in [lo, hi] as ascending int64 arrays: [2] when 2 is
+    in range (else an empty array), then the odd primes of each segment."""
+    yield np.array([2], dtype=np.int64)[: int(lo <= 2 <= hi)]
+    for start, odd in _odd_segments(lo, hi):
+        yield 2 * np.flatnonzero(odd) + start
 
 
 def _iroot(n: int, k: int) -> int:
@@ -766,7 +759,7 @@ def _smallest_prime_factors(x: int) -> np.ndarray:
     n < 2, as int32: each prime q up to sqrt(x) claims the multiples from q*q
     on that no smaller prime has claimed, and what is left is prime."""
     spf = np.zeros(x + 1, dtype=np.int32)
-    for q in np.flatnonzero(_simple_sieve(math.isqrt(x))).tolist():
+    for q in primes_up_to(math.isqrt(x)).tolist():
         multiples = spf[q * q :: q]
         multiples[multiples == 0] = q
     unclaimed = np.flatnonzero(spf == 0)

@@ -208,6 +208,14 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_expsum(args) -> int:
+    # checked before the table is built, so a run that would print nothing
+    # costs nothing
+    if args.x_cutoff is not None and args.b is None:
+        print("apresidues expsum: error: --x-cutoff needs --b", file=sys.stderr)
+        return EXIT_USAGE
+    if args.b is None and not args.max_ratio_table:
+        print("apresidues expsum: error: nothing to compute: pass --max-ratio-table, --b or both", file=sys.stderr)
+        return EXIT_USAGE
     table = build_small_field_table(args.p)
     envelope = ReportEnvelope()
     if args.max_ratio_table:

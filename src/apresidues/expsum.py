@@ -169,12 +169,6 @@ def uhat_all_residues(table: SmallFieldTable) -> tuple[np.ndarray, np.ndarray]:
     return a_vals, np.full(len(a_vals), (table.p - 1) / 2)
 
 
-def complete_exponential_sum(c: int, p: int) -> complex:
-    """sum_{s=0}^{p-1} e(2*pi*i * c * s / p), evaluated term by term."""
-    s = np.arange(p, dtype=np.int64)
-    return complex(np.exp(2j * np.pi * ((c % p) * s % p) / p).sum())
-
-
 def _window_counts(members: np.ndarray, lo: int, hi: int, m: int) -> np.ndarray:
     """counts[t] = #{c in members : (c - t) % m in [lo, hi]} for every t in
     [0, m), given 0 <= lo <= hi < m and members in [0, m).

@@ -10,8 +10,8 @@ are reported under two readings: maximal runs collapsed to single events
 The census holds the residue and prime masks of [0, p), one byte per entry,
 and walks them in windows of _BLOCK pair starts; every count, histogram and
 running maximum is carried from window to window.  Its working memory is
-about 2.5 bytes per unit of p (the two masks, and half a mask while the
-prime mask is sieved) plus a fixed few MiB.
+about 2 bytes per unit of p (the two masks) plus a fixed few MiB, among
+them the one sieve segment the prime mask is filled from at a time.
 """
 
 from __future__ import annotations
@@ -202,9 +202,8 @@ def pattern_census(p: int) -> PatternCensus:
     n+2 <= p-1.  Windows hold _BLOCK starts.  A first pass over them adds up
     the counts, which give each class its number of starts; a second feeds
     each class's starts to a gap state carried across window edges.  So
-    working memory is the two masks plus O(_BLOCK): about 2.5 bytes per
-    unit of p plus a few MiB, the peak falling while the prime mask is
-    sieved."""
+    working memory is the two masks plus O(_BLOCK) and one sieve segment:
+    about 2 bytes per unit of p plus a few MiB."""
     if p > _CENSUS_LIMIT:
         raise ResourceError(f"census budget is p <= {_CENSUS_LIMIT}")
     if p < 5:

@@ -50,6 +50,12 @@ PINS = [
     (_count(7, "10^48+217", 10**7), "e1c32afc34a6de61", _LADDER_NOTE),
     (_count(4, "10^48+217", 10**7), "3d0bf7fed3fc61c6", _LADDER_NOTE),
     (_count(3, "2^128+51", 10**7), "b64ec6fd4fe141d8", _LADDER_NOTE),
+    (("count", "--target", "nonresidue", "--k", "2", "--q", "4", "--a", "1", "--p", "10^24+7", "--x", "10000000"),
+     "54fa90c20f06ea50",
+     "a sieve over five segments of 2^21 numbers and the wide Jacobi path; recorded while primes past 2^21 "
+     "came from a segmented sieve over every number"),
+    (("patterns", "--p", "4000037", "--x", "5000"), "4f3d172778d167e1",
+     "a prime mask over two sieve segments; recorded while the mask came from one unsegmented odd-only sieve"),
 ]
 
 

@@ -132,6 +132,18 @@ class TestLeastPrimeSearch:
         assert not got.within_bound
         assert got.scan_limit == 20
 
+    def test_the_class_residue_is_the_first_candidate(self, ctx24):
+        # 3 and 2 are the least residues 3 mod 4 and 2 mod 3 mod 10^24+7, so a
+        # scan that stops at them finds them; in 1 mod 4 the first is 5
+        got = least_prime_with_verdict(Target.RESIDUE, 2, ResidueClass(3, 4), ctx24, 3)
+        assert got.found_n == 3
+        got = least_prime_with_verdict(Target.RESIDUE, 2, ResidueClass(2, 3), ctx24, 2)
+        assert got.found_n == 2
+        with pytest.raises(DomainError, match="below first candidate 5"):
+            least_prime_with_verdict(Target.RESIDUE, 2, ResidueClass(1, 4), ctx24, 4)
+        with pytest.raises(DomainError, match="below first candidate 2"):
+            least_prime_with_verdict(Target.RESIDUE, 2, ResidueClass(0, 1), ctx24, 1)
+
     def test_validation(self, ctx41):
         with pytest.raises(DomainError):
             least_prime_with_verdict(Target.NONRESIDUE, 7, ResidueClass(1, 4), ctx41, 100)

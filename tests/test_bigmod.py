@@ -161,7 +161,7 @@ class TestPrimesUpTo:
     @pytest.mark.parametrize("limits", [range(2001), (999_983, 1_000_000)], ids=["0..2000", "near 1e6"])
     def test_odd_only_sieve_matches_the_loop(self, limits):
         for x in limits:
-            got, want = bigmod._simple_sieve(x), loop_sieve(x)
+            got, want = prime_mask(x), loop_sieve(x)
             assert got.dtype == want.dtype and np.array_equal(got, want), x
 
     def test_first_primes(self):
@@ -191,15 +191,30 @@ class TestPrimesUpTo:
         with pytest.raises(ResourceError):
             primes_up_to(10**9 + 1)
 
-    @pytest.mark.parametrize("lo,hi", [(2, 10**4), (3, 2), (50, 97), (97, 97), (101, 5000), (4000, 10**4)])
+    @pytest.mark.parametrize("lo,hi", [(2, 10**4), (3, 2), (50, 97), (97, 97), (101, 5000), (4000, 10**4),
+                                       (2, 2300), (3, 2303), (2, 2304), (1, 2305), (5, 2310),
+                                       (0, 5), (2, 2), (98, 1000), (1000, 3001), (2000, 2306)])
     def test_prime_segments_list_the_range_in_order(self, monkeypatch, lo, hi):
-        # 1000-number segments: the range runs over many of them, from below
-        # the sieving primes (up to isqrt(hi) + 1) or from above them
+        # 1000-number segments: the range runs over many of them, from an
+        # odd or an even lo; the sieving primes of hi >= 48**2 = 2304 come
+        # from the walk itself, those below from the small-prime table
         monkeypatch.setattr(bigmod, "_SEGMENT", 1000)
         segments = list(bigmod._prime_segments(lo, hi))
         assert all(len(seg) <= 1000 and seg.dtype == np.int64 for seg in segments)
         want = np.flatnonzero(loop_sieve(hi))
         assert np.array_equal(np.concatenate(segments), want[want >= lo])
+
+    @pytest.mark.parametrize("segment", [2, 64, 1000, 4096])
+    def test_every_segment_size_lists_the_same_primes(self, monkeypatch, segment):
+        # segments of a few odd numbers, as many as 5000 of them per call,
+        # and limits that end on a segment edge, one past it and between
+        monkeypatch.setattr(bigmod, "_SEGMENT", segment)
+        for x in [0, 1, 2, 3, 47, 2303, 2304, 2305, 9999, 10**4, 3 * segment, 3 * segment + 1, 3 * segment + 2]:
+            want = loop_sieve(x)
+            got = prime_mask(x)
+            assert got.dtype == want.dtype and np.array_equal(got, want), x
+            got = primes_up_to(x)
+            assert got.dtype == np.int64 and np.array_equal(got, np.flatnonzero(want)), x
 
 
 class TestMultiplicativeOrder:

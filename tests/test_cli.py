@@ -219,6 +219,20 @@ class TestExpsumAndPatterns:
         assert "small-field tables are limited to p <= 1000000" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [("--p", "41"), ("--p", "41", "--x-cutoff", "20"),
+                                      ("--p", "41", "--x-cutoff", "20", "--max-ratio-table")])
+    def test_expsum_with_nothing_to_print_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        # no --b and no --max-ratio-table, or a cutoff with no --b to apply it
+        # to: refused before the table is built, and no report is written
+        def refuse(p):
+            raise AssertionError("a table was built for a run that prints nothing")
+
+        monkeypatch.setattr(cli, "build_small_field_table", refuse)
+        code, out, err = run_cli(capsys, "expsum", *argv, "--out-dir", str(tmp_path / "r"))
+        assert code == EXIT_USAGE
+        assert out == "" and "error" in err
+        assert not (tmp_path / "r").exists()
+
     def test_expsum_table_failing_its_gauss_check_is_domain_error(self, capsys, monkeypatch):
         least = residues.least_primitive_root
         monkeypatch.setattr(residues, "least_primitive_root", lambda q, f=None: least(q, f) ** 2 % q)

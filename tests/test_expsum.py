@@ -9,7 +9,6 @@ from apresidues import expsum, kernels
 from apresidues.bigmod import primes_up_to
 from apresidues.errors import DomainError, ResourceError
 from apresidues.expsum import (
-    complete_exponential_sum,
     fiber_histograms,
     fourier_U_hat,
     fourier_U_hat_swapped,
@@ -308,11 +307,3 @@ class TestFiberWindowCounts:
             mass = sum(size * count for size, count in h.histogram.items())
             assert mass + h.zero_hits == h.domain_size
         assert peak < 64 * 2**20
-
-
-class TestOrthogonality:
-    def test_collapse_values(self):
-        p = 41
-        assert abs(complete_exponential_sum(0, p) - p) < 1e-6 * p
-        for c in range(1, p):
-            assert abs(complete_exponential_sum(c, p)) < 1e-6 * p

@@ -242,13 +242,3 @@ class TestCharFunctionOracle:
             _round_indicator(0.5 + 0j, "synthetic")
         with pytest.raises(IntegrityError):
             _round_indicator(2.0 + 0j, "synthetic")
-
-
-class TestOrthogonalityKernel:
-    def test_complete_sum_collapse(self):
-        from apresidues.expsum import complete_exponential_sum
-
-        p = 101
-        assert abs(complete_exponential_sum(0, p) - p) < 1e-8 * p
-        for c in (1, 2, 50, 100):
-            assert abs(complete_exponential_sum(c, p)) < 1e-8 * p
