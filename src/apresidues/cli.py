@@ -26,7 +26,7 @@ from . import apsearch, expsum, patterns
 from .bigmod import OddPrimeContext, ResidueClass, next_prime
 from .errors import DomainError, IntegrityError, ResourceError
 from .report import ReportEnvelope
-from .residues import build_small_field_table
+from .residues import build_small_field_table, kth_power_verdict
 from .scenarios import FAIL, parse_integer_expr, run_scenario
 
 EXIT_OK = 0
@@ -50,50 +50,46 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("symbol", help="residue verdict for one element")
-    s.add_argument("--n", required=True)
-    s.add_argument("--p", required=True)
-    s.add_argument("--k", type=int, default=2)
-    s.add_argument("--allow-small", action="store_true")
+    # flags shared by several subcommands, each defined once
+    prime = argparse.ArgumentParser(add_help=False)
+    prime.add_argument("--p", required=True)
+    prime.add_argument("--k", type=int, default=2)
+    prime.add_argument("--allow-small", action="store_true")
+    progression = argparse.ArgumentParser(add_help=False)
+    progression.add_argument("--q", type=int, required=True)
+    progression.add_argument("--a", type=int, required=True)
+    progression.add_argument("--epsilon", type=float, default=0.0)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out-dir", default=None)
 
-    s = sub.add_parser("search", help="least prime in a progression with a target verdict")
+    s = sub.add_parser("symbol", parents=[prime], help="residue verdict for one element")
+    s.add_argument("--n", required=True)
+
+    s = sub.add_parser("search", parents=[progression, prime],
+                       help="least prime in a progression with a target verdict")
     s.add_argument("--target", choices=["residue", "nonresidue", "generator"], required=True)
-    s.add_argument("--k", type=int, default=2)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--p", required=True)
-    s.add_argument("--epsilon", type=float, default=0.0)
     s.add_argument("--scan-limit", type=int, default=10**6)
     s.add_argument("--factors", default=None,
                    help="comma-separated prime factors of p-1 (generator target)")
-    s.add_argument("--allow-small", action="store_true")
 
-    s = sub.add_parser("count", help="weighted/unweighted counts against the main term")
+    s = sub.add_parser("count", parents=[progression, prime, report],
+                       help="weighted/unweighted counts against the main term")
     s.add_argument("--target", choices=["residue", "nonresidue"], default="nonresidue")
-    s.add_argument("--k", type=int, default=2)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--a", type=int, required=True)
-    s.add_argument("--p", required=True)
     s.add_argument("--x", type=float, default=None, help="defaults to the bound for (p, k)")
-    s.add_argument("--epsilon", type=float, default=0.0)
-    s.add_argument("--allow-small", action="store_true")
-    s.add_argument("--out-dir", default=None)
 
     s = sub.add_parser("reproduce", help="recompute a published example and verify it")
     s.add_argument("scenario")
 
-    s = sub.add_parser("expsum", help="incomplete exponential sums over a small field")
+    s = sub.add_parser("expsum", parents=[report], help="incomplete exponential sums over a small field")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--b", type=int, default=None)
     s.add_argument("--x-cutoff", type=int, default=None)
     s.add_argument("--max-ratio-table", action="store_true",
                    help="emit the per-b max-ratio table (plot-ready: b, ratio)")
-    s.add_argument("--out-dir", default=None)
 
-    s = sub.add_parser("patterns", help="consecutive-pattern census for a small prime")
+    s = sub.add_parser("patterns", parents=[report], help="consecutive-pattern census for a small prime")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--x", type=int, default=None, help="cutoff for the weighted pair sum")
-    s.add_argument("--out-dir", default=None)
 
     s = sub.add_parser("sweep", help="run a campaign from a key-value config file")
     s.add_argument("--config", required=True)
@@ -102,8 +98,12 @@ def build_parser() -> _Parser:
 
 
 def _context(args) -> OddPrimeContext:
-    return OddPrimeContext.for_prime(parse_integer_expr(args.p),
-                                     allow_small=getattr(args, "allow_small", False))
+    return OddPrimeContext.for_prime(parse_integer_expr(args.p), allow_small=args.allow_small)
+
+
+def _add_rows(envelope: ReportEnvelope, name: str, columns: tuple, rows) -> None:
+    """A report section whose rows are value tuples in column order."""
+    envelope.add_section(name, [dict(zip(columns, row)) for row in rows], list(columns))
 
 
 def _write_report(envelope: ReportEnvelope, out_dir: str, stem: str) -> int:
@@ -120,8 +120,6 @@ def _write_report(envelope: ReportEnvelope, out_dir: str, stem: str) -> int:
 
 
 def _cmd_symbol(args) -> int:
-    from .residues import kth_power_verdict
-
     ctx = _context(args)
     t0 = time.perf_counter()
     verdict = kth_power_verdict(parse_integer_expr(args.n), args.k, ctx)
@@ -171,15 +169,11 @@ def _cmd_count(args) -> int:
           f"({report.unweighted_count}/{report.progression_prime_count} progression primes)")
     if args.out_dir:
         envelope = ReportEnvelope()
-        envelope.add_section("count", [{
-            "p": str(ctx.p), "k": report.k, "q": report.cls.q, "a": report.cls.a,
-            "target": args.target, "x": report.x,
-            "weighted_count": report.weighted_count,
-            "unweighted_count": report.unweighted_count,
-            "main_term": report.main_term, "error_term": report.error_term,
-            "density_estimate": report.density_estimate,
-        }], ["p", "k", "q", "a", "target", "x", "weighted_count",
-             "unweighted_count", "main_term", "error_term", "density_estimate"])
+        _add_rows(envelope, "count", ("p", "k", "q", "a", "target", "x", "weighted_count", "unweighted_count",
+                                      "main_term", "error_term", "density_estimate"),
+                  [(str(ctx.p), report.k, report.cls.q, report.cls.a, args.target, report.x,
+                    report.weighted_count, report.unweighted_count, report.main_term, report.error_term,
+                    report.density_estimate)])
         return _write_report(envelope, args.out_dir, f"count-k{args.k}-q{args.q}-a{args.a}")
     return EXIT_OK
 
@@ -221,8 +215,8 @@ def _cmd_expsum(args) -> int:
     if args.max_ratio_table:
         ratios = expsum.max_ratio_table(table)
         if args.out_dir:  # p-1 rows: built only when a report is written
-            rows = [{"p": args.p, "b": b + 1, "ratio": float(r)} for b, r in enumerate(ratios)]
-            envelope.add_section("max_ratio", rows, ["p", "b", "ratio"])
+            _add_rows(envelope, "max_ratio", ("p", "b", "ratio"),
+                      [(args.p, b + 1, float(r)) for b, r in enumerate(ratios)])
         print(f"p={args.p} tau={table.tau}: max ratio over all b,x = {ratios.max():.6f} "
               f"(bound sqrt(p)*log(p)^2 = {expsum.theoretical_bound(args.p):.2f})")
     if args.b is not None:
@@ -231,11 +225,10 @@ def _cmd_expsum(args) -> int:
         print(f"p={sample.p} tau={sample.tau} b={sample.b} x={sample.x_cutoff}")
         print(f"value = {sample.value:.6f}")
         print(f"|value| = {sample.magnitude:.6f}  bound = {sample.bound:.2f}  ratio = {sample.ratio:.6f}")
-        envelope.add_section("samples", [{
-            "p": sample.p, "tau": sample.tau, "b": sample.b, "x_cutoff": sample.x_cutoff,
-            "value": sample.value, "magnitude": sample.magnitude,
-            "bound": sample.bound, "ratio": sample.ratio,
-        }], ["p", "tau", "b", "x_cutoff", "value", "magnitude", "bound", "ratio"])
+        if args.out_dir:
+            _add_rows(envelope, "samples", ("p", "tau", "b", "x_cutoff", "value", "magnitude", "bound", "ratio"),
+                      [(sample.p, sample.tau, sample.b, sample.x_cutoff, sample.value, sample.magnitude,
+                        sample.bound, sample.ratio)])
     if args.out_dir:
         return _write_report(envelope, args.out_dir, f"expsum-p{args.p}")
     return EXIT_OK
@@ -258,12 +251,9 @@ def _cmd_patterns(args) -> int:
               f"indicator {ws.indicator_form:.6f}")
     if args.out_dir:
         envelope = ReportEnvelope()
-        envelope.add_section("pair_counts",
-                             [{"p": args.p, **census.pair_counts}],
-                             ["p", *patterns.PAIR_KEYS])
-        envelope.add_section("refined_counts",
-                             [{"p": args.p, **census.refined_counts}],
-                             ["p", *patterns.REFINED_KEYS])
+        for name, counts, keys in (("pair_counts", census.pair_counts, patterns.PAIR_KEYS),
+                                   ("refined_counts", census.refined_counts, patterns.REFINED_KEYS)):
+            _add_rows(envelope, name, ("p", *keys), [(args.p, *map(counts.get, keys))])
         return _write_report(envelope, args.out_dir, f"patterns-p{args.p}")
     return EXIT_OK
 
@@ -284,29 +274,64 @@ def _read_config(path: str) -> dict:
     return conf
 
 
-def _conf_value(conf: dict, key: str, default: str, kind=int):
-    """conf[key] (or default) converted by kind; a bad value is a domain
-    error that names the key."""
-    raw = conf.get(key, default)
-    try:
-        return kind(raw)
-    except (ValueError, DomainError):
-        what = "an integer" if kind in (int, parse_integer_expr) else kind.__name__
-        raise DomainError(f"config key {key!r}: cannot read {raw!r} as {what}") from None
+def _int_list(raw: str) -> list[int]:
+    return [int(v) for v in raw.split(",")]
 
 
-def _conf_ints(conf: dict, key: str, default: str) -> list[int]:
-    raw = conf.get(key, default)
-    try:
-        return [int(v) for v in raw.split(",")]
-    except ValueError:
-        raise DomainError(f"config key {key!r}: cannot read {raw!r} as a list of int") from None
+def _positive_count(raw: str) -> int:
+    count = int(raw)
+    if count <= 0:
+        raise DomainError(f"config key 'prime_count' must be > 0, got {count}")
+    return count
 
 
-def _sweep_primes(conf: dict) -> list[int]:
-    lo = _conf_value(conf, "prime_min", "100000", parse_integer_expr)
-    hi = _conf_value(conf, "prime_max", "1000000", parse_integer_expr)
-    count = _conf_value(conf, "prime_count", "500")
+def _q_rule(rule: str):
+    """loglog | loglog2 | fixed:<q>, as a function from a prime's context to
+    its moduli q; that function refuses a prime where the rule gives no
+    progression a + q*m with 1 <= a < q."""
+    if rule.startswith("fixed:"):
+        fixed = int(rule.split(":", 1)[1])
+    elif rule not in ("loglog", "loglog2"):
+        raise DomainError(f"unknown q rule {rule!r}")
+
+    def q_values(ctx) -> range:
+        if rule == "loglog":
+            qs = range(2, math.floor(ctx.loglog_p) + 1)
+        elif rule == "loglog2":
+            qs = range(2, math.ceil(ctx.loglog_p**2) + 1)
+        else:
+            if fixed > math.ceil(ctx.loglog_p**2):
+                print(f"warning: q={fixed} is outside the loglog^2 regime for p={ctx.p}", file=sys.stderr)
+            qs = range(fixed, fixed + 1)
+        if max(qs, default=0) < 2:
+            raise DomainError(f"q rule {rule!r} gives no progression at p={ctx.p}")
+        return qs
+
+    return q_values
+
+
+# what each reader reads a value as; a DomainError from any reader but
+# parse_integer_expr refuses a value it could read, in its own words
+_NOUNS = {int: "an integer", parse_integer_expr: "an integer", _positive_count: "an integer",
+          float: "float", apsearch.Target: "Target", _int_list: "a list of int", _q_rule: "fixed:<int>"}
+
+
+def _read_keys(conf: dict, keys: dict) -> dict:
+    """Each key's value, or its default, through its reader, in table order;
+    a default may be a function of the values read before it."""
+    values = {}
+    for key, (default, reader) in keys.items():
+        raw = conf.get(key, default(values) if callable(default) else default)
+        try:
+            values[key] = reader(raw)
+        except ValueError as exc:
+            if isinstance(exc, DomainError) and reader is not parse_integer_expr:
+                raise
+            raise DomainError(f"config key {key!r}: cannot read {raw!r} as {_NOUNS[reader]}") from None
+    return values
+
+
+def _sweep_primes(lo: int, hi: int, count: int) -> list[int]:
     if count <= 0 or hi <= lo:
         raise DomainError("prime_count must be > 0 and prime_max > prime_min")
     out, p = [], lo
@@ -319,130 +344,76 @@ def _sweep_primes(conf: dict) -> list[int]:
     return out
 
 
-def _q_values(ctx, q_rule: str) -> range:
-    """The moduli q the rule gives at p; a domain error when none has a
-    progression a + q*m with 1 <= a < q."""
-    if q_rule == "loglog":
-        qs = range(2, math.floor(ctx.loglog_p) + 1)
-    elif q_rule == "loglog2":
-        qs = range(2, math.ceil(ctx.loglog_p**2) + 1)
-    elif q_rule.startswith("fixed:"):
-        try:
-            q = int(q_rule.split(":", 1)[1])
-        except ValueError:
-            raise DomainError(f"config key 'q_rule': cannot read {q_rule!r} as fixed:<int>") from None
-        if q > math.ceil(ctx.loglog_p**2):
-            print(f"warning: q={q} is outside the loglog^2 regime for p={ctx.p}",
-                  file=sys.stderr)
-        qs = range(q, q + 1)
-    else:
-        raise DomainError(f"unknown q rule {q_rule!r}")
-    if max(qs, default=0) < 2:
-        raise DomainError(f"q rule {q_rule!r} gives no progression at p={ctx.p}")
-    return qs
-
-
-def _least_nonresidue_rows(p: int, epsilon: float, q_rule: str) -> list[dict]:
-    ctx = OddPrimeContext.for_prime(p)
+def _campaign_least_nonresidue(envelope: ReportEnvelope, epsilon, prime_min, prime_max, prime_count, q_rule):
+    primes = _sweep_primes(prime_min, prime_max, prime_count)
     rows = []
-    for q in _q_values(ctx, q_rule):
-        for a in range(1, q):
-            if math.gcd(a, q) != 1:
-                continue
-            outcome = apsearch.least_prime_with_verdict(
-                apsearch.Target.NONRESIDUE, 2, ResidueClass(a=a, q=q), ctx,
-                scan_limit=10**6, epsilon=epsilon)
-            rows.append({
-                "p": p, "q": q, "a": a, "found_n": outcome.found_n,
-                "bound_x": outcome.bound_x, "within_bound": outcome.within_bound,
-            })
-    return rows
-
-
-def _campaign_least_nonresidue(conf: dict, envelope: ReportEnvelope):
-    epsilon = _conf_value(conf, "epsilon", "0.5", float)
-    primes = _sweep_primes(conf)
-    q_rule = conf.get("q_rule", "loglog")
-    rows = [row for p in primes for row in _least_nonresidue_rows(p, epsilon, q_rule)]
-    violations = [r for r in rows if not r["within_bound"]]
-    envelope.add_section("least_nonresidue", rows,
-                         ["p", "q", "a", "found_n", "bound_x", "within_bound"])
-    envelope.add_section("violations", violations,
-                         ["p", "q", "a", "found_n", "bound_x", "within_bound"])
+    for p in primes:
+        ctx = OddPrimeContext.for_prime(p)
+        for q in q_rule(ctx):
+            for a in (a for a in range(1, q) if math.gcd(a, q) == 1):
+                outcome = apsearch.least_prime_with_verdict(apsearch.Target.NONRESIDUE, 2, ResidueClass(a=a, q=q),
+                                                            ctx, scan_limit=10**6, epsilon=epsilon)
+                rows.append((p, q, a, outcome.found_n, outcome.bound_x, outcome.within_bound))
+    violations = [row for row in rows if not row[-1]]  # within_bound is the last column
+    columns = ("p", "q", "a", "found_n", "bound_x", "within_bound")
+    _add_rows(envelope, "least_nonresidue", columns, rows)
+    _add_rows(envelope, "violations", columns, violations)
     print(f"least_nonresidue: {len(rows)} progressions over {len(primes)} primes, "
           f"{len(violations)} beyond-bound rows")
 
 
-def _campaign_expsum(conf: dict, envelope: ReportEnvelope):
-    p_list = _conf_ints(conf, "p_list", "1009,10007")
+def _campaign_expsum(envelope: ReportEnvelope, p_list):
     rows = []
     for p in p_list:
         table = build_small_field_table(p)
         ratios = expsum.max_ratio_table(table)
         b_worst = int(ratios.argmax()) + 1
-        rows.append({"p": p, "tau": table.tau, "worst_b": b_worst,
-                     "max_ratio": float(ratios.max()),
-                     "bound": expsum.theoretical_bound(p)})
+        rows.append((p, table.tau, b_worst, float(ratios.max()), expsum.theoretical_bound(p)))
         print(f"expsum: p={p} max ratio {ratios.max():.6f} at b={b_worst}")
-    envelope.add_section("max_ratio", rows, ["p", "tau", "worst_b", "max_ratio", "bound"])
+    _add_rows(envelope, "max_ratio", ("p", "tau", "worst_b", "max_ratio", "bound"), rows)
 
 
-def _campaign_density(conf: dict, envelope: ReportEnvelope):
-    k = _conf_value(conf, "k", "2")
-    q = _conf_value(conf, "q", "1")
-    a = _conf_value(conf, "a", "0" if q == 1 else "1")
-    lo = _conf_value(conf, "prime_min", "100000", parse_integer_expr)
-    hi = _conf_value(conf, "prime_max", "110000", parse_integer_expr)
-    max_primes = _conf_value(conf, "prime_count", "25")
-    if max_primes <= 0:
-        raise DomainError(f"config key 'prime_count' must be > 0, got {max_primes}")
-    target = _conf_value(conf, "target", "nonresidue", apsearch.Target)
-    result = apsearch.density_sweep(k, ResidueClass(a=a, q=q), (lo, hi),
-                                    x_rule=conf.get("x_rule", "prime"),
-                                    target=target, max_primes=max_primes)
-    rows = [{
-        "p": s.p, "k": s.k, "q": s.cls.q, "a": s.cls.a, "x": s.x,
-        "qualifying": s.qualifying, "total": s.total,
-        "observed_fraction": s.observed_fraction,
-        "correction_estimate": s.correction_estimate,
-    } for s in result.samples]
-    envelope.add_section("density", rows,
-                         ["p", "k", "q", "a", "x", "qualifying", "total",
-                          "observed_fraction", "correction_estimate"])
-    print(f"density: {len(rows)} primes, {result.skipped_primes} skipped (k does not divide p-1)")
+def _campaign_density(envelope: ReportEnvelope, k, q, a, prime_min, prime_max, prime_count, target, x_rule):
+    result = apsearch.density_sweep(k, ResidueClass(a=a, q=q), (prime_min, prime_max), x_rule=x_rule,
+                                    target=target, max_primes=prime_count)
+    _add_rows(envelope, "density", ("p", "k", "q", "a", "x", "qualifying", "total", "observed_fraction",
+                                    "correction_estimate"),
+              [(s.p, s.k, s.cls.q, s.cls.a, s.x, s.qualifying, s.total, s.observed_fraction,
+                s.correction_estimate) for s in result.samples])
+    print(f"density: {len(result.samples)} primes, {result.skipped_primes} skipped (k does not divide p-1)")
 
 
-def _campaign_patterns(conf: dict, envelope: ReportEnvelope):
-    p_list = _conf_ints(conf, "p_list", "10007")
+def _campaign_patterns(envelope: ReportEnvelope, p_list):
     rows = []
     for p in p_list:
         census = patterns.pattern_census(p)
-        rows.append({"p": p, **census.pair_counts,
-                     "twin_qualifying": census.twin_qualifying,
-                     "twin_total": census.twin_total,
-                     "nn_mean_gap": census.gap_nonresidue.mean_gap,
-                     "nn_ks_uniform": census.gap_nonresidue.ks_uniform})
-    envelope.add_section("census", rows,
-                         ["p", *patterns.PAIR_KEYS, "twin_qualifying", "twin_total",
-                          "nn_mean_gap", "nn_ks_uniform"])
+        rows.append((p, *map(census.pair_counts.get, patterns.PAIR_KEYS), census.twin_qualifying,
+                     census.twin_total, census.gap_nonresidue.mean_gap, census.gap_nonresidue.ks_uniform))
+    _add_rows(envelope, "census", ("p", *patterns.PAIR_KEYS, "twin_qualifying", "twin_total",
+                                   "nn_mean_gap", "nn_ks_uniform"), rows)
     print(f"patterns: {len(rows)} primes")
 
 
-# campaign -> (runner, the config keys it reads besides campaign and out_dir)
+# campaign -> (runner, {key: (default, reader)}) for the keys it reads besides
+# campaign and out_dir; _cmd_sweep reads them in this order and passes the
+# values to the runner as keyword arguments
 _CAMPAIGNS = {
-    "least_nonresidue": (_campaign_least_nonresidue,
-                         ("prime_min", "prime_max", "prime_count", "q_rule", "epsilon")),
-    "expsum": (_campaign_expsum, ("p_list",)),
-    "density": (_campaign_density,
-                ("k", "q", "a", "prime_min", "prime_max", "prime_count", "x_rule", "target")),
-    "patterns": (_campaign_patterns, ("p_list",)),
+    "least_nonresidue": (_campaign_least_nonresidue, {
+        "epsilon": ("0.5", float), "prime_min": ("100000", parse_integer_expr),
+        "prime_max": ("1000000", parse_integer_expr), "prime_count": ("500", int), "q_rule": ("loglog", _q_rule)}),
+    "expsum": (_campaign_expsum, {"p_list": ("1009,10007", _int_list)}),
+    "density": (_campaign_density, {
+        "k": ("2", int), "q": ("1", int), "a": (lambda values: "0" if values["q"] == 1 else "1", int),
+        "prime_min": ("100000", parse_integer_expr), "prime_max": ("110000", parse_integer_expr),
+        "prime_count": ("25", _positive_count), "target": ("nonresidue", apsearch.Target), "x_rule": ("prime", str)}),
+    "patterns": (_campaign_patterns, {"p_list": ("10007", _int_list)}),
 }
 
 
 def _cmd_sweep(args) -> int:
     try:
         conf = _read_config(args.config)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     campaign = conf.get("campaign")
@@ -453,10 +424,9 @@ def _cmd_sweep(args) -> int:
     if unknown:
         raise DomainError(f"unknown config key(s) {', '.join(map(repr, unknown))} for campaign "
                           f"{campaign!r}; known: {', '.join(sorted(keys))}, campaign, out_dir")
-    out_dir = conf.get("out_dir", "reports")
     envelope = ReportEnvelope()
-    run(conf, envelope)
-    return _write_report(envelope, out_dir, campaign)
+    run(envelope, **_read_keys(conf, keys))
+    return _write_report(envelope, conf.get("out_dir", "reports"), campaign)
 
 
 _COMMANDS = {

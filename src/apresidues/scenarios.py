@@ -19,7 +19,9 @@ tables really tabulate.
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -43,14 +45,23 @@ _EXPR = re.compile(r"^(\d+)\^(\d+)([+-]\d+)?$")
 
 def parse_integer_expr(text: str) -> int:
     """Decimal integer, or the base^exp+offset grammar used to name primes
-    ("10^24+7", "2^128+51")."""
+    ("10^24+7", "2^128+51").  A value of more digits than Python converts to
+    and from decimal strings (sys.get_int_max_str_digits()) is unreadable
+    too; a power is judged by its size before it is taken."""
     text = text.strip().replace(" ", "")
     m = _EXPR.match(text)
-    if m:
-        base, exp, off = int(m.group(1)), int(m.group(2)), int(m.group(3) or 0)
-        return base**exp + off
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (Python < 3.10.7)
     try:
-        return int(text)
+        if not m:
+            return int(text)
+        base, exp, off = int(m.group(1)), int(m.group(2)), int(m.group(3) or 0)
+        if limit and base > 1 and exp > limit / math.log10(base):
+            raise ValueError(text)
+        value = base**exp + off
+        # 2^(3*limit) < 10^limit, so only a value that long is compared exactly
+        if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+            raise ValueError(text)
+        return value
     except ValueError:
         raise DomainError(f"cannot parse integer expression {text!r}") from None
 

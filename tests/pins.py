@@ -1,20 +1,32 @@
-"""The stdout pins: CLI runs whose stdout is fixed byte for byte, each as an
-argv, the first 16 hex digits of the sha256 of its stdout and a note on
+"""The CLI pins, in two tables.
+
+PINS holds the stdout pins: CLI runs whose stdout is fixed byte for byte, each
+as an argv, the first 16 hex digits of the sha256 of its stdout and a note on
 where the digest comes from.  None of these stdouts holds a timing.
 
-tests/test_cli.py runs every row in-process.  Run as a script,
+SECTION_PINS holds the report rows: CLI runs that write a report, each as an
+argv (run with --out-dir) or the text of a sweep config (run with an out_dir
+line), one section of the report, the first 16 hex digits of that section's
+checksum in the JSON envelope, and a note.  The checksum covers the section's
+columns and rows, not the generated_at timestamp.
+
+tests/test_cli.py runs every row of both in-process.  Run as a script,
 
     python tests/pins.py
 
 runs every row through the installed `apresidues` console script, from any
-directory and with the standard library only, so that it checks the
-installed package and its packaged data/scenarios.json; it prints one line a
-row and exits 1 if any run exits nonzero or prints other bytes.
+directory and with the standard library only, each report row in a temporary
+directory of its own, so that it checks the installed package and its
+packaged data/scenarios.json; it prints one line a row and exits 1 if any
+run exits nonzero or prints or reports other bytes.
 """
 
 import hashlib
+import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 
 def _count(k: int, p: str, x: int) -> tuple[str, ...]:
@@ -59,8 +71,43 @@ PINS = [
 ]
 
 
+_SECTION_NOTE = "recorded while each report section spelled out its column names in every row"
+_EXPSUM = ("expsum", "--p", "10007", "--max-ratio-table", "--b", "5", "--x-cutoff", "100")
+_PATTERNS = ("patterns", "--p", "1000003", "--x", "5000")
+
+# (argv or sweep config text, section, sha256 prefix of the section checksum, provenance)
+SECTION_PINS = [
+    (_count(7, "10^48+217", 10**5), "count", "77bc3538f33298c8", _SECTION_NOTE),
+    (_EXPSUM, "max_ratio", "fff4815f7d140c69", _SECTION_NOTE),
+    (_EXPSUM, "samples", "3a4879c327c7f471", _SECTION_NOTE),
+    (_PATTERNS, "pair_counts", "bc4845aa63769567", _SECTION_NOTE),
+    (_PATTERNS, "refined_counts", "c192a3f6591549ca", _SECTION_NOTE),
+    ("campaign = expsum", "max_ratio", "93d778136454e783", _SECTION_NOTE + "; the default p_list"),
+    ("campaign = patterns", "census", "a33c171e7e54f62f", _SECTION_NOTE + "; the default p_list"),
+]
+
+
 def digest(stdout: bytes) -> str:
     return hashlib.sha256(stdout).hexdigest()[:16]
+
+
+def report_argv(run, tmp: Path) -> tuple[str, ...]:
+    """The argv that runs a SECTION_PINS row with its report in tmp/reports;
+    a sweep config is written to tmp first."""
+    if isinstance(run, tuple):
+        return (*run, "--out-dir", str(tmp / "reports"))
+    config = tmp / "sweep.conf"
+    config.write_text(f"{run}\nout_dir = {tmp / 'reports'}\n", encoding="utf-8")
+    return ("sweep", "--config", str(config))
+
+
+def section_digest(tmp: Path, section: str) -> str:
+    (envelope,) = (tmp / "reports").glob("*.json")
+    return json.loads(envelope.read_text(encoding="utf-8"))["checksums"][section][:16]
+
+
+def label(run) -> str:
+    return " ".join(run) if isinstance(run, tuple) else f"sweep [{run}]"
 
 
 def main() -> int:
@@ -73,7 +120,18 @@ def main() -> int:
         print(f"{'ok  ' if ok else 'FAIL'} apresidues {' '.join(argv)}: exit {run.returncode}, {got}"
               + ("" if ok else f", pinned {want}"), flush=True)
     print(f"{len(PINS) - failed} of {len(PINS)} stdout pins hold")
-    return 1 if failed else 0
+    section_failed = 0
+    for run, section, want, _ in SECTION_PINS:
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = subprocess.run(["apresidues", *report_argv(run, Path(tmp))], stdout=subprocess.DEVNULL,
+                                  check=False)
+            got = section_digest(Path(tmp), section) if proc.returncode == 0 else "no report"
+        ok = got == want
+        section_failed += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} apresidues {label(run)}: {section} exit {proc.returncode}, {got}"
+              + ("" if ok else f", pinned {want}"), flush=True)
+    print(f"{len(SECTION_PINS) - section_failed} of {len(SECTION_PINS)} report-section pins hold")
+    return 1 if failed or section_failed else 0
 
 
 if __name__ == "__main__":

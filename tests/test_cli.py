@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -159,6 +160,55 @@ def test_stdout_is_pinned_byte_for_byte(capsys, argv, digest, provenance):
     assert pins.digest(out.encode()) == digest, provenance
 
 
+@pytest.mark.parametrize("run,section,digest,provenance", pins.SECTION_PINS,
+                         ids=[f"{pins.label(run)} {section}" for run, section, _, _ in pins.SECTION_PINS])
+def test_report_section_is_pinned(capsys, tmp_path, run, section, digest, provenance):
+    code, _, _ = run_cli(capsys, *pins.report_argv(run, tmp_path))
+    assert code == EXIT_OK
+    assert pins.section_digest(tmp_path, section) == digest, provenance
+
+
+# subcommand -> option -> (default, required, choices, type, nargs), as each
+# subcommand declared them when it defined every flag of its own
+_OPTIONS = {
+    "symbol": {"--n": (None, True, None, None, None), "--p": (None, True, None, None, None),
+               "--k": (2, False, None, int, None), "--allow-small": (False, False, None, None, 0)},
+    "search": {"--target": (None, True, ["residue", "nonresidue", "generator"], None, None),
+               "--k": (2, False, None, int, None), "--q": (None, True, None, int, None),
+               "--a": (None, True, None, int, None), "--p": (None, True, None, None, None),
+               "--epsilon": (0.0, False, None, float, None), "--scan-limit": (1000000, False, None, int, None),
+               "--factors": (None, False, None, None, None), "--allow-small": (False, False, None, None, 0)},
+    "count": {"--target": ("nonresidue", False, ["residue", "nonresidue"], None, None),
+              "--k": (2, False, None, int, None), "--q": (None, True, None, int, None),
+              "--a": (None, True, None, int, None), "--p": (None, True, None, None, None),
+              "--x": (None, False, None, float, None), "--epsilon": (0.0, False, None, float, None),
+              "--allow-small": (False, False, None, None, 0), "--out-dir": (None, False, None, None, None)},
+    "reproduce": {"scenario": (None, True, None, None, None)},
+    "expsum": {"--p": (None, True, None, int, None), "--b": (None, False, None, int, None),
+               "--x-cutoff": (None, False, None, int, None), "--max-ratio-table": (False, False, None, None, 0),
+               "--out-dir": (None, False, None, None, None)},
+    "patterns": {"--p": (None, True, None, int, None), "--x": (None, False, None, int, None),
+                 "--out-dir": (None, False, None, None, None)},
+    "sweep": {"--config": (None, True, None, None, None)},
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {" ".join(a.option_strings) or a.dest: (a.default, a.required, a.choices, a.type, a.nargs)
+                  for a in command._actions if a.dest != "help"}
+           for name, command in sub.choices.items()}
+    assert got == _OPTIONS
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_help_exits_zero(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == EXIT_OK
+    assert out.startswith(f"usage: apresidues {command} ")
+
+
 @pytest.mark.parametrize("command", [
     ["search", "--target", "nonresidue", "--q", "4", "--epsilon", "nan"],
     ["count", "--q", "4", "--x", "nan"],
@@ -212,6 +262,15 @@ class TestExpsumAndPatterns:
         code, out, _ = run_cli(capsys, "expsum", "--p", "101", "--max-ratio-table")
         assert code == EXIT_OK
         assert out.startswith("p=101 tau=2: max ratio over all b,x = ")
+
+    def test_expsum_sample_without_out_dir_builds_no_report(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a report section was built with nothing to write")
+
+        monkeypatch.setattr(cli.ReportEnvelope, "add_section", refuse)
+        code, out, _ = run_cli(capsys, "expsum", "--p", "101", "--b", "5")
+        assert code == EXIT_OK
+        assert out.startswith("p=101 tau=2 b=5 x=100\n")
 
     def test_expsum_beyond_the_table_limit_is_resource_error(self, capsys):
         code, out, err = run_cli(capsys, "expsum", "--p", "1000003", "--max-ratio-table")
@@ -368,6 +427,7 @@ out_dir = {tmp_path}/reports
         ("k = 0\nprime_min = 1000\nprime_max = 1100", "k must be >= 2, got 0"),
         ("prime_min = 2000\nprime_max = 1000", "empty prime range"),
         ("prime_count = -1", "config key 'prime_count' must be > 0, got -1"),
+        ("prime_count = 0\ntarget = both", "config key 'prime_count' must be > 0, got 0"),  # read before target
         ("prime_min = 1e4", "config key 'prime_min': cannot read '1e4' as an integer"),
         ("prime_min = 3\nprime_max = 20\nx_rule = bound", "x rule 'bound' gives x = 0.0009139 < 2 at p=3"),
     ])
@@ -422,17 +482,41 @@ out_dir = {tmp_path}/reports
             lo = rng.randrange(2, 3000)
             hi = lo + rng.randrange(1, 400)
             count = rng.randrange(1, 200)
-            conf = {"prime_min": str(lo), "prime_max": str(hi), "prime_count": str(count)}
-            assert cli._sweep_primes(conf) == reference_sweep_primes(lo, hi, count), conf
+            assert cli._sweep_primes(lo, hi, count) == reference_sweep_primes(lo, hi, count), (lo, hi, count)
 
     def test_prime_count_beyond_the_range_takes_every_prime(self):
         # 8,392 primes in the range: a picker that walks through its earlier
         # picks from every candidate is quadratic here
         t0 = time.perf_counter()
-        got = cli._sweep_primes({"prime_min": "100000", "prime_max": "200000", "prime_count": "32000"})
+        got = cli._sweep_primes(100000, 200000, 32000)
         assert time.perf_counter() - t0 < 10.0
         primes = primes_up_to(200000)
         assert got == primes[primes > 100000].tolist()
+
+    @pytest.mark.parametrize("rule,message", [
+        ("fixed:x", "config key 'q_rule': cannot read 'fixed:x' as fixed:<int>"),
+        ("nope", "unknown q rule 'nope'"),
+    ])
+    def test_bad_q_rule_is_refused_before_any_prime_is_walked(self, capsys, tmp_path, monkeypatch, rule, message):
+        def refuse(n):
+            raise AssertionError("a prime was walked for a config with a bad q rule")
+
+        monkeypatch.setattr(cli, "next_prime", refuse)
+        cfg = self.write_config(tmp_path, f"campaign = least_nonresidue\nq_rule = {rule}\nout_dir = {tmp_path}/r\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_DOMAIN
+        assert message in err
+        assert out == ""
+        assert not (tmp_path / "r").exists()
+
+    def test_undecodable_config_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.conf"
+        cfg.write_bytes(f"campaign = expsum\np_list = 101\nout_dir = {tmp_path}/r\n# \xff\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"cannot read config {cfg}: ")
+        assert "Traceback" not in err and out == ""
+        assert not (tmp_path / "r").exists()
 
     def test_unknown_campaign_is_domain_error(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, "campaign = nope\n")
@@ -508,6 +592,10 @@ _BAD_INPUTS = [
     ("symbol", "--n", "4", "--p", "41", "--k", "-2", "--allow-small"),
     ("symbol", "--n", "nan", "--p", "41", "--allow-small"),
     ("symbol", "--n", "4", "--p", "nan"),
+    # more digits than Python converts to or from a decimal string
+    ("symbol", "--n", "5", "--p", "10^5000"),
+    ("symbol", "--n", "10^5000", "--p", "10^24+7"),
+    ("symbol", "--n", "5", "--p", "10^2+" + "7" * 5000),
     ("search", "--target", "nonresidue", "--k", "0", *_BIG),
     ("search", "--target", "generator", "--k", "-2", *_BIG, "--factors", "2,3"),
     ("search", "--target", "nonresidue", "--k", "nan", *_BIG),
@@ -550,6 +638,7 @@ _BAD_INPUTS = [
     ("sweep", "campaign = density\nprime_count = -1"),
     ("sweep", "campaign = density\nprime_min = 3\nprime_max = 20\nx_rule = bound"),
     ("sweep", "campaign = least_nonresidue\nprime_min = 10^^24"),
+    ("sweep", "campaign = least_nonresidue\nprime_min = 10^5000"),
     ("sweep", "campaign = least_nonresidue\nprime_count = 2\nq_rule = fixed:0"),
     ("sweep", "campaign = least_nonresidue\nprime_count = 2\nq_rule = fixed:1"),
     ("sweep", "campaign = least_nonresidue\nprime_min = 1000\nprime_max = 1100\nprime_count = 3"),
@@ -559,7 +648,8 @@ _BAD_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("argv", _BAD_INPUTS, ids=lambda argv: " ".join(argv).replace("\n", "; "))
+@pytest.mark.parametrize("argv", _BAD_INPUTS, ids=lambda argv: " ".join(
+    a if len(a) < 200 else f"{a[:8]}...<{len(a)} characters>" for a in argv).replace("\n", "; "))
 def test_bad_numeric_input_never_tracebacks(capsys, tmp_path, argv):
     if argv[0] == "sweep":
         cfg = tmp_path / "sweep.conf"
