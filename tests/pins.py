@@ -62,6 +62,10 @@ PINS = [
     (_count(7, "10^48+217", 10**7), "e1c32afc34a6de61", _LADDER_NOTE),
     (_count(4, "10^48+217", 10**7), "3d0bf7fed3fc61c6", _LADDER_NOTE),
     (_count(3, "2^128+51", 10**7), "b64ec6fd4fe141d8", _LADDER_NOTE),
+    (_count(8, "10^48+217", 10**7), "9825456c213b5874",
+     "recorded while k = 8 verdicts took the quartic index and one power mod p for each quartic residue"),
+    (_count(9, "2^128+51", 10**7), "83e959a6ac0077b5",
+     "recorded while k = 9 verdicts took the cubic index and one power mod p for each cubic residue"),
     (("count", "--target", "nonresidue", "--k", "2", "--q", "4", "--a", "1", "--p", "10^24+7", "--x", "10000000"),
      "54fa90c20f06ea50",
      "a sieve over five segments of 2^21 numbers and the wide Jacobi path; recorded while primes past 2^21 "
