@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, IntegrityError, ResourceError
 
 # first seven prime bases are deterministic witnesses for n < 3.4e14
 _MR_DETERMINISTIC_BOUND = 330_000_000_000_000
@@ -486,17 +486,19 @@ def _quadratic_flags(n: np.ndarray, p: int) -> np.ndarray:
     return flags
 
 
-# The reciprocity rings F_r[x]/(x**m - s) of the quartic (m = 2, s = -1) and
-# Eisenstein (m = ell, s = 1) leaves.  Coordinate k of a product sums a[i]
-# times row k - i mod m of b at s = 1, or mod 2m of (b, -b) at s = -1.
+# The reciprocity rings F_r[x]/(x**m - s) of the index leaves: the quartic
+# leaf's (2, -1), the octic leaf's (4, -1) and the (m, 1) of the leaves of
+# order m = 3, 5, 7 and 9.  Coordinate k of a product sums a[i] times row
+# k - i mod m of b at s = 1, or mod 2m of (b, -b) at s = -1.
 _GATHER = {(m, s): (np.arange(m) - np.arange(m)[:, None]) % (m if s == 1 else 2 * m)
-           for m, s in ((2, -1), (3, 1), (5, 1), (7, 1))}
+           for m, s in ((2, -1), (4, -1), (3, 1), (5, 1), (7, 1), (9, 1))}
 
 
 def _ring_mul(a: np.ndarray, b: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
     """a*b in F_r[x]/(x**m - s) column by column, for (m, n) int64 rows of
-    residues mod r[i] < 2**31 at m = 2 and < 2**30 at m <= 7: each coordinate
-    sums m products below 2**62 or 2**60 in size, so below 2**63."""
+    residues mod r[i] < 2**31 at m = 2, < 2**30 at m <= 7 and < 2**29 at
+    m = 9: each coordinate sums m products below 2**62, 2**60 or 2**58 in
+    size, so below 2**63."""
     if s == -1:
         b = np.concatenate([b, -b])
     return np.einsum("in,ikn->kn", a, b.take(_GATHER[len(a), s], axis=0)) % r
@@ -572,183 +574,307 @@ def _quartic_index(q: np.ndarray, p: int) -> np.ndarray:
     return np.where(up, split, inert) % 4
 
 
-# Cubic, quintic and septic indices by Eisenstein reciprocity (Ireland and
-# Rosen, ch. 14): for ell in {3, 5, 7}, with c a primitive ell-th root of
-# unity mod p and pi = gcd(p, z - c) primary in Z[z], z**ell = 1, a prime r
-# other than ell and p has r**((p-1)/ell) = c**E mod p exactly when
-# (pi/r) = z**E, a product of powers of pi's conjugates mod r.  Z[z] is
-# norm-Euclidean for these ell (Lenstra, "Euclid's algorithm in cyclotomic
-# fields", 1975).  An element of Z[z] is a tuple of ell - 1 integers, the
-# coefficients of 1, z, ..., z**(ell-2), and (pi/r) comes from _ring_power
-# and _ring_mul in F_r[x]/(x**ell - 1), a column of ell residues there.
+# Indices of order m in {3, 5, 7, 8, 9} by the power reciprocity law (Ireland
+# and Rosen, ch. 14; Lemmermeyer, Reciprocity Laws, 2000): with c a primitive
+# mth root of unity mod p and pi = gcd(p, z - c) in Z[z], z**m = 1 primitive,
+# a prime r prime to m*p has r**((p-1)/m) = c**t mod p exactly when
+# (r/pi) = z**t.  The leaf reads (pi/r) = z**s, a product of powers of pi's
+# conjugates mod r, and t = s + chi(r).  For prime m and primary pi, chi = 0
+# (Eisenstein reciprocity); for m = 8 and 9, chi is the product of the Hilbert
+# symbols at the prime over 2 or 3, a character of r mod 16 or 27, learned once
+# per p.  Z[z] is norm-Euclidean for these m (Lenstra, "Euclid's algorithm in
+# cyclotomic fields", 1975).  An element of Z[z] is a list of phi(m) integers,
+# the coefficients of 1, z, ..., z**(phi(m)-1), reduced mod the cyclotomic
+# polynomial Phi_m, and (pi/r) comes from _ring_power and _ring_mul in the
+# ring _RINGS[m] over F_r: F_r[x]/(x**m - 1) for odd m, which Phi_m divides,
+# and Z[z]/(r) = F_r[x]/(x**4 + 1) itself at m = 8.
+_RINGS = {3: (3, 1), 5: (5, 1), 7: (7, 1), 8: (4, -1), 9: (9, 1)}
+_INVERSES = {m: np.array([pow(a, -1, m) if math.gcd(a, m) == 1 else 0 for a in range(m)]) for m in _RINGS}
+# At m = 8 and 9, chi is a character of r mod _CONDUCTOR[m], learned from its
+# value at each generator g of that group by the index of a prime r = g mod
+# the conductor (31 = -1 mod 16): (prime, g) in _LEARNED[m]
+_CONDUCTOR = {8: 16, 9: 27}
+_LEARNED = {8: ((31, 15), (5, 5)), 9: ((2, 2),)}
+# the leaf's indices at these primes are checked against pow once per state
+_CERTIFICATE_PRIMES = (7, 11, 13, 17, 19, 23, 29, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
-def _zeta_mul(a, b) -> list:
-    """a*b in Z[z]/(1 + z + ... + z**(ell-1))."""
-    ell = len(a) + 1
-    out = [0] * ell
+def _prime_of(m: int) -> int:
+    """The prime q of which m > 1 is a power, for m | 2520."""
+    return next(q for q in (2, 3, 5, 7) if m % q == 0)
+
+
+def _units(m: int) -> list[int]:
+    """The a in [1, m) prime to m, 1 first."""
+    return [a for a in range(1, m) if math.gcd(a, m) == 1]
+
+
+def _zeta_reduce(v: list, m: int) -> list:
+    """v, m coefficients mod x**m - 1, reduced mod Phi_m, which for m a power
+    of the prime q is the sum of x**(j*m/q) over j < q: phi(m) coefficients."""
+    step = m // _prime_of(m)
+    phi = m - step
+    for i in range(m - 1, phi - 1, -1):
+        for j in range(i - phi, i, step):
+            v[j] -= v[i]
+    return v[:phi]
+
+
+def _zeta_mul(a, b, m: int) -> list:
+    """a*b in Z[z]/Phi_m."""
+    out = [0] * m
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[(i + j) % ell] += x * y
-    return [v - out[-1] for v in out[:-1]]
+            out[(i + j) % m] += x * y
+    return _zeta_reduce(out, m)
 
 
-def _zeta_conj(a, s: int) -> list:
+def _zeta_conj(a, s: int, m: int) -> list:
     """sigma_s(a), the conjugate of a under z -> z**s."""
-    ell = len(a) + 1
-    out = [0] * ell
+    out = [0] * m
     for i, x in enumerate(a):
-        out[i * s % ell] += x
-    return [v - out[-1] for v in out[:-1]]
+        out[i * s % m] += x
+    return _zeta_reduce(out, m)
 
 
-def _zeta_others(a) -> list:
+def _zeta_others(a, m: int) -> list:
     """The product of a's conjugates other than a: a times it is N(a)."""
     acc = [1] + [0] * (len(a) - 1)
-    for s in range(2, len(a) + 1):
-        acc = _zeta_mul(acc, _zeta_conj(a, s))
+    for s in _units(m)[1:]:
+        acc = _zeta_mul(acc, _zeta_conj(a, s, m), m)
     return acc
 
 
 @lru_cache(maxsize=64)
-def _cyclotomic_prime(ell: int, p: int) -> tuple[int, tuple[int, ...]]:
-    """(c, pi) for ell in {3, 5, 7} and a prime p = 1 mod ell: c is the least
-    power c = g**((p-1)/ell) != 1 over g = 2, 3, ..., and pi = gcd(p, z - c)
-    in Z[z] by Euclid, of norm p, times the z**s that makes it primary
-    (congruent to an integer mod (1 - z)**2): z**i = 1 - i*(1 - z) there, so
-    with A = sum(a_i) and B = sum(i*a_i), s = -B/A mod ell."""
+def _cyclotomic_prime(m: int, p: int) -> tuple[int, tuple[int, ...]]:
+    """(c, pi) for m in {3, 5, 7, 8, 9} and a prime p = 1 mod m: c is the
+    least power c = g**((p-1)/m) of order m over g = 2, 3, ..., and
+    pi = gcd(p, z - c) in Z[z] by Euclid, of norm p.  For prime m = ell, pi
+    is times the z**s that makes it primary (congruent to an integer mod
+    (1 - z)**2): z**i = 1 - i*(1 - z) there, so with A = sum(a_i) and
+    B = sum(i*a_i), s = -B/A mod ell.  At m = 8 and 9 any pi of norm p
+    serves, since _correction learns chi for the pi it is given."""
+    q = _prime_of(m)
     g = 2
-    while (c := pow(g, (p - 1) // ell, p)) == 1:
+    while (c := pow(g, (p - 1) // m, p)) ** (m // q) % p == 1:
         g += 1
-    a, b = [p] + [0] * (ell - 2), [-c, 1] + [0] * (ell - 3)
-    rest = _zeta_others(b)
-    norm = _zeta_mul(b, rest)[0]
+    phi = m - m // q
+    a, b = [p] + [0] * (phi - 1), [-c, 1] + [0] * (phi - 2)
+    rest = _zeta_others(b, m)
+    norm = _zeta_mul(b, rest, m)[0]
     while norm:
-        # a - q*b with q = a*rest/N(b) rounded coefficientwise, or, where that
-        # falls short of N(b) (about one step in a thousand at ell = 7), the
-        # floor or ceiling of each coefficient
-        t = _zeta_mul(a, rest)
-        corners = ([v // norm + e for v, e in zip(t, corner)] for corner in itertools.product((0, 1), repeat=ell - 1))
-        for q in itertools.chain([[(2 * v + norm) // (2 * norm) for v in t]], corners):
-            r = [x - y for x, y in zip(a, _zeta_mul(q, b))]
-            r_rest = _zeta_others(r)
-            if (r_norm := _zeta_mul(r, r_rest)[0]) < norm:
+        # a - quo*b with quo = a*rest/N(b) rounded coefficientwise, or, where
+        # that falls short of N(b) (about one step in a thousand at m = 7),
+        # the floor or ceiling of each coefficient
+        t = _zeta_mul(a, rest, m)
+        corners = ([v // norm + e for v, e in zip(t, corner)] for corner in itertools.product((0, 1), repeat=phi))
+        for quo in itertools.chain([[(2 * v + norm) // (2 * norm) for v in t]], corners):
+            r = [x - y for x, y in zip(a, _zeta_mul(quo, b, m))]
+            r_rest = _zeta_others(r, m)
+            if (r_norm := _zeta_mul(r, r_rest, m)[0]) < norm:
                 break
         else:
-            raise ArithmeticError(f"no Euclidean step below N = {norm} in Z[z], z**{ell} = 1")
+            raise ArithmeticError(f"no Euclidean step below N = {norm} in Z[z], z of order {m}")
         a, b, rest, norm = b, r, r_rest, r_norm
-    s = -sum(i * x for i, x in enumerate(a)) * pow(sum(a), -1, ell) % ell
-    v = a + [0]
-    v = v[-s:] + v[:-s] if s else v  # z**s * pi: its coefficients rotated mod x**ell - 1
-    return c, tuple(x - v[-1] for x in v[:-1])
+    if m == q:
+        s = -sum(i * x for i, x in enumerate(a)) * pow(sum(a), -1, m) % m
+        a = _zeta_mul(a, _zeta_reduce([int(i == s) for i in range(m)], m), m)
+    return c, tuple(a)
 
 
 @lru_cache(maxsize=64)
-def _stickelberger_tables(ell: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, lam) for _eisenstein_index, from pi of _cyclotomic_prime, as
-    31-bit limbs, most significant first, of ell coefficients mod x**ell - 1
-    made nonnegative by adding a multiple of 1 + x + ... + x**(ell-1), which
-    is 0 in Z[z].  With u(a) = a^-1 mod ell in [1, ell-1]: theta[j] holds
-    limb j of prod over a of sigma_a(pi)**(u(a) - 1), and lam[j, t] limb j
-    of prod sigma_a(pi)**(floor(u(a)*e/ell) - low) for the e = t mod ell in
-    (-ell/2, ell/2), low the least of those exponents."""
-    _, pi = _cyclotomic_prime(ell, p)
-    u = [pow(a, -1, ell) for a in range(1, ell)]
+def _stickelberger_tables(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, lam) for _power_symbol, from pi of _cyclotomic_prime, as
+    read-only signed 31-bit limbs, most significant first, of the phi(m)
+    coefficients of elements of Z[z]: theta[j] holds limb j of one element,
+    and lam[j, :, rho] limb j of lam_e for the r with rho = r mod m.  With
+    u(a) = a^-1 mod m in [1, m) for a prime to m, and e = r - m*((r + h) // m)
+    in [-h, m - h), e = rho mod m: theta is prod over a of sigma_a(pi)**u(a),
+    and lam_e is prod sigma_a(pi)**floor(u(a)*e/m) (zero for rho not prime
+    to m).  At m = 8, h = 0 and the tables are exact, since its ring reads
+    signs.  The (m, 1) rings read z**t up to a unit scalar, so there
+    h = m // 2 keeps e near 0 and each element drops its least exponent, a
+    power of p = N(pi): theta the first, and each lam_e its own."""
+    pi = list(_cyclotomic_prime(m, p)[1])
+    s, units = _RINGS[m][1], _units(m)
+    h = m // 2 if s == 1 else 0
+    conjugates = {a: _zeta_conj(pi, a, m) for a in units}
 
-    def product(exponents):
-        # the least exponent is a power of p = N(pi), a unit mod every r
-        acc = [1] + [0] * (ell - 2)
-        for a, count in enumerate(exponents, start=1):
-            conj = _zeta_conj(pi, a)
-            for _ in range(count - min(exponents)):
-                acc = _zeta_mul(acc, conj)
-        low = min(acc + [0])
-        return [x - low for x in acc + [0]]
+    def product(exponent):
+        # prod over a of sigma_a(pi)**exponent(u(a))
+        exponents = {a: exponent(pow(a, -1, m)) for a in units}
+        low = min(exponents.values()) if s == 1 else 0
+        acc = [1] + [0] * (len(pi) - 1)
+        for a in units:
+            for _ in range(exponents[a] - low):
+                acc = _zeta_mul(acc, conjugates[a], m)
+        return acc
 
     def limbs(rows):
-        top = max(x.bit_length() for row in rows for x in row)
-        return np.array([[[(x >> shift) & 0x7FFFFFFF for x in row] for row in rows]
-                         for shift in range((top - 1) // 31 * 31, -1, -31)], dtype=np.int64)
+        top = max(abs(x).bit_length() for row in rows for x in row)
+        out = np.array([[[(abs(x) >> shift & 0x7FFFFFFF) * (-1 if x < 0 else 1) for x in row] for row in rows]
+                        for shift in range((top - 1) // 31 * 31, -1, -31)], dtype=np.int64)
+        out.flags.writeable = False
+        return out
 
-    lams = [product([v * e // ell for v in u]) for e in (t if 2 * t < ell else t - ell for t in range(ell))]
-    return limbs([product(u)])[:, 0], limbs(lams)
+    lam = [product(lambda u: u * ((rho + h) % m - h) // m) if rho in units else [0] * len(pi) for rho in range(m)]
+    return limbs([product(lambda u: u)])[:, 0], limbs(list(zip(*lam)))
 
 
-def _eisenstein_index(r: np.ndarray, ell: int, p: int) -> np.ndarray:
-    """t[i] in Z/ell with r[i]**((p-1)/ell) = c**t[i] mod p, c and pi as in
-    _cyclotomic_prime, for ell in {3, 5, 7}, primes r[i] < 2**30 other than ell
-    and a prime p = 1 mod ell other than r[i]; r[i] is an ell-th power iff
-    t[i] = 0.
+def _power_symbol(r: np.ndarray, m: int, p: int) -> np.ndarray:
+    """s[i] in Z/m with (pi/r[i]) = z**s[i], pi as in _cyclotomic_prime, for
+    m in {3, 5, 7, 8, 9}, primes r[i] prime to m*p, below 2**30 (2**29 at
+    m = 9).
 
-    By Eisenstein reciprocity z**t = (pi/r), the product over the primes
-    P | r of pi**((r**f - 1)/ell) mod P, f the order of r mod ell.  The f
-    base-r digits of (r**f - 1)/ell are floor(w*r/ell), w = r**(f-1-i) mod
-    ell, and pi**r = sigma_r(pi) mod r (Frobenius); with P = sigma_a(P0) for
-    a over the cosets of <r>, the product is prod over every b of
-    sigma_b(pi)**floor(v*r/ell), v = (b*r)^-1 mod ell.  So, with M = r/ell
-    rounded, e = r - ell*M and rho = r mod ell, it is
-    sigma_rho^-1(theta**M * lam_e) times a power of p, a unit mod r (theta
-    and lam_e as in _stickelberger_tables): theta**M by _ring_power, about
-    log2(r/ell) steps in F_r[x]/(x**ell - 1), times lam_e by _ring_mul, in
-    place of a power mod p.  A value s*x**t' + u*(1 + x + ... + x**(ell-1))
-    with s != 0 is z**t' there, so t' is the coordinate unlike the others,
-    and t = t'/rho = t'*rho**(ell-2) mod ell.
+    (pi/r) is the product over the primes P | r of pi**((r**f - 1)/m) mod P,
+    f the order of r mod m.  The f base-r digits of w*(r**f - 1)/m, for
+    0 < w < m, are floor(r*v/m), v = w*r**(f-1-i) mod m, and pi**r =
+    sigma_r(pi) mod r (Frobenius); with P = sigma_a(P0) for a over the
+    cosets of <r> and w = u(a), (pi/r) = z**s mod r is the product over
+    every b prime to m of sigma_b(pi)**floor(r*u(b*r)/m), u(v) = v^-1 mod m.
+    With M = (r + h) // m, e and rho = r mod m as in _stickelberger_tables,
+    that is sigma_rho^-1(theta**M * lam_e), times a power of p where the
+    tables drop one: theta**M by _ring_power, about log2(r/m) steps, times
+    lam_e by _ring_mul, in place of a power mod p, gives z**(rho*s), and
+    s = (rho*s)/rho mod m.  In F_r[x]/(x**m - 1), m odd, u*z**t is u*x**t
+    plus a multiple of Phi_m, whose coordinates repeat with period m/q, so
+    t is the coordinate unlike the others of its class mod m/q (of which
+    there are q >= 3); in F_r[x]/(x**4 + 1) at m = 8, z**t is x**t for t < 4
+    and -x**(t-4) above.
     """
-    theta, lam = _stickelberger_tables(ell, p)
-    rho = r % ell
-    # theta and lam_e mod r by int64 Horner passes over their limbs
-    x, y = np.zeros((2, ell, len(r)), dtype=np.int64)
-    for limbs in theta:
-        x = ((x << 31) | limbs[:, None]) % r
-    for limbs in lam:
-        y = ((y << 31) | limbs[rho].T) % r
-    acc = _ring_mul(_ring_power(x, (r + ell // 2) // ell, r, 1), y, r, 1)
-    unlike = acc != np.where(acc[0] == acc[1], acc[0], acc[2])
-    return np.argmax(unlike, axis=0) * rho ** (ell - 2) % ell
+    theta, lam = _stickelberger_tables(m, p)
+    width, s = _RINGS[m]
+    rho = r % m
+
+    def horner(acc, limbs):
+        # an element mod r by an int64 Horner pass over its limbs
+        for limb in limbs:
+            np.left_shift(acc, 31, out=acc)
+            acc += limb
+            np.remainder(acc, r, out=acc)
+
+    # theta and lam_e mod r in the first phi(m) coordinates of the ring
+    x, y = np.zeros((2, width, len(r)), dtype=np.int64)
+    horner(x[: theta.shape[1]], theta[:, :, None])
+    horner(y[: theta.shape[1]], (limbs.take(rho, axis=1) for limbs in lam))
+    acc = _ring_mul(_ring_power(x, (r + (m // 2 if s == 1 else 0)) // m, r, s), y, r, s)
+    if s == -1:
+        t = np.argmax(acc != 0, axis=0)
+        t += width * (acc[t, np.arange(len(r))] != 1)
+    else:
+        q = _prime_of(m)
+        rows = acc.reshape(q, m // q, len(r))  # rows[i, j] is coordinate i*m/q + j
+        common = np.where(rows[0] == rows[1], rows[0], rows[2])
+        t = np.argmax((rows != common).reshape(m, len(r)), axis=0)
+    return t * _INVERSES[m][rho] % m
+
+
+def _eisenstein_index(r: np.ndarray, m: int, p: int) -> np.ndarray:
+    """t[i] in Z/m with r[i]**((p-1)/m) = c**t[i] mod p, c and pi as in
+    _cyclotomic_prime, for m in {3, 5, 7, 8, 9}, primes r[i] prime to m*p,
+    below 2**30 (2**29 at m = 9), and a prime p = 1 mod m; r[i] is an mth
+    power iff t[i] = 0.  By reciprocity t = s + chi(r), s from _power_symbol
+    and chi from _correction."""
+    s = _power_symbol(r, m, p)
+    return s if m not in _CONDUCTOR else (s + _correction(m, p)[r % _CONDUCTOR[m]]) % m
 
 
 @lru_cache(maxsize=64)
-def _paid_index(r: int, m: int, p: int) -> int:
-    """t in Z/m with r**((p-1)/m) = c**t mod p, for the one prime r that no
-    index leaf of part m in {4, 3, 5, 7} takes (2 at m = 4, ell at m = ell),
-    by one pow memoised per p.  c is part m's root of unity: -a/b mod p for
-    the Gaussian prime a + b*i of _gaussian_prime at m = 4 (c = i mod
-    a + b*i), and c of _cyclotomic_prime at m = ell."""
+def _correction(m: int, p: int) -> np.ndarray:
+    """chi for m in {8, 9}, as a read-only table of its values at r mod
+    _CONDUCTOR[m]: chi(g) = t - s at a prime r = g mod the conductor for each
+    generator g in _LEARNED[m], t from _paid_index and s from _power_symbol,
+    and chi(g**i * h) = i*chi(g) + chi(h).  _certify checks the state before
+    any verdict reads it."""
+    conductor = _CONDUCTOR[m]
+    chi = {1: 0}
+    for prime, g in _LEARNED[m]:
+        v = _paid_index(prime, m, p) - int(_power_symbol(np.array([prime]), m, p)[0])
+        for x, t in list(chi.items()):
+            while (x := x * g % conductor) not in chi:
+                t += v
+                chi[x] = t % m
+    table = np.zeros(conductor, dtype=np.int64)
+    table[list(chi)] = list(chi.values())
+    _certify(m, p, table)
+    table.flags.writeable = False
+    return table
+
+
+def _certify(m: int, p: int, chi: np.ndarray) -> None:
+    """An IntegrityError unless the octic or nonic state of p holds: N(pi) = p
+    by exact integer arithmetic, pi(c) = 0 mod p, and the leaf's indices with
+    the correction chi match one pow and a lookup among the powers of c on
+    each of _CERTIFICATE_PRIMES."""
+    c, pi = _cyclotomic_prime(m, p)
+    if _zeta_mul(pi, _zeta_others(pi, m), m) != [p] + [0] * (len(pi) - 1):
+        raise IntegrityError(f"order-{m} state of p={p}: pi = {pi} is not of norm p")
+    if reduce(lambda acc, x: (acc * c + x) % p, reversed(pi), 0):
+        raise IntegrityError(f"order-{m} state of p={p}: pi(c) != 0 mod p for c = {c}")
+    r = np.array(_CERTIFICATE_PRIMES)
+    got = ((_power_symbol(r, m, p) + chi[r % len(chi)]) % m).tolist()
+    want = [_pow_index(q, m, p) for q in _CERTIFICATE_PRIMES]
+    if got != want:
+        raise IntegrityError(f"order-{m} state of p={p}: indices {got} at {_CERTIFICATE_PRIMES}, pow gives {want}")
+
+
+@lru_cache(maxsize=64)
+def _roots(m: int, p: int) -> tuple[int, ...]:
+    """1, c, ..., c**(m-1) for part m's root of unity c: -a/b mod p for the
+    Gaussian prime a + b*i of _gaussian_prime at m = 4 (c = i mod a + b*i),
+    and c of _cyclotomic_prime otherwise."""
     if m == 4:
         a, b = _gaussian_prime(p)
         c = -a * pow(b, -1, p) % p
     else:
         c = _cyclotomic_prime(m, p)[0]
-    roots = list(itertools.accumulate([c] * (m - 1), lambda x, y: x * y % p, initial=1))
-    return roots.index(pow(r, (p - 1) // m, p))
+    return tuple(itertools.accumulate([c] * (m - 1), lambda x, y: x * y % p, initial=1))
+
+
+def _pow_index(r: int, m: int, p: int) -> int:
+    """t in Z/m with r**((p-1)/m) = c**t mod p, c as in _roots, by one pow."""
+    return _roots(m, p).index(pow(r, (p - 1) // m, p))
+
+
+@lru_cache(maxsize=64)
+def _paid_index(r: int, m: int, p: int) -> int:
+    """_pow_index memoised per p, for the primes no index leaf of part m in
+    {4, 8, 3, 9, 5, 7} takes (2 at m = 4 and 8, 3 at 3 and 9, ell at ell)
+    and the primes _correction learns chi from."""
+    return _pow_index(r, m, p)
 
 
 def _part_index(r: np.ndarray, m: int, p: int) -> np.ndarray:
     """t[i] in Z/m with r[i]**((p-1)/m) = c**t[i] mod p, for a part m in
-    {2, 4, 3, 5, 7} with m | p-1 and primes r[i] < 2**30 other than p, c
-    the part's root of unity (-1 for m = 2, as in _paid_index otherwise):
-    the Jacobi symbol takes every r at m = 2, the quartic index every odd r
-    at 4 and the Eisenstein index every r other than ell at ell."""
+    {2, 4, 8, 3, 9, 5, 7} with m | p-1 and primes r[i] < 2**30 other than p,
+    c the part's root of unity (-1 for m = 2, as in _roots otherwise): the
+    Jacobi symbol takes every r at m = 2, the quartic index every odd r at
+    4, and _eisenstein_index every r prime to m at 8, 3, 5 and 7 and every
+    such r below 2**29 at 9.  The prime of m pays one pow per p
+    (_paid_index), and at m = 9 each r of 2**29 or more pays one pow."""
     if m == 2:
         return np.where(_quadratic_flags(r, p), 0, 1)
-    paid = 2 if m == 4 else m
-    leaf = r != paid
+    paid = _prime_of(m)
+    leaf = (r != paid) & (r < (2**29 if m == 9 else 2**30))
     t = np.empty(len(r), dtype=np.int64)
-    t[leaf] = _quartic_index(r[leaf], p) if m == 4 else _eisenstein_index(r[leaf], m, p)
-    if not leaf.all():
-        t[~leaf] = _paid_index(paid, m, p)
+    if leaf.any():
+        t[leaf] = _quartic_index(r[leaf], p) if m == 4 else _eisenstein_index(r[leaf], m, p)
+    t[~leaf] = [_paid_index(q, m, p) if q == paid else _pow_index(q, m, p) for q in r[~leaf].tolist()]
     return t
 
 
 def _prime_indices(r: np.ndarray, d: int, p: int) -> np.ndarray:
-    """t[i] in Z/d for d | 420 with d | p-1 and primes r[i] < 2**30 other than
-    p: t[i] = _part_index(r, m, p)[i] mod m for each part m of d (its 2-part,
-    3, 5 and 7), joined by the Chinese remainder theorem.  Arrays go
-    _WIDE_CHUNK entries at a time (about 4 MB of scratch)."""
-    if len(r) > _WIDE_CHUNK:
-        return np.concatenate([_prime_indices(r[i : i + _WIDE_CHUNK], d, p) for i in range(0, len(r), _WIDE_CHUNK)])
+    """t[i] in Z/d for d | 2520 with d | p-1 and primes r[i] < 2**30 other than
+    p: t[i] = _part_index(r, m, p)[i] mod m for each part m of d (its 2-part
+    2, 4 or 8, its 3-part 3 or 9, and 5 and 7), joined by the Chinese
+    remainder theorem.  Arrays go _WIDE_CHUNK entries at a time, and half
+    as many where 9 | d, whose ring gathers 81 numbers a column: at most
+    about 4.4 MB of scratch either way."""
+    chunk = _WIDE_CHUNK // 2 if d % 9 == 0 else _WIDE_CHUNK
+    if len(r) > chunk:
+        return np.concatenate([_prime_indices(r[i : i + chunk], d, p) for i in range(0, len(r), chunk)])
     t = np.zeros(len(r), dtype=np.int64)
-    for m in (math.gcd(d, 4), 3, 5, 7):
+    for m in (math.gcd(d, 8), math.gcd(d, 9), 5, 7):
         if m > 1 and d % m == 0:
             t += _part_index(r, m, p) * (d // m * pow(d // m, -1, m))
     return t % d
@@ -807,7 +933,7 @@ def _exponents(ns: np.ndarray, bases: np.ndarray, take: np.ndarray) -> np.ndarra
 
 def _entry_indices(n: np.ndarray, bases: np.ndarray | None, j: np.ndarray | None, spf: np.ndarray | None,
                    d: int, p: int) -> np.ndarray:
-    """t[i] in Z/d for d | 420 with d | p-1: the sum of e * _prime_indices(r)
+    """t[i] in Z/d for d | 2520 with d | p-1: the sum of e * _prime_indices(r)
     over the (entry, prime, exponent) triples (i, r, e) of n[i], so that
     t[i] mod m is the index of n[i] in each part m of d.  The triple is
     (i, bases[i], j[i]) for n[i] = bases[i]**j[i] with primes
@@ -824,22 +950,33 @@ def _entry_indices(n: np.ndarray, bases: np.ndarray | None, j: np.ndarray | None
     return t % d
 
 
-def _prime_stage(n: np.ndarray, bases: np.ndarray | None, j: np.ndarray | None, k: int,
-                 p: int) -> tuple[np.ndarray, np.ndarray]:
+def _prime_stage(n: np.ndarray, bases: np.ndarray | None, j: np.ndarray | None, k: int, p: int,
+                 known: int) -> tuple[np.ndarray, np.ndarray]:
     """(flags, done) for the entries n: done[i] when the stage decides n[i],
     and then flags[i] = n[i]**((p-1)/k) == 1 mod p.  n[i] = bases[i]**j[i]
     for primes bases[i] < 2**30 other than p, or without bases
     1 <= n[i] <= _FACTOR_LIMIT, split into primes by a table of smallest
     prime factors.
 
-    An entry is a dth power, d = gcd(k, 420), iff its index from
-    _entry_indices is 0, which for d = k is the verdict.  For d < k the
-    factored survivors take n**((p-1)/k) as the product of one witness
-    pow(r, (p-1)/k, p) per distinct prime among them, when they have fewer
-    such primes than entries; other survivors stay undecided."""
-    d = math.gcd(k, 420)
+    With d = gcd(k, 2520), an entry is a dth power iff its index from
+    _entry_indices is 0, which for d = k is the verdict.  Where 8 or 9
+    divides d, a first pass tests the part with 4 and 3 in their place, whose
+    leaves cost a third to a half of theirs, and only the entries it passes
+    take the parts 8 and 9.  A pass on a part that divides known, a part of k
+    every entry is known to be a power of (1 for none), is skipped: it could
+    decide nothing.  For d < k the factored survivors take n**((p-1)/k) as
+    the product of one witness pow(r, (p-1)/k, p) per distinct prime among
+    them, when they have fewer such primes than entries; other survivors
+    stay undecided."""
+    d = math.gcd(k, 2520)
     spf = None if bases is not None else _smallest_prime_factors(int(n.max(initial=1)))
-    flags = _entry_indices(n, bases, j, spf, d, p) == 0 if d > 1 else np.ones(len(n), dtype=bool)
+    flags = np.ones(len(n), dtype=bool)
+    high = math.prod(m for m in (8, 9) if d % m == 0)
+    for part in (d,) if high == 1 else (d // math.gcd(high, 6), high):
+        if known % part:
+            alive = np.flatnonzero(flags)
+            flags[alive] = _entry_indices(n[alive], None if bases is None else bases[alive],
+                                          None if j is None else j[alive], spf, part, p) == 0
     done = np.ones(len(n), dtype=bool) if d == k else ~flags
     if d < k and spf is not None:
         alive = np.flatnonzero(flags)
@@ -887,19 +1024,24 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
        ladders overflow int64 from 2**30 on); without bases, for entries
        1 <= n <= 2**20, a triple (i, r, 1) for each step of a walk through a
        table of smallest prime factors of their maximum.  Each distinct
-       prime r takes its index t in Z/m for each part m of d = gcd(k, 420)
-       (the 2-part of k, 3, 5 and 7 as they divide k), with
-       r**((p-1)/m) = c**t for the part's root of unity c (_paid_index): the
-       Jacobi symbol gives it for m = 2, quartic reciprocity for 4 (odd r),
-       the Eisenstein index for ell (r != ell), and a prime no leaf takes (2
-       at 4, ell at ell) pays one pow(r, (p-1)/m, p) per p, read as a power
-       of c.
+       prime r takes its index t in Z/m for each part m of d = gcd(k, 2520)
+       (the 2-part of k up to 8, its 3-part up to 9, and 5 and 7 as they
+       divide k), with r**((p-1)/m) = c**t for the part's root of unity c
+       (_roots): the Jacobi symbol gives it for m = 2, quartic reciprocity
+       for 4 (odd r), and the index leaf of m for 8 (odd r), 3, 9, 5 and 7
+       (r prime to m; at 9, r < 2**29).  Each prime no leaf takes (2 at 4
+       and 8, 3 at 3 and 9, ell at ell) pays one pow(r, (p-1)/m, p) per p,
+       read as a power of c, and so does each r of 2**29 or more at 9.
        An entry's part index is the sum of e*t over its triples mod m, and
-       the entry is a dth power iff every part index is 0.  When d = k that
-       is the verdict.  Otherwise the survivors (every entry for d = 1) need
-       the full exponent (p-1)/k: the factored ones take the product of one
-       witness pow(r, (p-1)/k, p) per distinct prime among them, when they
-       have fewer such primes than entries, and the rest go on to stage 2.
+       the entry is a dth power iff every part index is 0.  The parts 8 and
+       9 run only on the primes of the entries that pass 4 and 3 in their
+       place, since their leaves cost two to three times as much.  When
+       d = k, which holds for every k dividing 2520, that is the verdict.
+       Otherwise (16 | k, 27 | k, or k has a prime factor of 11 or more)
+       the survivors (every entry for d = 1) need the full exponent
+       (p-1)/k: the factored ones take the product of one witness
+       pow(r, (p-1)/k, p) per distinct prime among them, when they have
+       fewer such primes than entries, and the rest go on to stage 2.
        The stage runs once (entries taken) * (bits of p) reaches 1024
        (below that one pow each is faster) and, without bases, 16 times
        that reaches the largest entry (the table costs about 20 ns an
@@ -912,6 +1054,13 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
     3. One scalar jacobi (k = 2) or pow per entry still left.
     """
     ns, bases = _entries(ns, bases)
+    return _euler_flags(ns, bases, k, p, 1)
+
+
+def _euler_flags(ns: np.ndarray, bases: np.ndarray | None, k: int, p: int, known: int) -> np.ndarray:
+    """euler_flags on checked entries, every one of them known to be a
+    power of known, a divisor of k: the prime stage skips the index passes
+    that could decide nothing."""
     if k < 1 or (p - 1) % k != 0:
         raise DomainError(f"k={k} does not divide p-1={p - 1}")
     e = (p - 1) // k
@@ -929,12 +1078,12 @@ def euler_flags(ns, k: int, p: int, bases=None) -> np.ndarray:
         return result == 1
     flags = np.zeros(len(ns), dtype=bool)
     left = np.arange(len(ns))
-    if k >= 3 and (bases is None or math.gcd(k, 420) > 1):
+    if k >= 3 and (bases is None or known % math.gcd(k, 2520)):
         take = np.flatnonzero((ns >= 1) & (ns <= _FACTOR_LIMIT) if bases is None else (bases >= 2) & (bases < 2**30))
         work = len(take) * p.bit_length()
         if work >= _INDEX_MIN_WORK and (bases is not None or ns[take].max(initial=0) <= 16 * work):
             j = None if bases is None else _exponents(ns, bases, take)
-            flags[take], done = _prime_stage(ns[take], None if bases is None else bases[take], j, k, p)
+            flags[take], done = _prime_stage(ns[take], None if bases is None else bases[take], j, k, p, known)
             rest = np.ones(len(ns), dtype=bool)
             rest[take[done]] = False
             left = np.flatnonzero(rest)
@@ -967,22 +1116,25 @@ def has_exact_order(ns, p: int, k: int, p_minus_1_factors, bases=None) -> np.nda
     n**((p-1)/(k*f)) == 1.  For f not dividing k it is euler_flags with f
     in place of k*f: F_p* is cyclic, so for gcd(k, f) = 1 its (k*f)th powers
     are its kth powers that are fth powers.  Every stage goes through
-    euler_flags' prime stage, which decides the part gcd(degree, 420) of its
-    degree by character indices, so only the primes no index leaf takes pay
-    a power there (at 10^48+217 with k = 7, the first stage pays one, for
-    the prime 7); f = 2 is a Jacobi symbol.  bases, as in euler_flags, goes
-    to every stage, which takes the survivors' bases alone.  A flagged entry
-    has order (p-1)/k, so a caller that needs the order of one need not
-    compute it again.
+    euler_flags' prime stage, which decides the part gcd(degree, 2520) of
+    its degree by character indices, so only the primes no index leaf takes
+    pay a power there (at 10^48+217 with k = 7, the first stage pays one,
+    for the prime 7); f = 2 is a Jacobi symbol.  A stage's entries are kth
+    powers, so it runs no index pass on a part of k: none at all where
+    gcd(k*f, 2520) = gcd(k, 2520), and at k = 3, f = 3 only the nonic one.
+    bases, as in euler_flags, goes to every stage, which takes the
+    survivors' bases alone.  A flagged entry has order (p-1)/k, so a caller
+    that needs the order of one need not compute it again.
     """
     ns, bases = _entries(ns, bases)
-    flags = euler_flags(ns, k, p, bases)
+    flags = _euler_flags(ns, bases, k, p, 1)
     e = (p - 1) // k
     for f in _distinct_factors(p_minus_1_factors, p):
         if e % f == 0:
             alive = np.flatnonzero(flags)
-            flags[alive] = ~euler_flags(ns[alive], k * f if k % f == 0 else f, p,
-                                        None if bases is None else bases[alive])
+            degree = k * f if k % f == 0 else f
+            flags[alive] = ~_euler_flags(ns[alive], None if bases is None else bases[alive], degree, p,
+                                         math.gcd(k, degree))
     return flags
 
 

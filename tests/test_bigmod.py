@@ -26,7 +26,7 @@ from apresidues.bigmod import (
     primes_up_to,
     von_mangoldt,
 )
-from apresidues.errors import DomainError, ResourceError
+from apresidues.errors import DomainError, IntegrityError, ResourceError
 
 from conftest import (
     P24,
@@ -377,13 +377,11 @@ class TestWideEulerFlags:
         primes = primes_up_to(7919)  # the first 1000 primes
         euler_flags(ns, 2, P24)
         # for k >= 3 the prime stage takes 1..1000, and primes without a base
-        # (k = 8: the quartic index decides the 4th powers, and the survivors,
-        # with as many primes as entries, take one pow each), but not entries
-        # above its table limit
+        # (k = 8: the octic index decides them all; the quartic index left the
+        # 4th powers one pow each), but not entries above its table limit
         euler_flags(ns, 7, P48)
         euler_flags(primes, 8, P48)
-        survivors = [n for n, flag in zip(primes.tolist(), scalar_flags(primes, 4, P48)) if flag]
-        assert calls[-1] == ("scalar", survivors)
+        assert calls[-1] == ("scalar", [])
         euler_flags(ns + bigmod._FACTOR_LIMIT, 7, P48)
         assert sizes("quadratic", "montgomery") == [1000, 1000]
         assert sizes("prime") == [1000, 1000]
@@ -396,13 +394,13 @@ class TestWideEulerFlags:
         assert sizes("quadratic", "montgomery")[2:] == [1000, 1002]
         assert sizes("prime")[2:] == [1000]
         # short arrays, and moduli of more than 6 limbs for k >= 3, stay
-        # scalar; for k = 9 the cubic index leaves its survivors one pow each
-        p170 = next(q for q in range(2**170 + 1, 2**170 + 10**5, 2) if q % 9 == 1 and is_prime(q))
+        # scalar; for k = 27 the nonic index leaves its survivors one pow each
+        p170 = next(q for q in range(2**170 + 1, 2**170 + 10**6, 2) if q % 27 == 1 and is_prime(q))
         euler_flags(ns[: bigmod._WIDE_MIN - 1], 2, P24)
-        euler_flags(primes, 9, p170)
+        euler_flags(primes, 27, p170)
         assert len(sizes("quadratic", "montgomery")) == 4 and len(sizes("prime")) == 4
-        cubes = [n for n, flag in zip(primes.tolist(), scalar_flags(primes, 3, p170)) if flag]
-        assert calls[-2:] == [("prime", primes.tolist()), ("scalar", cubes)]
+        ninths = [n for n, flag in zip(primes.tolist(), scalar_flags(primes, 9, p170)) if flag]
+        assert calls[-2:] == [("prime", primes.tolist()), ("scalar", ninths)]
         euler_flags(ns, 2, p170)
         assert sizes("quadratic", "montgomery")[4:] == [1000]
         # for k = 3 the same primes take their cubic indices, at any size of p
@@ -476,10 +474,10 @@ def stage_calls(monkeypatch):
     calls = []
     original = bigmod._prime_stage
 
-    def spy(n, bases, j, k, p):
+    def spy(n, bases, *rest):
         if bases is not None:
             calls.append(n.tolist())
-        return original(n, bases, j, k, p)
+        return original(n, bases, *rest)
 
     monkeypatch.setattr(bigmod, "_prime_stage", spy)
     return calls
@@ -496,11 +494,11 @@ def leaf_calls(monkeypatch):
     stage, quadratic = bigmod._prime_stage, bigmod._quadratic_flags
     power, scalar = bigmod._Montgomery.power_is_one, bigmod._scalar_flags
 
-    def stage_spy(n, bases, j, k, p):
+    def stage_spy(n, *rest):
         calls.append(("prime", n.tolist()))
         inside.append(True)
         try:
-            return stage(n, bases, j, k, p)
+            return stage(n, *rest)
         finally:
             inside.pop()
 
@@ -605,12 +603,13 @@ class TestReciprocityFlags:
             calls.clear()
             assert euler_flags(ns, k, p).tolist() == got.tolist()
             assert calls == [("prime", below), ("scalar", [big])]
-        # for k > gcd(k, 420) only the survivors go on, with the full exponent
+        # for k > gcd(k, 2520) only the survivors go on, with the full
+        # exponent (k = 9 took this route while the stage stopped at cubes)
         calls.clear()
-        got = euler_flags(ns, 9, P128, bases=bases)
-        assert got.tolist() == scalar_flags(ns, 9, P128)
-        cubes = [n for n, cube in zip(ns.tolist(), scalar_flags(ns, 3, P128)) if cube or n == big]
-        assert calls == [("prime", below), ("scalar", cubes)]
+        got = euler_flags(ns, 27, P128, bases=bases)
+        assert got.tolist() == scalar_flags(ns, 27, P128)
+        ninths = [n for n, ninth in zip(ns.tolist(), scalar_flags(ns, 9, P128)) if ninth or n == big]
+        assert calls == [("prime", below), ("scalar", ninths)]
         # k = 2 is the Jacobi path with or without bases
         calls.clear()
         euler_flags(ns, 2, P128, bases=bases)
@@ -629,7 +628,7 @@ class TestReciprocityFlags:
     def test_each_entry_reaches_one_leaf(self, p, k, x, monkeypatch):
         """Every entry reaches one leaf, or two (the prime stage, then the
         wide path or one pow) when it survives the dth-power test and d < k,
-        d = gcd(k, 420); the wide path takes what is left once that is at
+        d = gcd(k, 2520); the wide path takes what is left once that is at
         least _WIDE_MIN entries, whatever the length of the whole array.
         Every array is past the stage's work threshold, which takes every
         base below 2**30 (2, 3, 5 and 7 included) for k >= 3 and d > 1; the
@@ -638,7 +637,7 @@ class TestReciprocityFlags:
         big = next_prime(2**31)
         ns, bases = prime_powers_up_to(x)
         ns, bases = np.append(ns, big), np.append(bases, big)
-        d = math.gcd(k, 420)
+        d = math.gcd(k, 2520)
         want = scalar_flags_by_k(ns, (d, k), p)
         assert euler_flags(ns, k, p, bases=bases).tolist() == want[k]
         taken = (bases >= 2) & (bases < 2**30) & (k >= 3 and d > 1)
@@ -688,7 +687,7 @@ class TestReciprocityFlags:
         assert int(k) != 2 or got[squares].any()
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(3_037_000_501, 2**200), st.sampled_from([3, 4, 6, 8, 9, 12]),
+    @given(st.integers(3_037_000_501, 2**200), st.sampled_from([3, 4, 6, 8, 9, 12, 18, 24, 72]),
            st.lists(st.tuples(st.integers(4, 2**31 - 2**20), st.integers(1, 12)), min_size=1, max_size=20))
     # a base in [2**30, 2**31) at k = 3, which overflows the index ladder
     @example(start=264_046_743_061, k=3, pairs=[(2_104_655_057, 1)])
@@ -872,12 +871,14 @@ class TestSharedPrimes:
         assert peak < 8 * 2**20, peak
 
 
-def pow_indices(rs, ell, p):
-    """The t with r**((p-1)/ell) = c**t mod p for each r, by one pow each,
-    where c is the least power g**((p-1)/ell) != 1 over g = 2, 3, ..."""
-    c = next(w for g in itertools.count(2) if (w := pow(g, (p - 1) // ell, p)) != 1)
-    index = {pow(c, t, p): t for t in range(ell)}
-    return [index[pow(int(r), (p - 1) // ell, p)] for r in rs]
+def pow_indices(rs, m, p):
+    """The t with r**((p-1)/m) = c**t mod p for each r, by one pow each, for
+    m a power of a prime q, where c is the least power g**((p-1)/m) of order
+    m over g = 2, 3, ... (for prime m, the least one other than 1)."""
+    q = min(factorize(m))
+    c = next(w for g in itertools.count(2) if pow(w := pow(g, (p - 1) // m, p), m // q, p) != 1)
+    index = {pow(c, t, p): t for t in range(m)}
+    return [index[pow(int(r), (p - 1) // m, p)] for r in rs]
 
 
 def weighted_count_by_pow(p, k, cls, x):
@@ -1032,6 +1033,208 @@ class TestEisensteinIndex:
             assert euler_flags(ns, k, p).tolist() == scalar_flags(ns, k, p)
 
 
+@pytest.fixture
+def cold_leaf_state():
+    """Empty the memoised reciprocity state before and after a test, so that
+    a test that builds it from patched parts leaves nothing behind."""
+    caches = (bigmod._cyclotomic_prime, bigmod._stickelberger_tables, bigmod._correction, bigmod._roots,
+              bigmod._paid_index)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+class TestOcticNonicIndex:
+    """The octic (m = 8) and nonic (m = 9) index leaves: pi = gcd(p, z - c)
+    in Z[z], z of order m, and the index of r from one ladder mod r plus a
+    correction, a character of r mod 16 or 27 learned once per p."""
+
+    # p = 1 mod 72 at 24, 36 and 48 digits
+    SEEDED = [seeded_prime(digits, 1, 7200 + digits, modulus=72) for digits in (24, 36, 48)]
+    CASES = [(P48, 8), (P128, 9)] + [(p, m) for p in SEEDED for m in (8, 9)]
+    IDS = ["10^48+217-8", "2^128+51-9"] + [f"{d}d-{m}" for d in (24, 36, 48) for m in (8, 9)]
+
+    def test_seeded_primes(self):
+        assert [len(str(p)) for p in self.SEEDED] == [24, 36, 48]
+        assert all(p % 72 == 1 and is_prime(p) for p in self.SEEDED)
+
+    @pytest.mark.parametrize("p,m", CASES, ids=IDS)
+    def test_index_matches_pow_below_10_5(self, p, m):
+        """Every prime r < 10**5 that the leaf takes, and three just below its
+        bound (2**30, or 2**29 at m = 9); every index occurs at the primes
+        r = 1 mod m, where r splits completely."""
+        q = 2 if m == 8 else 3
+        top = 2**30 if m == 8 else 2**29
+        r = primes_up_to(10**5)
+        r = np.concatenate([r[r != q], [next_prime(top - 200 * i) for i in range(1, 4)]])
+        assert r.max() < top
+        got = bigmod._eisenstein_index(r, m, p)
+        assert got.tolist() == pow_indices(r, m, p)
+        assert set(got[r % m == 1].tolist()) == set(range(m))
+
+    @pytest.mark.parametrize("p,m", CASES, ids=IDS)
+    def test_pi_has_norm_p_and_divides_z_minus_c(self, p, m):
+        sympy = pytest.importorskip("sympy")
+        c, pi = bigmod._cyclotomic_prime(m, p)
+        x = sympy.symbols("x")
+        poly = sum(a * x**i for i, a in enumerate(pi))
+        assert len(pi) == sympy.totient(m)
+        assert sympy.resultant(poly, sympy.cyclotomic_poly(m, x), x) == p
+        assert pow(c, m // 2 if m == 8 else m // 3, p) != 1 and pow(c, m, p) == 1
+        assert sum(a * pow(c, i, p) for i, a in enumerate(pi)) % p == 0
+
+    @pytest.mark.parametrize("p,m", CASES, ids=IDS)
+    def test_correction_is_a_character(self, p, m):
+        """chi(r) = t - s mod m depends on r mod 16 or 27 alone and is
+        multiplicative there; the prime of m has no entry."""
+        conductor = 16 if m == 8 else 27
+        chi = bigmod._correction(m, p)
+        assert not chi.flags.writeable and len(chi) == conductor
+        units = [a for a in range(conductor) if math.gcd(a, conductor) == 1]
+        for a in units:
+            for b in units:
+                assert chi[a * b % conductor] == (chi[a] + chi[b]) % m
+        r = primes_up_to(3000)[2:]
+        t = np.array(pow_indices(r, m, p))
+        s = bigmod._power_symbol(r, m, p)
+        assert ((t - s) % m).tolist() == chi[r % conductor].tolist()
+
+    def test_chunks(self, monkeypatch):
+        """The parts take _WIDE_CHUNK primes at a time, and half as many
+        where 9 | d, so the nonic ring's gather stays near the other leaves'
+        scratch."""
+        monkeypatch.setattr(bigmod, "_WIDE_CHUNK", 64)
+        chunks, original = [], bigmod._part_index
+        monkeypatch.setattr(bigmod, "_part_index", lambda r, m, p: chunks.append((m, len(r))) or original(r, m, p))
+        r = primes_up_to(1000)[2:]  # 5 .. 997, 166 primes
+        assert bigmod._prime_indices(r, 9, P128).tolist() == pow_indices(r, 9, P128)
+        assert bigmod._prime_indices(r, 8, P48).tolist() == pow_indices(r, 8, P48)
+        assert max(n for m, n in chunks if m == 9) == 32 and max(n for m, n in chunks if m == 8) == 64
+
+    def test_part_index_pays_one_pow_from_2_29_at_m_9(self, monkeypatch):
+        big = [next_prime(2**29 + 1000 * i) for i in range(4)] + [next_prime(2**30 - 100)]
+        r = np.array([3, 5, 7] + big)
+        counted = []
+        monkeypatch.setattr(bigmod, "pow", lambda *args: counted.append(args[0]) or pow(*args), raising=False)
+        bigmod._part_index(r[:3], 9, P128)  # the state, and the memoised index of 3
+        counted.clear()
+        assert bigmod._part_index(r, 9, P128).tolist() == pow_indices(r, 9, P128)
+        assert counted == big
+
+    def test_flags_with_bases_from_2_29_at_k_9(self):
+        """Bases in [2**29, 2**30) keep their verdicts at k = 9, ninth powers
+        among them; at k = 8 the octic leaf takes them."""
+        e = (P128 - 1) // 9
+        big = [r for r in map(next_prime, range(2**29, 2**29 + 2**17, 2**9)) if r < 2**30]
+        ninth = [r for r in big if pow(r, e, P128) == 1][:3]
+        assert ninth
+        small = primes_up_to(200)[3:].tolist()
+        bases = np.array(small + big + ninth)
+        ns = np.array(small + big + [r**2 for r in ninth])
+        got = euler_flags(ns, 9, P128, bases=bases)
+        assert got.tolist() == scalar_flags(ns, 9, P128)
+        assert got[-len(ninth):].all()
+        assert euler_flags(bases, 8, P48, bases=bases).tolist() == scalar_flags(bases, 8, P48)
+
+    @pytest.mark.parametrize("k,p", [(8, P48), (9, P128)], ids=["10^48+217-8", "2^128+51-9"])
+    def test_counts_take_the_leaves_first_on_cheaper_parts(self, k, p, monkeypatch):
+        """A count's entries at k = 8 or 9: every distinct base takes the
+        quartic or cubic index, and only those whose entries pass it take the
+        octic or nonic leaf; no Montgomery power and no witness runs."""
+        calls = leaf_calls(monkeypatch)
+        leaf = index_calls(monkeypatch)
+        ns, bases = prime_powers_up_to(20000)
+        got = euler_flags(ns, k, p, bases=bases)
+        assert got.tolist() == scalar_flags(ns, k, p)
+        assert calls == [("prime", ns.tolist()), ("scalar", [])]
+        distinct = np.unique(bases)
+        low = 4 if k == 8 else 3
+        passed = np.unique(bases[scalar_flags(ns, low, p)])
+        assert [m for m, _ in leaf] == ([8] if k == 8 else [3, 9])
+        assert leaf[-1][1] == passed[passed != (2 if k == 8 else 3)].tolist()
+        assert k == 8 or leaf[0][1] == distinct[distinct != 3].tolist()
+
+
+class TestLeafCertificate:
+    """The first time an octic or nonic state of p is built, it is checked:
+    N(pi) = p, pi(c) = 0 mod p, and the corrected indices of 16 small primes
+    against pow.  A state built from a corrupted part raises IntegrityError."""
+
+    CASES = [(P48, 8), (P128, 9), (TestOcticNonicIndex.SEEDED[0], 9), (TestOcticNonicIndex.SEEDED[1], 8)]
+    IDS = ["10^48+217-8", "2^128+51-9", "24d-9", "36d-8"]
+
+    @pytest.mark.parametrize("p,m", CASES, ids=IDS)
+    def test_a_sound_state_passes_once(self, p, m, cold_leaf_state, monkeypatch):
+        counted = []
+        monkeypatch.setattr(bigmod, "pow", lambda *args: counted.append(args[2:]) or pow(*args), raising=False)
+        chi = bigmod._correction(m, p)
+        # one pow per certificate prime, and per prime the correction learns from
+        assert counted.count((p,)) >= 16
+        counted.clear()
+        assert bigmod._correction(m, p) is chi and counted == []
+
+    @pytest.mark.parametrize("p,m", CASES, ids=IDS)
+    def test_a_wrong_sign_in_pi(self, p, m, cold_leaf_state, monkeypatch):
+        """One coefficient of pi negated: no longer of norm p.  (All of pi
+        negated is an associate with the same symbols, since (-1/r)_8 = 1
+        for every odd prime r and -1 = (-1)**9 is a 9th power.)"""
+        original = bigmod._cyclotomic_prime
+
+        def corrupted(mm, pp):
+            c, pi = original(mm, pp)
+            return (c, (pi[0], -pi[1]) + pi[2:]) if mm == m else (c, pi)
+
+        monkeypatch.setattr(bigmod, "_cyclotomic_prime", corrupted)
+        with pytest.raises(IntegrityError, match="not of norm p"):
+            bigmod._correction(m, p)
+
+    @pytest.mark.parametrize("p,m", CASES, ids=IDS)
+    def test_a_wrong_root(self, p, m, cold_leaf_state, monkeypatch):
+        """c replaced by c**3, another root of order m, which pi does not
+        divide z - c for."""
+        original = bigmod._cyclotomic_prime
+        monkeypatch.setattr(bigmod, "_cyclotomic_prime",
+                            lambda mm, pp: (pow(original(mm, pp)[0], 3 if mm == 8 else 2, pp), original(mm, pp)[1]))
+        with pytest.raises(IntegrityError, match=r"pi\(c\) != 0"):
+            bigmod._correction(m, p)
+
+    @pytest.mark.parametrize("p,m", CASES, ids=IDS)
+    def test_a_wrong_stickelberger_row(self, p, m, cold_leaf_state, monkeypatch):
+        """Column 1 of lam (the primes r = 1 mod m) swapped with another
+        unit's column, which the correction is not learned from."""
+        original = bigmod._stickelberger_tables
+
+        def corrupted(mm, pp):
+            theta, lam = original(mm, pp)
+            lam = lam.copy()
+            lam[:, :, [1, 7]] = lam[:, :, [7, 1]]
+            return theta, lam
+
+        monkeypatch.setattr(bigmod, "_stickelberger_tables", corrupted)
+        with pytest.raises(IntegrityError, match="pow gives"):
+            bigmod._correction(m, p)
+
+    @pytest.mark.parametrize("p,m", CASES, ids=IDS)
+    def test_a_wrong_correction_value(self, p, m, cold_leaf_state, monkeypatch):
+        """The paid index the correction learns chi(5) (m = 8) or chi(2)
+        (m = 9) from, off by one."""
+        original = bigmod._paid_index
+        learned = 5 if m == 8 else 2
+        monkeypatch.setattr(bigmod, "_paid_index",
+                            lambda r, mm, pp: (original(r, mm, pp) + (r == learned and mm == m)) % mm)
+        with pytest.raises(IntegrityError, match="pow gives"):
+            bigmod._correction(m, p)
+
+    def test_a_verdict_reads_no_state_that_fails(self, cold_leaf_state, monkeypatch):
+        original = bigmod._paid_index
+        monkeypatch.setattr(bigmod, "_paid_index", lambda r, mm, pp: (original(r, mm, pp) + (r == 5)) % mm)
+        ns = primes_up_to(1000)
+        with pytest.raises(IntegrityError):
+            euler_flags(ns, 8, P48, bases=ns)
+
+
 def ring_power_by_python_ints(x, e, r, s):
     """x**e in F_r[x]/(x**m - s) for one column x of m residues: binary
     powering over literal polynomial products in Python ints, each product
@@ -1104,6 +1307,19 @@ def smooth_digits_prime(digits, cofactor, seed):
             return p, factors
 
 
+def euler_stages(monkeypatch):
+    """Record (k, known) for every pass of euler_flags' body: its degree k
+    and the part of k its entries are known to be powers of."""
+    stages, original = [], bigmod._euler_flags
+
+    def spy(ns, bases, k, p, known):
+        stages.append((k, known))
+        return original(ns, bases, k, p, known)
+
+    monkeypatch.setattr(bigmod, "_euler_flags", spy)
+    return stages
+
+
 def exact_order_by_pow(ns, p, k, factors, witnesses):
     """has_exact_order by pow: witnesses[i] = ns[i]**((p-1)/k) mod p is 1, and
     ns[i]**((p-1)/(k*f)) is not for any prime f dividing (p-1)/k."""
@@ -1114,14 +1330,15 @@ def exact_order_by_pow(ns, p, k, factors, witnesses):
 
 class TestPrimeStage:
     """The prime stage's index contract: an entry's index t in Z/d,
-    d = gcd(k, 420), read mod each part m of d (the 2-part of k, 3, 5, 7),
-    against a scalar oracle: one pow, then a lookup among the powers of the
-    part's root of unity."""
+    d = gcd(k, 2520), read mod each part m of d (the 2-part of k up to 8, the
+    3-part up to 9, 5, 7), against a scalar oracle: one pow, then a lookup
+    among the powers of the part's root of unity."""
 
-    # p = 1 mod 420 of 24 and 48 digits in both classes mod 8, p - 1 factored
+    # p = 1 mod 420 of 24 and 48 digits in both classes mod 8, p - 1 factored;
+    # where 8 | p - 1, k = 840 takes the octic part
     SMOOTH = [smooth_digits_prime(digits, cofactor, 2300 + digits) for digits in (24, 48) for cofactor in (840, 420)]
     MODULI = ([(P24, P24_FACTORS, (7,)), (P128, P128_FACTORS, (3, 6, 9)), (P48, P48_FACTORS, (4, 7, 8))]
-              + [(p, factors, (12, 420)) for p, factors in SMOOTH])
+              + [(p, factors, tuple(k for k in (12, 420, 840) if (p - 1) % k == 0)) for p, factors in SMOOTH])
     IDS = ["10^24+7", "2^128+51", "10^48+217", "24d-1mod8", "24d-5mod8", "48d-1mod8", "48d-5mod8"]
 
     def test_smooth_primes(self):
@@ -1133,7 +1350,7 @@ class TestPrimeStage:
     @staticmethod
     def root(m, p):
         """The part's root of unity: -1, i = -a/b mod a + b*i for the Gaussian
-        prime of p, or the c of pi = gcd(p, z - c) in Z[z], z**ell = 1."""
+        prime of p, or the c of pi = gcd(p, z - c) in Z[z], z of order m."""
         if m == 2:
             return p - 1
         if m == 4:
@@ -1152,10 +1369,10 @@ class TestPrimeStage:
         x = [pow(n, (p - 1) // top, p) for n in ns.tolist()]
         spf = bigmod._smallest_prime_factors(10**4)
         j = bigmod._exponents(powers, bases, np.arange(len(powers)))
-        for d in sorted({math.gcd(k, 420) for k in ks}):
+        for d in sorted({math.gcd(k, 2520) for k in ks}):
             got = bigmod._entry_indices(ns, None, None, spf, d, p)
             assert bigmod._entry_indices(powers, bases, j, None, d, p).tolist() == got[powers - 1].tolist()
-            for m in [m for m in (math.gcd(d, 4), 3, 5, 7) if m > 1 and d % m == 0]:
+            for m in [m for m in (math.gcd(d, 8), math.gcd(d, 9), 5, 7) if m > 1 and d % m == 0]:
                 c = self.root(m, p)
                 roots = {pow(c, t, p): t for t in range(m)}
                 assert len(roots) == m and pow(c, m, p) == 1, (d, m)
@@ -1235,6 +1452,10 @@ class TestInputContract:
         assert euler_flags(ns, 3, P128, bases=bases).tolist() == scalar_flags(ns, 3, P128)
 
 
+# a prime of 24 digits with p - 1 = 16 * m, m odd, and its factorisation
+P16 = smooth_digits_prime(24, 16, 1616)
+
+
 class TestHasExactOrder:
     def test_matches_multiplicative_order_for_every_n(self):
         for p in (41, 97, 101, 241, 1009):
@@ -1271,23 +1492,50 @@ class TestHasExactOrder:
             assert has_exact_order(powers, p, k, factors, bases=bases).tolist() == want[powers - 1].tolist(), k
 
     def test_a_stage_k_f_with_f_not_dividing_k_is_an_fth_power_test(self, monkeypatch):
-        stages = []
-        original = bigmod.euler_flags
-
-        def spy(ns, k, p, bases=None):
-            stages.append(k)
-            return original(ns, k, p, bases)
-
-        monkeypatch.setattr(bigmod, "euler_flags", spy)
+        """Each stage's degree, with the part of it its entries are known to
+        be powers of: k for a stage k*f, 1 for a stage f prime to k."""
+        stages = euler_stages(monkeypatch)
         ns, bases = prime_powers_up_to(3000)
         # p - 1 = 2 * 3**5 * 17 * 89 * 6481 * 5816689 * q
         q = 12275703273579557140363
         has_exact_order(ns, P128, 3, P128_FACTORS, bases=bases)
-        assert stages == [3, 2, 9, 17, 89, 6481, 5816689, q]
+        assert stages == [(3, 1), (2, 1), (9, 3), (17, 1), (89, 1), (6481, 1), (5816689, 1), (q, 1)]
         # (p - 1)/6 is odd, and 3 divides 6
         stages.clear()
         has_exact_order(ns, P128, 6, P128_FACTORS)
-        assert stages == [6, 18, 17, 89, 6481, 5816689, q]
+        assert stages == [(6, 1), (18, 6), (17, 1), (89, 1), (6481, 1), (5816689, 1), (q, 1)]
+
+    @pytest.mark.parametrize("p,factors,k,f", [(*P16, 8, 2), (P128, P128_FACTORS, 9, 3), (P128, P128_FACTORS, 18, 3),
+                                               (P128, P128_FACTORS, 3, 3), (*P16, 4, 2)],
+                             ids=["24d-8-2", "2^128+51-9-3", "2^128+51-18-3", "2^128+51-3-3", "24d-4-2"])
+    def test_no_index_pass_where_it_decides_nothing(self, p, factors, k, f, monkeypatch):
+        """A stage k*f runs no index pass on a part of k: its entries are kth
+        powers, so every index such a pass could read is 0.  Where
+        gcd(k*f, 2520) = gcd(k, 2520) it runs none (k = 8, f = 2 and k = 9,
+        f = 3); at k = 3, f = 3 it skips the cubic pass before the nonic one,
+        and at k = 4, f = 2 the quartic one before the octic.  The flags
+        match multiplicative_order, with and without bases."""
+        events = euler_stages(monkeypatch)
+        original = bigmod._prime_indices
+        monkeypatch.setattr(bigmod, "_prime_indices", lambda r, d, p: events.append(("pass", d)) or original(r, d, p))
+        ns = np.arange(1, 3001)
+        powers, bases = prime_powers_up_to(3000)
+        want = np.array([multiplicative_order(n, p, factors) == (p - 1) // k for n in ns.tolist()])
+        assert want.any()
+        assert has_exact_order(ns, p, k, factors).tolist() == want.tolist()
+        assert has_exact_order(powers, p, k, factors, bases=bases).tolist() == want[powers - 1].tolist()
+        assert events.count((k * f, k)) == 2
+        # every index pass is on a part of its stage's degree that the
+        # entries are not known to be powers of
+        stage, passes = None, {}
+        for event in events:
+            if event[0] == "pass":
+                assert math.gcd(stage[0], 2520) % event[1] == 0 and stage[1] % event[1], events
+                passes.setdefault(stage, []).append(event[1])
+            else:
+                stage = event
+        d = math.gcd(k * f, 2520)
+        assert passes.get((k * f, k), []) == ([] if d == math.gcd(k, 2520) else [d] * 2)
 
 
 class TestPrimePowers:
